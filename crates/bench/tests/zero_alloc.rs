@@ -214,4 +214,48 @@ fn steady_state_phases_do_not_allocate() {
         let profile = scratch.search.take_profile();
         assert!(profile.total_ns() > 0, "profiler attributed no time");
     }
+
+    // The JSONL sink serializes each line straight into one reused buffer:
+    // once warm, streaming a recorded run's events (provenance payloads
+    // included) into a pre-sized in-memory trace allocates nothing. The
+    // events are cloned before the counter is armed; dropping them after
+    // emit frees memory but allocates none.
+    {
+        use paragon_des::trace::{RecordingTracer, TraceEvent, TraceSink};
+        use rt_telemetry::JsonlTracer;
+        use rtsads::{Driver, DriverConfig};
+
+        let built = rt_workload::Scenario::small().build(1998);
+        let mut recorder = RecordingTracer::new();
+        let _report = Driver::new(
+            DriverConfig::new(4, Algorithm::rt_sads())
+                .comm(comm)
+                .seed(1998),
+        )
+        .run_traced(built.tasks, &mut recorder);
+        let events = recorder.into_events();
+        for kind in ["TaskScreened", "PlacementDecided"] {
+            assert!(
+                events.iter().any(|(_, e)| e.kind() == kind),
+                "the recorded run has no {kind} event"
+            );
+        }
+
+        let mut sizing = JsonlTracer::new(Vec::new());
+        for (now, event) in events.clone() {
+            sizing.emit(now, event);
+        }
+        let bytes = sizing.finish().expect("in-memory writes succeed").len();
+
+        let mut sink = JsonlTracer::new(Vec::with_capacity(2 * bytes));
+        let mut passes: Vec<Vec<(paragon_des::Time, TraceEvent)>> =
+            vec![events.clone(), events.clone()];
+        let n = count_allocs(1, 1, || {
+            for (now, event) in passes.pop().expect("one copy per pass") {
+                sink.emit(now, event);
+            }
+        });
+        assert_eq!(n, 0, "warm JSONL emit allocated {n} times");
+        assert_eq!(sink.lines(), 2 * events.len() as u64);
+    }
 }

@@ -887,11 +887,38 @@ mod tests {
         }
     }
 
+    /// The compact JSON of each `all_variants()` sample, in order. Pinned
+    /// byte for byte: JSONL traces are compared by digest across builds.
+    const ALL_VARIANTS_JSON: [&str; 19] = [
+        r#"{"TaskAdmitted":{"task":1,"arrival_us":0,"deadline_us":900,"processing_us":250}}"#,
+        r#"{"TaskScreened":{"task":2,"phase":1,"deadline_us":400,"probes":[{"processor":0,"available_us":300,"demand_us":200,"completion_us":500},{"processor":1,"available_us":350,"demand_us":180,"completion_us":530}]}}"#,
+        r#"{"PlacementDecided":{"task":3,"phase":1,"processor":2,"completion_us":700,"cost_us":900,"shard":1,"rejected":[{"processor":0,"completion_us":950,"cost_us":950,"shard":0}]}}"#,
+        r#"{"SchedulerOverhead":{"phase":1,"allocated_us":100,"wall_ns":48213}}"#,
+        r#"{"PhaseProfiled":{"phase":1,"profile":{"screen_ns":1000,"fill_ns":12000,"cost_ns":30000,"shard_ns":0,"apply_ns":4000,"undo_ns":2500,"merge_ns":800,"select_ns":0,"walks":[{"termination":"dead_end","vertices":40,"end_depth":5,"pops":3,"committed":true},{"termination":"leaf","vertices":10,"end_depth":8,"pops":0,"committed":true}]}}}"#,
+        r#"{"PhaseStarted":{"phase":1,"batch_len":10,"quantum":100}}"#,
+        r#"{"PhaseEnded":{"phase":1,"scheduled":4,"consumed":80,"vertices":40,"backtracks":3,"undos":7,"replay_avoided":21}}"#,
+        r#"{"TaskDispatched":{"task":3,"processor":2,"slack_us":-17}}"#,
+        r#"{"CommDelay":{"task":3,"processor":2,"delay_us":2000}}"#,
+        r#"{"TaskStarted":{"task":3,"processor":2}}"#,
+        r#"{"TaskCompleted":{"task":3,"processor":2,"met_deadline":true,"lateness_us":-50}}"#,
+        r#"{"TaskCompleted":{"task":4,"processor":1,"met_deadline":false,"lateness_us":120}}"#,
+        r#"{"TaskDropped":{"task":5}}"#,
+        r#"{"TaskExpiredMidPhase":{"task":6,"phase":2}}"#,
+        r#"{"ProcessorFailed":{"processor":1,"fail_stop":false,"orphaned":3,"lost":1}}"#,
+        r#"{"ProcessorRecovered":{"processor":1}}"#,
+        r#"{"TaskOrphaned":{"task":7,"processor":1}}"#,
+        r#"{"TaskLost":{"task":8,"processor":1}}"#,
+        r#"{"Note":"hi"}"#,
+    ];
+
     #[test]
     fn serde_round_trips_all_variants() {
-        for event in all_variants() {
-            let value = event.to_value();
-            let back = TraceEvent::from_value(&value).expect("deserializes");
+        let samples = all_variants();
+        assert_eq!(samples.len(), ALL_VARIANTS_JSON.len());
+        for (event, pinned) in samples.into_iter().zip(ALL_VARIANTS_JSON) {
+            let text = serde_json::to_string(&event).expect("serializes");
+            assert_eq!(text, pinned, "{}", event.kind());
+            let back: TraceEvent = serde_json::from_str(&text).expect("deserializes");
             assert_eq!(back, event);
         }
     }

@@ -484,8 +484,7 @@ fn search_core(
     // Screening it out once keeps expansions from re-evaluating it at every
     // level. (Like the paper's per-phase batch expiry test, this screen is
     // not charged against the quantum; screened tasks stay in the batch.)
-    // Under provenance every probe is materialized so a screen rejection
-    // carries the actual test operands; the verdicts are identical.
+    // Under provenance a screen rejection also carries the test's operands.
     let t_screen = prof.start();
     let screened_evidence = screen_batch(params, viable);
     prof.stop(Stage::Screen, t_screen);
@@ -1238,15 +1237,27 @@ impl Ctx<'_, '_> {
     }
 }
 
-/// The phase-level viability screen over the whole batch: fills `viable`
-/// with one verdict per task and returns the evidence for rejected tasks
-/// (empty unless [`SearchParams::provenance`] is set, which materializes
-/// every probe's operands; the verdicts are identical either way).
+/// The phase-level viability screen over the whole batch: fills the empty
+/// `viable` with one verdict per task and returns the evidence for rejected
+/// tasks. Every verdict comes from the same test; only under
+/// [`SearchParams::provenance`] are the rejected tasks' probes then built
+/// with the test's operands (viable tasks never need theirs).
 fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<ScreenEvidence> {
-    let mut screened_evidence: Vec<ScreenEvidence> = Vec::new();
-    if params.provenance {
-        for (idx, t) in params.tasks.iter().enumerate() {
-            let probes: Vec<ScreenProbe> = ProcessorId::all(params.initial_finish.len())
+    let processors = params.initial_finish.len();
+    viable.extend(params.tasks.iter().map(|t| {
+        ProcessorId::all(processors)
+            .any(|p| t.meets_deadline(params.initial_finish[p.index()] + params.comm.demand(t, p)))
+    }));
+    if !params.provenance {
+        return Vec::new();
+    }
+    viable
+        .iter()
+        .enumerate()
+        .filter(|&(_, &ok)| !ok)
+        .map(|(idx, _)| {
+            let t = &params.tasks[idx];
+            let probes = ProcessorId::all(processors)
                 .map(|p| {
                     let available = params.initial_finish[p.index()];
                     let demand = params.comm.demand(t, p);
@@ -1258,20 +1269,9 @@ fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<Screen
                     }
                 })
                 .collect();
-            let ok = probes.iter().any(|pr| t.meets_deadline(pr.completion));
-            if !ok {
-                screened_evidence.push(ScreenEvidence { task: idx, probes });
-            }
-            viable.push(ok);
-        }
-    } else {
-        viable.extend(params.tasks.iter().map(|t| {
-            ProcessorId::all(params.initial_finish.len()).any(|p| {
-                t.meets_deadline(params.initial_finish[p.index()] + params.comm.demand(t, p))
-            })
-        }));
-    }
-    screened_evidence
+            ScreenEvidence { task: idx, probes }
+        })
+        .collect()
 }
 
 /// Same-expansion alternatives for one delivered node: every sibling in
@@ -2916,5 +2916,83 @@ mod tests {
         for a in &out.assignments {
             assert!(tasks[a.task].meets_deadline(a.completion));
         }
+    }
+
+    /// The all-probes formulation of the screen: a P-wide probe list for
+    /// every batch task, the verdict read off those probes, and the probes
+    /// of the rejected tasks kept as evidence.
+    fn screen_all_probes(params: &SearchParams<'_>) -> (Vec<bool>, Vec<ScreenEvidence>) {
+        let mut viable = Vec::new();
+        let mut evidence = Vec::new();
+        for (idx, t) in params.tasks.iter().enumerate() {
+            let probes: Vec<ScreenProbe> = ProcessorId::all(params.initial_finish.len())
+                .map(|p| {
+                    let available = params.initial_finish[p.index()];
+                    let demand = params.comm.demand(t, p);
+                    ScreenProbe {
+                        processor: p,
+                        available,
+                        demand,
+                        completion: available + demand,
+                    }
+                })
+                .collect();
+            let ok = probes.iter().any(|pr| t.meets_deadline(pr.completion));
+            if !ok {
+                evidence.push(ScreenEvidence { task: idx, probes });
+            }
+            viable.push(ok);
+        }
+        (viable, evidence)
+    }
+
+    #[test]
+    fn screen_matches_the_all_probes_formulation() {
+        use paragon_des::SimRng;
+        use rt_task::TopologySpec;
+        let workers = 16;
+        let comms = [
+            CommModel::constant(Duration::from_micros(700)),
+            CommModel::hierarchical(TopologySpec::new(16, 4, 2, 0, 500, 1_500)),
+        ];
+        let repr = Representation::assignment_oriented();
+        let mut rng = SimRng::seed_from(1998);
+        let (mut kept, mut rejected) = (0, 0);
+        for comm in &comms {
+            for _ in 0..200 {
+                let n = rng.uniform_u64(0..24);
+                let tasks: Vec<Task> = (0..n)
+                    .map(|i| {
+                        let affinity: Vec<usize> = (0..rng.uniform_usize(0..4))
+                            .map(|_| rng.uniform_usize(0..workers))
+                            .collect();
+                        let p_us = rng.uniform_u64(50..2_000);
+                        mk_task(i, p_us, rng.uniform_u64(100..4_000), &affinity)
+                    })
+                    .collect();
+                let initial: Vec<Time> = (0..workers)
+                    .map(|_| Time::from_micros(rng.uniform_u64(0..2_000)))
+                    .collect();
+                let mut p = params(&tasks, comm, &initial, &repr, ChildOrder::LoadBalance);
+                let (want_viable, want_evidence) = screen_all_probes(&p);
+                for provenance in [false, true] {
+                    p.provenance = provenance;
+                    let mut viable = Vec::new();
+                    let evidence = screen_batch(&p, &mut viable);
+                    assert_eq!(viable, want_viable);
+                    if provenance {
+                        assert_eq!(evidence, want_evidence);
+                    } else {
+                        assert!(evidence.is_empty());
+                    }
+                }
+                rejected += want_evidence.len();
+                kept += want_viable.len() - want_evidence.len();
+            }
+        }
+        assert!(
+            rejected > 100 && kept > 100,
+            "random batches must mix verdicts: {kept} viable, {rejected} rejected"
+        );
     }
 }

@@ -38,12 +38,17 @@ pub struct TraceLine {
 
 /// A [`TraceSink`] streaming events to a writer as JSONL.
 ///
+/// Each line is serialized into one reused buffer and handed to the writer
+/// with a single `write_all`, so a warm tracer allocates nothing per event
+/// beyond what the writer itself does.
+///
 /// Write errors are sticky: the first one is kept and all further events
 /// are dropped; [`JsonlTracer::finish`] surfaces it. This keeps `emit`
 /// infallible, as the `TraceSink` seam requires.
 #[derive(Debug)]
 pub struct JsonlTracer<W: Write> {
     out: W,
+    line: String,
     lines: u64,
     error: Option<std::io::Error>,
 }
@@ -55,17 +60,25 @@ impl<W: Write> JsonlTracer<W> {
     pub fn new(out: W) -> Self {
         let mut tracer = JsonlTracer {
             out,
+            line: String::new(),
             lines: 0,
             error: None,
         };
-        let header = TraceHeader {
+        tracer.write_line(&TraceHeader {
             schema_version: SCHEMA_VERSION,
-        };
-        let json = serde_json::to_string(&header).expect("trace header serializes");
-        if let Err(e) = writeln!(tracer.out, "{json}") {
-            tracer.error = Some(e);
-        }
+        });
         tracer
+    }
+
+    /// Serializes `value` plus a newline into the line buffer and writes
+    /// it out, keeping the first error.
+    fn write_line(&mut self, value: &impl Serialize) {
+        self.line.clear();
+        value.write_json(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
+            self.error = Some(e);
+        }
     }
 
     /// Number of event lines successfully written (the header manifest is
@@ -90,16 +103,13 @@ impl<W: Write> TraceSink for JsonlTracer<W> {
         if self.error.is_some() {
             return;
         }
-        let line = TraceLine {
+        self.write_line(&TraceLine {
             t_us: now.as_micros(),
             event,
-        };
-        let json = serde_json::to_string(&line).expect("trace events serialize");
-        if let Err(e) = writeln!(self.out, "{json}") {
-            self.error = Some(e);
-            return;
+        });
+        if self.error.is_none() {
+            self.lines += 1;
         }
-        self.lines += 1;
     }
 }
 

@@ -129,6 +129,27 @@ mod tests {
         );
     }
 
+    /// The manifest text is pinned byte for byte, so manifests written by
+    /// earlier builds diff clean against new ones.
+    #[test]
+    fn manifest_pretty_text_is_pinned() {
+        let mut m = RunManifest::new("RT-SADS", 42, 8)
+            .calibration(1, Some(2_000))
+            .with("transactions", "600")
+            .with("note", "tab\there \"quoted\"");
+        m.git_describe = Some("v0.1-3-gabc-dirty".into());
+        assert_eq!(
+            m.to_json(),
+            "{\n  \"algorithm\": \"RT-SADS\",\n  \"seed\": 42,\n  \"workers\": 8,\n  \"vertex_eval_cost_us\": 1,\n  \"comm_delay_us\": 2000,\n  \"git_describe\": \"v0.1-3-gabc-dirty\",\n  \"extra\": {\n    \"note\": \"tab\\there \\\"quoted\\\"\",\n    \"transactions\": \"600\"\n  }\n}"
+        );
+        let mut bare = RunManifest::new("D-COLS", 7, 2);
+        bare.git_describe = None;
+        assert_eq!(
+            bare.to_json(),
+            "{\n  \"algorithm\": \"D-COLS\",\n  \"seed\": 7,\n  \"workers\": 2,\n  \"vertex_eval_cost_us\": 0,\n  \"comm_delay_us\": null,\n  \"git_describe\": null,\n  \"extra\": {}\n}"
+        );
+    }
+
     #[test]
     fn manifest_path_swaps_the_extension() {
         assert_eq!(

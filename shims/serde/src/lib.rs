@@ -5,14 +5,18 @@
 //! repo uses: `#[derive(Serialize, Deserialize)]` on structs and enums, the
 //! externally-tagged JSON data model, and `#[serde(default)]`.
 //!
-//! Instead of serde's visitor architecture, everything round-trips through a
-//! JSON-shaped [`Value`] tree: `Serialize` renders a value into a [`Value`],
-//! `Deserialize` reads one back. `serde_json` (also shimmed) provides the
-//! text encoding on top.
+//! Instead of serde's visitor architecture the two directions are
+//! asymmetric. `Serialize` appends compact JSON text straight onto a
+//! `String`, with no intermediate tree; the derive turns field keys and
+//! variant tags into string literals, and the impls below are the one place
+//! that escapes strings and formats numbers. `Deserialize` reads back from
+//! a JSON-shaped [`Value`] tree, which `serde_json` (also shimmed) parses.
+
+use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A JSON-shaped value tree — the intermediate data model.
+/// A JSON-shaped value tree — the data model `Deserialize` reads from.
 ///
 /// Objects preserve insertion order so emitted JSON is stable and matches
 /// field declaration order, like serde's derive.
@@ -140,10 +144,10 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Renders `self` into the [`Value`] data model.
+/// Encodes `self` as compact JSON text.
 pub trait Serialize {
-    /// Converts to a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Appends the compact JSON encoding of `self` (no whitespace) to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
 /// Reconstructs `Self` from the [`Value`] data model.
@@ -156,11 +160,109 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
 }
 
+// ------------------------------------------------------ text encoding
+
+/// Appends `n` in decimal.
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends `n` in decimal, with a leading `-` when negative.
+fn write_i64(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_u64(out, n.unsigned_abs());
+}
+
+/// Appends `f` as a JSON number.
+fn write_f64(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        // serde_json refuses non-finite floats; emitting null keeps the
+        // document valid without panicking deep inside an exporter.
+        out.push_str("null");
+    } else if f == f.trunc() && f.abs() < 1e15 {
+        // Keep a fractional part so the value reparses as a float.
+        let _ = write!(out, "{f:.1}");
+    } else {
+        let _ = write!(out, "{f}");
+    }
+}
+
+/// Appends `s` as a quoted JSON string. Quotes, backslashes and control
+/// characters are escaped; everything else, non-ASCII included, is copied
+/// through in unescaped runs.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends `'['`, the elements separated by commas, and `']'`.
+fn write_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Appends an object of the given entries, in iteration order.
+fn write_map<'a, K: MapKey + 'a, V: Serialize + 'a>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = (&'a K, &'a V)>,
+) {
+    out.push('{');
+    for (i, (key, value)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        key.write_key(out);
+        out.push(':');
+        value.write_json(out);
+    }
+    out.push('}');
+}
+
+// ------------------------------------------------------ impls
+
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
+            fn write_json(&self, out: &mut String) {
+                write_u64(out, *self as u64);
             }
         }
         impl Deserialize for $t {
@@ -180,13 +282,8 @@ impl_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 {
-                    Value::U64(n as u64)
-                } else {
-                    Value::I64(n)
-                }
+            fn write_json(&self, out: &mut String) {
+                write_i64(out, *self as i64);
             }
         }
         impl Deserialize for $t {
@@ -204,8 +301,8 @@ macro_rules! impl_int {
 impl_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
     }
 }
 
@@ -216,8 +313,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, f64::from(*self));
     }
 }
 
@@ -228,8 +325,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -240,8 +337,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
@@ -254,28 +351,28 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -291,8 +388,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
@@ -307,27 +404,30 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
 macro_rules! impl_tuple {
-    ($(($($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
+    ($(($n0:tt $t0:ident $(, $n:tt $t:ident)*))*) => {$(
+        impl<$t0: Serialize $(, $t: Serialize)*> Serialize for ($t0, $($t,)*) {
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                self.$n0.write_json(out);
+                $(
+                    out.push(',');
+                    self.$n.write_json(out);
+                )*
+                out.push(']');
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
+        impl<$t0: Deserialize $(, $t: Deserialize)*> Deserialize for ($t0, $($t,)*) {
             fn from_value(v: &Value) -> Result<Self, Error> {
                 let a = v.as_array().ok_or_else(|| Error::custom("expected tuple array"))?;
                 let mut it = a.iter();
-                Ok(($(
-                    $t::from_value(
-                        it.next().ok_or_else(|| Error::custom("tuple too short"))?,
-                    )?,
-                )+))
+                let mut next = || it.next().ok_or_else(|| Error::custom("tuple too short"));
+                Ok(($t0::from_value(next()?)?, $($t::from_value(next()?)?,)*))
             }
         }
     )*};
@@ -342,8 +442,8 @@ impl_tuple! {
 
 /// Types usable as JSON object keys (serde stringifies non-string keys).
 pub trait MapKey: Sized {
-    /// Renders the key as a JSON object key.
-    fn to_key(&self) -> String;
+    /// Appends the key as a quoted JSON object key.
+    fn write_key(&self, out: &mut String);
     /// Parses the key back from a JSON object key.
     ///
     /// # Errors
@@ -353,8 +453,8 @@ pub trait MapKey: Sized {
 }
 
 impl MapKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
+    fn write_key(&self, out: &mut String) {
+        write_str(out, self);
     }
 
     fn from_key(s: &str) -> Result<Self, Error> {
@@ -365,8 +465,10 @@ impl MapKey for String {
 macro_rules! impl_map_key_int {
     ($($t:ty),*) => {$(
         impl MapKey for $t {
-            fn to_key(&self) -> String {
-                self.to_string()
+            fn write_key(&self, out: &mut String) {
+                out.push('"');
+                self.write_json(out);
+                out.push('"');
             }
 
             fn from_key(s: &str) -> Result<Self, Error> {
@@ -384,12 +486,8 @@ where
     K: MapKey,
     V: Serialize,
 {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_value()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_map(out, self);
     }
 }
 
@@ -412,12 +510,8 @@ where
     K: MapKey,
     V: Serialize,
 {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_value()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_map(out, self);
     }
 }
 
@@ -436,8 +530,17 @@ where
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::U64(n) => write_u64(out, *n),
+            Value::I64(n) => write_i64(out, *n),
+            Value::F64(f) => write_f64(out, *f),
+            Value::Str(s) => write_str(out, s),
+            Value::Array(items) => write_seq(out, items),
+            Value::Object(entries) => write_map(out, entries.iter().map(|(k, v)| (k, v))),
+        }
     }
 }
 
@@ -451,26 +554,33 @@ impl Deserialize for Value {
 mod tests {
     use super::*;
 
-    #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-3i64).to_value()).unwrap(), -3);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        let f = f64::from_value(&0.25f64.to_value()).unwrap();
-        assert!((f - 0.25).abs() < 1e-12);
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out);
+        out
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v = vec![(1usize, 2u64), (3, 4)];
-        let back: Vec<(usize, u64)> = Vec::from_value(&v.to_value()).unwrap();
-        assert_eq!(back, v);
-        let o: Option<u32> = None;
-        assert!(o.to_value().is_null());
+    fn primitives_encode() {
+        assert_eq!(json(&42u64), "42");
+        assert_eq!(json(&0u8), "0");
+        assert_eq!(json(&u64::MAX), "18446744073709551615");
+        assert_eq!(json(&-3i64), "-3");
+        assert_eq!(json(&i64::MIN), "-9223372036854775808");
+        assert_eq!(json(&true), "true");
+        assert_eq!(json(&0.25f64), "0.25");
+        assert_eq!(json("hi"), "\"hi\"");
+        assert_eq!(json(&'\n'), "\"\\n\"");
+    }
+
+    #[test]
+    fn containers_encode() {
+        assert_eq!(json(&vec![(1usize, 2u64), (3, 4)]), "[[1,2],[3,4]]");
+        assert_eq!(json(&None::<u32>), "null");
+        assert_eq!(json(&Some(5u32)), "5");
+        assert_eq!(json(&Vec::<u8>::new()), "[]");
+        let map: std::collections::BTreeMap<u32, &str> = [(10, "x"), (2, "y")].into();
+        assert_eq!(json(&map), r#"{"2":"y","10":"x"}"#);
         assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
     }
 
@@ -480,6 +590,13 @@ mod tests {
         assert_eq!(f64::from_value(&Value::U64(3)).unwrap(), 3.0);
         assert_eq!(u64::from_value(&Value::I64(5)).unwrap(), 5);
         assert!(u64::from_value(&Value::I64(-5)).is_err());
+    }
+
+    #[test]
+    fn tuples_decode_and_reject_short_arrays() {
+        let v = Value::Array(vec![Value::U64(1), Value::Str("a".into())]);
+        assert_eq!(<(u8, String)>::from_value(&v).unwrap(), (1, "a".into()));
+        assert!(<(u8, String, bool)>::from_value(&v).is_err());
     }
 
     #[test]

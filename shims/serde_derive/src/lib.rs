@@ -13,6 +13,11 @@
 //!
 //! Generics, tuple structs with more than one field, and other serde
 //! attributes are intentionally unsupported and panic with a clear message.
+//!
+//! The derived `Serialize` writes compact JSON directly: keys and variant
+//! tags are rendered into string literals at expansion time, so a struct
+//! serializes as a few `push_str` calls around one `write_json` call per
+//! field. The derived `Deserialize` reads the shim's `Value` tree.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -48,7 +53,7 @@ enum Item {
     },
 }
 
-/// Derives `serde::Serialize` (the shim's Value-based trait).
+/// Derives `serde::Serialize` (the shim's direct JSON writer).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -57,7 +62,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("generated Serialize impl parses")
 }
 
-/// Derives `serde::Deserialize` (the shim's Value-based trait).
+/// Derives `serde::Deserialize` (the shim's `Value`-based reader).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -251,51 +256,91 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 // ---------------------------------------------------------------- codegen
 
+/// Accumulates the body of a generated `write_json`: literal JSON text is
+/// buffered so adjacent pieces become a single `push_str`, and each field
+/// value becomes one call to its own `Serialize` impl.
+#[derive(Default)]
+struct JsonWriter {
+    code: String,
+    text: String,
+}
+
+impl JsonWriter {
+    /// Literal JSON text. Keys and tags are Rust identifiers, which contain
+    /// no character JSON escapes, so they are quoted verbatim.
+    fn text(&mut self, json: &str) {
+        self.text.push_str(json);
+    }
+
+    fn value(&mut self, expr: &str) {
+        self.flush();
+        self.code
+            .push_str(&format!("::serde::Serialize::write_json({expr}, __out);\n"));
+    }
+
+    /// `{"field":value,...}` with each value read from `access(field)`.
+    fn object(&mut self, fields: &[Field], access: impl Fn(&str) -> String) {
+        self.text("{");
+        for (i, f) in fields.iter().enumerate() {
+            let comma = if i > 0 { "," } else { "" };
+            self.text(&format!("{comma}\"{}\":", f.name));
+            self.value(&access(&f.name));
+        }
+        self.text("}");
+    }
+
+    fn flush(&mut self) {
+        if !self.text.is_empty() {
+            // `{:?}` renders the JSON text as a Rust string literal.
+            self.code
+                .push_str(&format!("__out.push_str({:?});\n", self.text));
+            self.text.clear();
+        }
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.code
+    }
+}
+
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
-        Item::Struct { name, fields } => (name, {
-            let mut b = String::from(
-                "let mut __obj: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-            );
-            for f in fields {
-                let fname = &f.name;
-                b.push_str(&format!(
-                    "__obj.push((::std::string::String::from(\"{fname}\"), ::serde::Serialize::to_value(&self.{fname})));\n"
-                ));
-            }
-            b.push_str("::serde::Value::Object(__obj)");
-            b
-        }),
-        Item::Newtype { name } => (name, "::serde::Serialize::to_value(&self.0)".to_string()),
+        Item::Struct { name, fields } => {
+            let mut w = JsonWriter::default();
+            w.object(fields, |f| format!("&self.{f}"));
+            (name, w.finish())
+        }
+        Item::Newtype { name } => (
+            name,
+            "::serde::Serialize::write_json(&self.0, __out);".to_string(),
+        ),
         Item::Enum { name, variants } => (name, {
+            // Externally tagged: `"Unit"`, `{"Newtype":..}`, `{"Struct":{..}}`.
             let mut b = String::from("match self {\n");
             for v in variants {
                 let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => b.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::Str(::std::string::String::from(\"{vname}\")),\n"
-                    )),
-                    VariantKind::Newtype => b.push_str(&format!(
-                        "{name}::{vname}(__x) => ::serde::Value::Object(::std::vec![(\
-                         ::std::string::String::from(\"{vname}\"), ::serde::Serialize::to_value(__x))]),\n"
-                    )),
-                    VariantKind::Struct(fields) => {
-                        let pat: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        b.push_str(&format!("{name}::{vname} {{ {} }} => {{\n", pat.join(", ")));
-                        b.push_str(
-                            "let mut __obj: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        for f in fields {
-                            let fname = &f.name;
-                            b.push_str(&format!(
-                                "__obj.push((::std::string::String::from(\"{fname}\"), ::serde::Serialize::to_value({fname})));\n"
-                            ));
-                        }
-                        b.push_str(&format!(
-                            "::serde::Value::Object(::std::vec![(::std::string::String::from(\"{vname}\"), ::serde::Value::Object(__obj))])\n}}\n"
-                        ));
+                let mut w = JsonWriter::default();
+                let pattern = match &v.kind {
+                    VariantKind::Unit => {
+                        w.text(&format!("\"{vname}\""));
+                        format!("{name}::{vname}")
                     }
-                }
+                    VariantKind::Newtype => {
+                        w.text(&format!("{{\"{vname}\":"));
+                        w.value("__x");
+                        w.text("}");
+                        format!("{name}::{vname}(__x)")
+                    }
+                    VariantKind::Struct(fields) => {
+                        w.text(&format!("{{\"{vname}\":"));
+                        w.object(fields, str::to_string);
+                        w.text("}");
+                        let bound: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        format!("{name}::{vname} {{ {} }}", bound.join(", "))
+                    }
+                };
+                b.push_str(&format!("{pattern} => {{\n{}}}\n", w.finish()));
             }
             b.push('}');
             b
@@ -303,9 +348,9 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "#[automatically_derived]\n\
-         #[allow(clippy::all, clippy::pedantic, unused_mut, dead_code)]\n\
+         #[allow(clippy::all, clippy::pedantic, dead_code)]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n\
          }}\n"
     )
 }

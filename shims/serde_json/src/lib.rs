@@ -1,12 +1,13 @@
-//! Offline stand-in for `serde_json`: a JSON reader/writer over the serde
-//! shim's [`Value`] tree.
+//! Offline stand-in for `serde_json`: JSON text on top of the serde shim.
 //!
-//! Covers the surface the workspace uses: `from_str`, `to_string`,
-//! `to_string_pretty`, `to_writer`, and `Value`. The pretty printer emits
-//! 2-space indentation with `"key": value` separators (same shape as real
-//! serde_json), which some tests rely on for textual substitution.
-
-use std::fmt::Write as _;
+//! Covers the surface the workspace uses: `from_str`, `from_value`,
+//! `to_string`, `to_string_pretty`, `to_writer`, and `Value`. Writing is the
+//! shim's direct `Serialize::write_json`; reading parses into a [`Value`]
+//! tree that `Deserialize` consumes. The pretty printer emits 2-space
+//! indentation with `"key": value` separators (same shape as real
+//! serde_json), which some tests rely on for textual substitution. It
+//! serves cold paths only (manifests, reports, snapshots), so it reparses
+//! the compact text and indents the resulting tree, leaving one encoder.
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -53,10 +54,10 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
 ///
 /// # Errors
 ///
-/// Infallible for tree-shaped values; the `Result` mirrors serde_json's API.
+/// Infallible; the `Result` mirrors serde_json's API.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -64,10 +65,12 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 ///
 /// # Errors
 ///
-/// Infallible for tree-shaped values; the `Result` mirrors serde_json's API.
+/// Returns an error only if the compact encoding does not reparse, e.g. a
+/// value nested deeper than the parser's recursion limit.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    let tree = parse_value(&to_string(value)?)?;
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_pretty(&mut out, &tree, 0);
     Ok(out)
 }
 
@@ -83,15 +86,6 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(mut writer: W, value:
         .map_err(|e| Error::new(format!("write failed: {e}")))
 }
 
-/// Converts any serializable value into a [`Value`] tree.
-///
-/// # Errors
-///
-/// Infallible for tree-shaped values; the `Result` mirrors serde_json's API.
-pub fn to_value<T: Serialize>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
-}
-
 /// Reconstructs a typed value from a [`Value`] tree.
 ///
 /// # Errors
@@ -101,99 +95,46 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
     Ok(T::from_value(value)?)
 }
 
-// ---------------------------------------------------------------- writer
+// ---------------------------------------------------------------- pretty
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+fn write_pretty(out: &mut String, v: &Value, depth: usize) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(f) => write_f64(out, *f),
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
+        Value::Array(items) if !items.is_empty() => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
+                newline_indent(out, depth + 1);
+                write_pretty(out, item, depth + 1);
             }
-            newline_indent(out, indent, depth);
+            newline_indent(out, depth);
             out.push(']');
         }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
+        Value::Object(entries) if !entries.is_empty() => {
             out.push('{');
             for (i, (key, val)) in entries.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
+                newline_indent(out, depth + 1);
+                key.write_json(out);
+                out.push_str(": ");
+                write_pretty(out, val, depth + 1);
             }
-            newline_indent(out, indent, depth);
+            newline_indent(out, depth);
             out.push('}');
         }
+        // Scalars and empty containers print the same either way.
+        compact => compact.write_json(out),
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth * 2 {
+        out.push(' ');
     }
-}
-
-fn write_f64(out: &mut String, f: f64) {
-    if !f.is_finite() {
-        // serde_json refuses non-finite floats; emitting null keeps the
-        // document valid without panicking deep inside an exporter.
-        out.push_str("null");
-    } else if f == f.trunc() && f.abs() < 1e15 {
-        // Keep a fractional part so the value reparses as a float.
-        let _ = write!(out, "{f:.1}");
-    } else {
-        let _ = write!(out, "{f}");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------- parser
@@ -404,15 +345,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads exactly four hex digits; a sign such as the `+` in `\u+041`
+    /// is rejected (`u32::from_str_radix` would accept it).
     fn hex4(&mut self) -> Result<u32> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(Error::new("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("invalid \\u escape"))?;
+            code = code * 16 + digit;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| Error::new("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| Error::new("invalid \\u escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(code)
     }
 
@@ -492,5 +439,141 @@ mod tests {
         let s = to_string(&pairs).unwrap();
         let back: Vec<(usize, u64)> = from_str(&s).unwrap();
         assert_eq!(back, pairs);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str::<String>(r#""\u0041\u00E9""#).unwrap(), "Aé");
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u004""#, r#""\u 041""#] {
+            assert!(from_str::<String>(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[derive(serde::Serialize)]
+    struct Empty {}
+
+    #[derive(serde::Serialize)]
+    struct Wrapper(u32);
+
+    #[derive(serde::Serialize)]
+    enum Shape {
+        Unit,
+        New(i64),
+        Fields { a: Option<u8>, b: Vec<f64> },
+        Nothing {},
+    }
+
+    #[derive(serde::Serialize)]
+    struct Sample {
+        text: String,
+        floats: Vec<f64>,
+        none: Option<u32>,
+        some: Option<u32>,
+        empty: Vec<u32>,
+        unit: Empty,
+        wrapped: Wrapper,
+        shapes: Vec<Shape>,
+        ints: (u64, i64, i8, usize),
+        letter: char,
+        by_name: std::collections::BTreeMap<String, u32>,
+        by_id: std::collections::BTreeMap<u64, bool>,
+        single: f32,
+    }
+
+    /// Every shape the writer handles, including the edge cases: escapes
+    /// (control characters as `\u00XX`, non-ASCII passed through), floats
+    /// that are integral, at or above 1e15, negative zero or not finite,
+    /// `None`, empty containers, every enum variant kind and map keys.
+    fn sample() -> Sample {
+        Sample {
+            text: "q\"b\\s/\n\r\t\u{1}\u{8}\u{c}\u{1f}\u{7f}é✓😀".into(),
+            floats: vec![
+                2.0,
+                0.5,
+                -1.25,
+                0.1 + 0.2,
+                1e-7,
+                999_999_999_999_999.0,
+                1e15,
+                1.5e20,
+                -3e16,
+                -0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ],
+            none: None,
+            some: Some(7),
+            empty: Vec::new(),
+            unit: Empty {},
+            wrapped: Wrapper(42),
+            shapes: vec![
+                Shape::Unit,
+                Shape::New(-9),
+                Shape::Fields { a: None, b: vec![] },
+                Shape::Fields {
+                    a: Some(255),
+                    b: vec![1.0, 2.5],
+                },
+                Shape::Nothing {},
+            ],
+            ints: (u64::MAX, i64::MIN, -5, 0),
+            letter: '"',
+            by_name: [("b\n".to_string(), 2), ("a".to_string(), 1)].into(),
+            by_id: [(10, true), (2, false)].into(),
+            single: 0.1,
+        }
+    }
+
+    // The expected texts below are pinned byte for byte: traces, reports
+    // and manifests written by earlier builds must read the same.
+
+    #[test]
+    fn compact_text_is_pinned() {
+        assert_eq!(
+            to_string(&sample()).unwrap(),
+            "{\"text\":\"q\\\"b\\\\s/\\n\\r\\t\\u0001\\u0008\\u000c\\u001f\u{7f}é✓😀\",\"floats\":[2.0,0.5,-1.25,0.30000000000000004,0.0000001,999999999999999.0,1000000000000000,150000000000000000000,-30000000000000000,-0.0,null,null,null],\"none\":null,\"some\":7,\"empty\":[],\"unit\":{},\"wrapped\":42,\"shapes\":[\"Unit\",{\"New\":-9},{\"Fields\":{\"a\":null,\"b\":[]}},{\"Fields\":{\"a\":255,\"b\":[1.0,2.5]}},{\"Nothing\":{}}],\"ints\":[18446744073709551615,-9223372036854775808,-5,0],\"letter\":\"\\\"\",\"by_name\":{\"a\":1,\"b\\n\":2},\"by_id\":{\"2\":false,\"10\":true},\"single\":0.10000000149011612}"
+        );
+        assert_eq!(to_string(&Empty {}).unwrap(), "{}");
+        let mut buf = Vec::new();
+        to_writer(&mut buf, &sample()).unwrap();
+        assert_eq!(buf, to_string(&sample()).unwrap().into_bytes());
+    }
+
+    #[test]
+    fn pretty_text_is_pinned() {
+        assert_eq!(
+            to_string_pretty(&sample()).unwrap(),
+            "{\n  \"text\": \"q\\\"b\\\\s/\\n\\r\\t\\u0001\\u0008\\u000c\\u001f\u{7f}é✓😀\",\n  \"floats\": [\n    2.0,\n    0.5,\n    -1.25,\n    0.30000000000000004,\n    0.0000001,\n    999999999999999.0,\n    1000000000000000,\n    150000000000000000000,\n    -30000000000000000,\n    -0.0,\n    null,\n    null,\n    null\n  ],\n  \"none\": null,\n  \"some\": 7,\n  \"empty\": [],\n  \"unit\": {},\n  \"wrapped\": 42,\n  \"shapes\": [\n    \"Unit\",\n    {\n      \"New\": -9\n    },\n    {\n      \"Fields\": {\n        \"a\": null,\n        \"b\": []\n      }\n    },\n    {\n      \"Fields\": {\n        \"a\": 255,\n        \"b\": [\n          1.0,\n          2.5\n        ]\n      }\n    },\n    {\n      \"Nothing\": {}\n    }\n  ],\n  \"ints\": [\n    18446744073709551615,\n    -9223372036854775808,\n    -5,\n    0\n  ],\n  \"letter\": \"\\\"\",\n  \"by_name\": {\n    \"a\": 1,\n    \"b\\n\": 2\n  },\n  \"by_id\": {\n    \"2\": false,\n    \"10\": true\n  },\n  \"single\": 0.10000000149011612\n}"
+        );
+    }
+
+    #[test]
+    fn value_trees_are_pinned() {
+        let v = Value::Object(vec![
+            ("n".into(), Value::Null),
+            ("b".into(), Value::Bool(false)),
+            ("u".into(), Value::U64(18)),
+            ("i".into(), Value::I64(-18)),
+            ("f".into(), Value::F64(3.0)),
+            ("s".into(), Value::Str("x\"y".into())),
+            (
+                "a".into(),
+                Value::Array(vec![Value::Array(vec![]), Value::Object(vec![])]),
+            ),
+            (
+                "k\tey".into(),
+                Value::Object(vec![("z".into(), Value::U64(0))]),
+            ),
+        ]);
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"n":null,"b":false,"u":18,"i":-18,"f":3.0,"s":"x\"y","a":[[],{}],"k\tey":{"z":0}}"#
+        );
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"n\": null,\n  \"b\": false,\n  \"u\": 18,\n  \"i\": -18,\n  \"f\": 3.0,\n  \"s\": \"x\\\"y\",\n  \"a\": [\n    [],\n    {}\n  ],\n  \"k\\tey\": {\n    \"z\": 0\n  }\n}"
+        );
+        assert_eq!(from_str::<Value>(&to_string(&v).unwrap()).unwrap(), v);
     }
 }

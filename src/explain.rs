@@ -292,6 +292,18 @@ mod tests {
         assert_eq!(parsed, a);
     }
 
+    /// The report file text is pinned byte for byte (by length and 64-bit
+    /// FNV-1a digest, the file being 118 kB): `report-diff` reads files
+    /// written by earlier builds.
+    #[test]
+    fn report_file_text_is_pinned() {
+        let text = run_report_file(11).to_json();
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((text.len(), digest), (118_127, 0xab56_89a0_3261_f8fc));
+    }
+
     #[test]
     fn different_seeds_show_up_in_the_diff() {
         let a = run_report_file(11);
