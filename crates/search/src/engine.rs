@@ -303,6 +303,9 @@ pub struct SearchScratch {
     level_task: Vec<usize>,
     /// Per-task verdict of the phase-level viability screen.
     viable: Vec<bool>,
+    /// Earliest initial finish of each node under a hierarchical topology,
+    /// written once per phase by the viability screen.
+    node_min: Vec<Time>,
     /// Cumulative shard end indices under a hierarchical topology (the
     /// node partition handed to [`PathState::configure_shards`]).
     shard_ends: Vec<usize>,
@@ -435,6 +438,7 @@ fn search_core(
         comp,
         level_task,
         viable,
+        node_min,
         shard_ends,
         shard_rank,
         state: state_slot,
@@ -452,6 +456,7 @@ fn search_core(
     comp.clear();
     level_task.clear();
     viable.clear();
+    node_min.clear();
     shard_ends.clear();
     shard_rank.clear();
     out.clear();
@@ -486,7 +491,7 @@ fn search_core(
     // not charged against the quantum; screened tasks stay in the batch.)
     // Under provenance a screen rejection also carries the test's operands.
     let t_screen = prof.start();
-    let screened_evidence = screen_batch(params, viable);
+    let screened_evidence = screen_batch(params, node_min, viable);
     prof.stop(Stage::Screen, t_screen);
     let viable: &[bool] = viable;
     let n_viable = viable.iter().filter(|&&v| v).count();
@@ -664,6 +669,7 @@ impl<'s> Work<'s> {
             comp,
             level_task: _,
             viable: _,
+            node_min: _,
             shard_ends: _,
             shard_rank,
             state,
@@ -1156,10 +1162,14 @@ impl Ctx<'_, '_> {
     /// The screen bound for shard `s` is
     /// `max(shard_min(s), earliest_resource_start) + p + min_node_cost(s)`,
     /// a lower bound on the completion of the task on *every* processor of
-    /// the shard (and exact on its best one), so a screened-out shard truly
-    /// has no feasible member. Only the fanout cut is heuristic. Shards are
-    /// ranked by `(bound, shard index)` — a total order, so the generated
-    /// candidate set is deterministic.
+    /// the shard, so a screened-out shard truly has no feasible member.
+    /// `min_node_cost` is exact on cost alone, but the sum of two minima is
+    /// exact only when one processor attains both: always when the
+    /// intra-node cost is zero or the shard holds no affine processor, not
+    /// when its earliest-finishing processor is non-affine and pays a
+    /// non-zero intra-node cost. Only the fanout cut is heuristic. Shards
+    /// are ranked by `(bound, shard index)` — a total order, so the
+    /// generated candidate set is deterministic.
     fn rank_shards(
         &self,
         topo: &rt_task::TopologySpec,
@@ -1242,12 +1252,68 @@ impl Ctx<'_, '_> {
 /// tasks. Every verdict comes from the same test; only under
 /// [`SearchParams::provenance`] are the rejected tasks' probes then built
 /// with the test's operands (viable tasks never need theirs).
-fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<ScreenEvidence> {
-    let processors = params.initial_finish.len();
-    viable.extend(params.tasks.iter().map(|t| {
-        ProcessorId::all(processors)
-            .any(|p| t.meets_deadline(params.initial_finish[p.index()] + params.comm.demand(t, p)))
-    }));
+///
+/// The verdict is the paper's test on the initial finish times — some
+/// processor `k` with `finish_k + p + c_k <= d` — decided per node rather
+/// than per processor wherever the comm model allows (DESIGN.md §6,
+/// decision 2). Each node's earliest initial finish `m_n` is taken once per
+/// phase (into the empty `node_min` under a topology; the constant model
+/// is one node spanning the machine), and [`node_viable`] decides a node
+/// from `m_n`, the class `c_n` its non-affine processors pay, and its
+/// affine members only. The mesh charges each processor by its own
+/// distance, so it keeps the per-processor test.
+fn screen_batch(
+    params: &SearchParams<'_>,
+    node_min: &mut Vec<Time>,
+    viable: &mut Vec<bool>,
+) -> Vec<ScreenEvidence> {
+    let finish = params.initial_finish;
+    let processors = finish.len();
+    match params.comm {
+        CommModel::Constant { c } => {
+            let m = finish.iter().copied().min();
+            viable.extend(
+                params
+                    .tasks
+                    .iter()
+                    .map(|t| m.is_some_and(|m| node_viable(t, finish, m, || *c, 0, processors))),
+            );
+        }
+        CommModel::Hierarchical { spec } => {
+            assert_eq!(
+                spec.workers(),
+                processors,
+                "topology processor count must match the phase's processors"
+            );
+            node_min.extend((0..spec.nodes()).map(|n| {
+                let (lo, hi) = spec.node_range(n);
+                finish[lo..hi]
+                    .iter()
+                    .copied()
+                    .min()
+                    .expect("nodes are non-empty")
+            }));
+            viable.extend(params.tasks.iter().map(|t| {
+                node_min.iter().enumerate().any(|(n, &m)| {
+                    let (lo, hi) = spec.node_range(n);
+                    node_viable(
+                        t,
+                        finish,
+                        m,
+                        || spec.non_affine_cost(t.affinity(), n),
+                        lo,
+                        hi,
+                    )
+                })
+            }));
+        }
+        CommModel::Mesh { .. } => {
+            viable.extend(params.tasks.iter().map(|t| {
+                ProcessorId::all(processors)
+                    .any(|p| t.meets_deadline(finish[p.index()] + params.comm.demand(t, p)))
+            }));
+        }
+    }
     if !params.provenance {
         return Vec::new();
     }
@@ -1259,7 +1325,7 @@ fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<Screen
             let t = &params.tasks[idx];
             let probes = ProcessorId::all(processors)
                 .map(|p| {
-                    let available = params.initial_finish[p.index()];
+                    let available = finish[p.index()];
                     let demand = params.comm.demand(t, p);
                     ScreenProbe {
                         processor: p,
@@ -1274,21 +1340,58 @@ fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<Screen
         .collect()
 }
 
-/// Same-expansion alternatives for one delivered node: every sibling in
-/// `arena` with the same parent and task, in generation order.
+/// Whether task `t` meets its deadline on some processor of the node
+/// spanning `[lo, hi)`, whose earliest initial finish is `m` and whose
+/// non-affine processors all pay `non_affine` (computed only if needed).
+/// Exact, because completion `finish_k + p + c_k` is monotone in both
+/// terms: every member finishes at or after `m` and pays at least zero, so
+/// `m + p > d` rules the node out; the member finishing at `m` pays zero
+/// or `non_affine`, so `m + p + non_affine <= d` rules it in; otherwise
+/// every non-affine member misses and only the affine members, which pay
+/// nothing, are left to test.
+#[inline]
+fn node_viable(
+    t: &Task,
+    finish: &[Time],
+    m: Time,
+    non_affine: impl FnOnce() -> Duration,
+    lo: usize,
+    hi: usize,
+) -> bool {
+    let p = t.processing_time();
+    if !t.meets_deadline(m + p) {
+        return false;
+    }
+    if t.meets_deadline(m + (p + non_affine())) {
+        return true;
+    }
+    t.affinity()
+        .members_in(lo, hi)
+        .any(|a| t.meets_deadline(finish[a.index()] + p))
+}
+
+/// Same-expansion alternatives for arena node `id`: its siblings with the
+/// same task, in generation order. An expansion pushes all its children as
+/// one contiguous arena block and no vertex is expanded twice, so the
+/// siblings are exactly the run of equal-parent nodes around `id`.
 fn rejected_siblings(
     arena: &[Node],
     node_costs: &[(Time, Time)],
-    exclude: usize,
-    parent: Option<usize>,
-    task: usize,
+    id: usize,
 ) -> Vec<PlacementAlternative> {
-    arena
+    let Node { parent, task, .. } = arena[id];
+    let lo = arena[..id]
         .iter()
-        .enumerate()
-        .filter(|&(sid, sib)| sid != exclude && sib.parent == parent && sib.task == task)
-        .map(|(sid, sib)| PlacementAlternative {
-            processor: sib.processor,
+        .rposition(|sib| sib.parent != parent)
+        .map_or(0, |i| i + 1);
+    let hi = arena[id..]
+        .iter()
+        .position(|sib| sib.parent != parent)
+        .map_or(arena.len(), |i| id + i);
+    (lo..hi)
+        .filter(|&sid| sid != id && arena[sid].task == task)
+        .map(|sid| PlacementAlternative {
+            processor: arena[sid].processor,
             completion: node_costs[sid].0,
             cost: node_costs[sid].1,
         })
@@ -1322,7 +1425,7 @@ fn phase_provenance(
                 processor: node.processor,
                 completion,
                 cost,
-                rejected: rejected_siblings(arena, node_costs, id, node.parent, node.task),
+                rejected: rejected_siblings(arena, node_costs, id),
             });
         }
     }
@@ -1475,6 +1578,7 @@ fn run_sub(
         comp,
         level_task: _,
         viable: _,
+        node_min: _,
         shard_ends,
         shard_rank,
         state: state_slot,
@@ -1621,6 +1725,7 @@ fn search_parallel_core(
         comp,
         level_task,
         viable,
+        node_min,
         shard_ends,
         shard_rank,
         state: state_slot,
@@ -1638,6 +1743,7 @@ fn search_parallel_core(
     comp.clear();
     level_task.clear();
     viable.clear();
+    node_min.clear();
     shard_ends.clear();
     shard_rank.clear();
     out.clear();
@@ -1668,7 +1774,7 @@ fn search_parallel_core(
     }
 
     let t_screen = prof.start();
-    let screened_evidence = screen_batch(params, viable);
+    let screened_evidence = screen_batch(params, node_min, viable);
     prof.stop(Stage::Screen, t_screen);
     let viable: &[bool] = viable;
     let n_viable = viable.iter().filter(|&&v| v).count();
@@ -1979,15 +2085,9 @@ fn search_parallel_core(
                 let node = &sub.arena[nid];
                 let (completion, cost) = sub.node_costs[nid];
                 let rejected = if node.parent.is_none() {
-                    rejected_siblings(
-                        work.arena,
-                        work.node_costs,
-                        specs[i].root_id,
-                        None,
-                        node.task,
-                    )
+                    rejected_siblings(work.arena, work.node_costs, specs[i].root_id)
                 } else {
-                    rejected_siblings(&sub.arena, &sub.node_costs, nid, node.parent, node.task)
+                    rejected_siblings(&sub.arena, &sub.node_costs, nid)
                 };
                 decisions.push(PlacementEvidence {
                     task: node.task,
@@ -2918,6 +3018,124 @@ mod tests {
         }
     }
 
+    /// The full-arena formulation of the sibling lookup: every other node
+    /// with the same parent and task, in arena order.
+    fn siblings_full_scan(
+        arena: &[Node],
+        node_costs: &[(Time, Time)],
+        id: usize,
+    ) -> Vec<PlacementAlternative> {
+        let node = arena[id];
+        arena
+            .iter()
+            .enumerate()
+            .filter(|&(sid, sib)| sid != id && sib.parent == node.parent && sib.task == node.task)
+            .map(|(sid, sib)| PlacementAlternative {
+                processor: sib.processor,
+                completion: node_costs[sid].0,
+                cost: node_costs[sid].1,
+            })
+            .collect()
+    }
+
+    /// Every node of `arena` finds the same siblings in its block as the
+    /// full-arena filter does.
+    fn assert_sibling_blocks(arena: &[Node], node_costs: &[(Time, Time)]) {
+        assert_eq!(arena.len(), node_costs.len());
+        for id in 0..arena.len() {
+            assert_eq!(
+                rejected_siblings(arena, node_costs, id),
+                siblings_full_scan(arena, node_costs, id),
+                "arena node {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn sibling_block_lookup_matches_the_full_arena_filter() {
+        use paragon_des::SimRng;
+        use rt_task::TopologySpec;
+        let workers = 8;
+        let comms = [
+            CommModel::constant(Duration::from_micros(700)),
+            CommModel::hierarchical(TopologySpec::new(8, 4, 2, 0, 500, 1_500)),
+        ];
+        let reprs = [
+            Representation::assignment_oriented(),
+            Representation::sequence_oriented(),
+        ];
+        let mut rng = SimRng::seed_from(2024);
+        let mut scratch = SearchScratch::new();
+        let mut par_scratch = SearchScratch::new();
+        let mut par = ParallelScratch::new();
+        let (mut decisions, mut alternatives, mut splits) = (0, 0, 0);
+        for comm in &comms {
+            for repr in &reprs {
+                for _ in 0..60 {
+                    let n = rng.uniform_u64(1..12);
+                    let tasks: Vec<Task> = (0..n)
+                        .map(|i| {
+                            let affinity: Vec<usize> = (0..rng.uniform_usize(0..3))
+                                .map(|_| rng.uniform_usize(0..workers))
+                                .collect();
+                            let p_us = rng.uniform_u64(100..900);
+                            mk_task(i, p_us, rng.uniform_u64(500..3_000), &affinity)
+                        })
+                        .collect();
+                    let initial: Vec<Time> = (0..workers)
+                        .map(|_| Time::from_micros(rng.uniform_u64(0..800)))
+                        .collect();
+                    let mut p = params(&tasks, comm, &initial, repr, ChildOrder::LoadBalance);
+                    p.provenance = true;
+                    p.vertex_cap = Some(rng.uniform_u64(20..400));
+
+                    let out = search_schedule_with(&p, &mut free_meter(), &mut scratch);
+                    let prov = out.provenance.as_ref().expect("provenance requested");
+                    assert_eq!(prov.decisions.len(), out.assignments.len());
+                    if !out.assignments.is_empty() {
+                        // The delivered vertex's root path is what the state
+                        // was left on.
+                        for (d, &id) in prov.decisions.iter().zip(scratch.path.iter()) {
+                            assert_eq!(
+                                d.rejected,
+                                siblings_full_scan(&scratch.arena, &scratch.node_costs, id)
+                            );
+                        }
+                    }
+                    decisions += prov.decisions.len();
+                    alternatives += prov
+                        .decisions
+                        .iter()
+                        .map(|d| d.rejected.len())
+                        .sum::<usize>();
+                    assert_sibling_blocks(&scratch.arena, &scratch.node_costs);
+                    scratch.recycle(out.assignments);
+
+                    let (out, report) = search_schedule_parallel_with_report(
+                        &p,
+                        2,
+                        &mut free_meter(),
+                        &mut par_scratch,
+                        &mut par,
+                    );
+                    assert_sibling_blocks(&par_scratch.arena, &par_scratch.node_costs);
+                    if report.split {
+                        splits += 1;
+                        for sub in &par.subs[..report.subtrees] {
+                            assert_sibling_blocks(&sub.arena, &sub.node_costs);
+                        }
+                    }
+                    par_scratch.recycle(out.assignments);
+                }
+            }
+        }
+        assert!(
+            decisions > 500 && alternatives > 500 && splits > 50,
+            "random phases must deliver paths with alternatives and split: {decisions} \
+             decisions, {alternatives} alternatives, {splits} splits"
+        );
+    }
+
     /// The all-probes formulation of the screen: a P-wide probe list for
     /// every batch task, the verdict read off those probes, and the probes
     /// of the rejected tasks kept as evidence.
@@ -2949,50 +3167,127 @@ mod tests {
     #[test]
     fn screen_matches_the_all_probes_formulation() {
         use paragon_des::SimRng;
-        use rt_task::TopologySpec;
-        let workers = 16;
-        let comms = [
-            CommModel::constant(Duration::from_micros(700)),
-            CommModel::hierarchical(TopologySpec::new(16, 4, 2, 0, 500, 1_500)),
+        use paragon_platform::UNAVAILABLE;
+        use rt_task::{MeshSpec, TopologySpec};
+        // Every comm model and each arm's edge cases: the flat constant and
+        // free models (one node), the mesh (per-processor arm), a 1-node
+        // topology, zero and non-zero intra-node cost, and P = 130 on 6
+        // nodes of 22 and 21 processors, so affinity spans three words and
+        // node edges fall off word edges. Batches draw empty affinities and
+        // (outside the mesh, whose geometry rejects them in both
+        // formulations) affinity bits at or above P; a sixth of the workers
+        // are down at `UNAVAILABLE`.
+        let models = [
+            (CommModel::constant(Duration::from_micros(700)), 16),
+            (CommModel::free(), 16),
+            (CommModel::mesh(MeshSpec::new(4, 4, 300, 150)), 16),
+            (
+                CommModel::hierarchical(TopologySpec::flat(16, Duration::from_micros(700))),
+                16,
+            ),
+            (
+                CommModel::hierarchical(TopologySpec::new(16, 4, 2, 0, 500, 1_500)),
+                16,
+            ),
+            (
+                CommModel::hierarchical(TopologySpec::new(16, 4, 2, 300, 700, 1_500)),
+                16,
+            ),
+            (
+                CommModel::hierarchical(TopologySpec::new(130, 6, 2, 200, 600, 1_200)),
+                130,
+            ),
+            (CommModel::constant(Duration::from_micros(900)), 130),
         ];
         let repr = Representation::assignment_oriented();
         let mut rng = SimRng::seed_from(1998);
-        let (mut kept, mut rejected) = (0, 0);
-        for comm in &comms {
-            for _ in 0..200 {
+        let mut node_min = Vec::new();
+        // Asserts the screen against the all-probes formulation, with and
+        // without provenance, and returns the verdicts.
+        let mut check = |tasks: &[Task], comm: &CommModel, initial: &[Time]| -> Vec<bool> {
+            let mut p = params(tasks, comm, initial, &repr, ChildOrder::LoadBalance);
+            let (want_viable, want_evidence) = screen_all_probes(&p);
+            for provenance in [false, true] {
+                p.provenance = provenance;
+                let mut viable = Vec::new();
+                node_min.clear();
+                let evidence = screen_batch(&p, &mut node_min, &mut viable);
+                assert_eq!(viable, want_viable, "verdicts under {comm:?}");
+                if provenance {
+                    assert_eq!(evidence, want_evidence);
+                } else {
+                    assert!(evidence.is_empty());
+                }
+            }
+            want_viable
+        };
+        for (comm, workers) in &models {
+            let workers = *workers;
+            let affinity_span = if matches!(comm, CommModel::Mesh { .. }) {
+                workers
+            } else {
+                workers + 70
+            };
+            let (mut kept, mut rejected) = (0, 0);
+            for _ in 0..300 {
                 let n = rng.uniform_u64(0..24);
                 let tasks: Vec<Task> = (0..n)
                     .map(|i| {
-                        let affinity: Vec<usize> = (0..rng.uniform_usize(0..4))
-                            .map(|_| rng.uniform_usize(0..workers))
+                        let affinity: Vec<usize> = (0..rng.uniform_usize(0..5))
+                            .map(|_| rng.uniform_usize(0..affinity_span))
                             .collect();
                         let p_us = rng.uniform_u64(50..2_000);
                         mk_task(i, p_us, rng.uniform_u64(100..4_000), &affinity)
                     })
                     .collect();
                 let initial: Vec<Time> = (0..workers)
-                    .map(|_| Time::from_micros(rng.uniform_u64(0..2_000)))
+                    .map(|_| {
+                        if rng.uniform_usize(0..6) == 0 {
+                            UNAVAILABLE
+                        } else {
+                            Time::from_micros(rng.uniform_u64(0..2_000))
+                        }
+                    })
                     .collect();
-                let mut p = params(&tasks, comm, &initial, &repr, ChildOrder::LoadBalance);
-                let (want_viable, want_evidence) = screen_all_probes(&p);
-                for provenance in [false, true] {
-                    p.provenance = provenance;
-                    let mut viable = Vec::new();
-                    let evidence = screen_batch(&p, &mut viable);
-                    assert_eq!(viable, want_viable);
-                    if provenance {
-                        assert_eq!(evidence, want_evidence);
-                    } else {
-                        assert!(evidence.is_empty());
-                    }
-                }
-                rejected += want_evidence.len();
-                kept += want_viable.len() - want_evidence.len();
+                let verdicts = check(&tasks, comm, &initial);
+                let k = verdicts.iter().filter(|&&ok| ok).count();
+                kept += k;
+                rejected += verdicts.len() - k;
             }
+            assert!(
+                rejected > 100 && kept > 100,
+                "random batches under {comm:?} must mix verdicts: {kept} viable, {rejected} rejected"
+            );
         }
-        assert!(
-            rejected > 100 && kept > 100,
-            "random batches must mix verdicts: {kept} viable, {rejected} rejected"
-        );
+
+        // The node-level shortcuts in isolation, on 8 processors in 2 nodes
+        // of 4 (intra-node 800, inter-node 1000) and on the constant model
+        // (C = 1000). Node 0's earliest finish (P1 at 0) is not affine;
+        // its affine processor P2 finishes at 500; node 1 is down.
+        let topo = CommModel::hierarchical(TopologySpec::new(8, 2, 1, 800, 1_000, 1_000));
+        let constant = CommModel::constant(Duration::from_micros(1_000));
+        let mut initial = vec![Time::from_micros(900), Time::ZERO, Time::from_micros(500)];
+        initial.push(Time::from_micros(900));
+        initial.extend([UNAVAILABLE; 4]);
+        let cases = [
+            // The affine P2 meets the deadline (500 + 100 <= 700) while the
+            // node's minimum P1 pays the non-affine class: viable only
+            // through the affine scan.
+            (mk_task(0, 100, 700, &[2]), true),
+            // m + p = 100 fits, the non-affine class does not, and the
+            // affine P2 misses (600 > 550): rejected although the node
+            // holds an affine processor.
+            (mk_task(1, 100, 550, &[2]), false),
+            // Affinity only on the down node and above P.
+            (mk_task(2, 100, 1_000, &[5, 40]), false),
+            // No affinity: every processor pays the worst class.
+            (mk_task(3, 100, 1_100, &[]), true),
+            (mk_task(4, 100, 1_099, &[]), false),
+        ];
+        let tasks: Vec<Task> = cases.iter().map(|(t, _)| t.clone()).collect();
+        let want: Vec<bool> = cases.iter().map(|&(_, ok)| ok).collect();
+        for comm in [&topo, &constant] {
+            assert_eq!(check(&tasks, comm, &initial), want, "under {comm:?}");
+        }
     }
 }

@@ -97,11 +97,25 @@ impl AffinitySet {
 
     /// Iterates over member processors in ascending index order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessorId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |bit| w & (1u64 << bit) != 0)
-                .map(move |bit| ProcessorId::new(wi * 64 + bit))
-        })
+        self.members_in(0, usize::MAX)
+    }
+
+    /// Iterates over the members inside the half-open index range
+    /// `[lo, hi)` in ascending order, visiting only set bits: a member
+    /// costs one step and an empty word one skip, whatever the width of
+    /// the range. Members at or above `hi` are never visited.
+    pub fn members_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = ProcessorId> + '_ {
+        let word = lo / 64;
+        let bits = match self.words.get(word) {
+            Some(&w) if lo < hi => w & (u64::MAX << (lo % 64)),
+            _ => 0,
+        };
+        Members {
+            words: &self.words,
+            word,
+            bits,
+            hi,
+        }
     }
 
     /// The fraction of the `total` processors this task has affinity with —
@@ -179,6 +193,40 @@ impl AffinitySet {
         while self.words.last() == Some(&0) {
             self.words.pop();
         }
+    }
+}
+
+/// Ascending walk over the set bits of an [`AffinitySet`] below a bound
+/// (see [`AffinitySet::iter`] and [`AffinitySet::members_in`]).
+struct Members<'a> {
+    words: &'a [u64],
+    /// Index of the word `bits` was taken from.
+    word: usize,
+    /// The not yet visited members of `words[word]`.
+    bits: u64,
+    /// Exclusive bound on the yielded indices.
+    hi: usize,
+}
+
+impl Iterator for Members<'_> {
+    type Item = ProcessorId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ProcessorId> {
+        while self.bits == 0 {
+            self.word += 1;
+            if self.word >= self.words.len() || self.word * 64 >= self.hi {
+                return None;
+            }
+            self.bits = self.words[self.word];
+        }
+        let index = self.word * 64 + self.bits.trailing_zeros() as usize;
+        if index >= self.hi {
+            self.bits = 0;
+            return None;
+        }
+        self.bits &= self.bits - 1;
+        Some(ProcessorId::new(index))
     }
 }
 
@@ -331,6 +379,51 @@ mod tests {
             "inverted range never intersects"
         );
         assert!(!AffinitySet::new().intersects_range(0, 1_000));
+    }
+
+    #[test]
+    fn set_bit_walks_yield_exactly_the_members() {
+        use paragon_des::SimRng;
+        // Sets of 130..=260 bits (three to five words) built from the
+        // word-edge bits 0, 63, 64, 127 and the last bit plus random
+        // inserts, thinned by random removes; every other set gets the
+        // edge bits back. Both walks must yield, in ascending order,
+        // exactly the indices `contains` reports.
+        let mut rng = SimRng::seed_from(1998);
+        for round in 0..200 {
+            let width = rng.uniform_usize(130..261);
+            let edges = [0, 63, 64, 127, width - 1].map(ProcessorId::new);
+            let mut s: AffinitySet = edges.into_iter().collect();
+            for _ in 0..rng.uniform_usize(0..width) {
+                s.insert(ProcessorId::new(rng.uniform_usize(0..width)));
+            }
+            for _ in 0..rng.uniform_usize(0..width) {
+                s.remove(ProcessorId::new(rng.uniform_usize(0..width)));
+            }
+            if round % 2 == 0 {
+                s.extend(edges);
+            }
+            let want = |lo: usize, hi: usize| -> Vec<usize> {
+                (lo..hi.min(width + 64))
+                    .filter(|&p| s.contains(ProcessorId::new(p)))
+                    .collect()
+            };
+            let all: Vec<usize> = s.iter().map(ProcessorId::index).collect();
+            assert_eq!(all, want(0, width + 64));
+            assert_eq!(all.len(), s.len());
+            for _ in 0..20 {
+                let lo = rng.uniform_usize(0..width + 2);
+                let hi = rng.uniform_usize(0..width + 70);
+                let got: Vec<usize> = s.members_in(lo, hi).map(ProcessorId::index).collect();
+                assert_eq!(got, want(lo, hi), "members_in({lo}, {hi}) of {s}");
+            }
+            for (lo, hi) in [(0, 64), (63, 65), (64, 128), (127, width), (0, width - 1)] {
+                let got: Vec<usize> = s.members_in(lo, hi).map(ProcessorId::index).collect();
+                assert_eq!(got, want(lo, hi), "members_in({lo}, {hi}) of {s}");
+            }
+        }
+        assert_eq!(AffinitySet::new().iter().count(), 0);
+        assert_eq!(AffinitySet::all(200).members_in(300, 400).count(), 0);
     }
 
     #[test]

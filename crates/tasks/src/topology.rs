@@ -249,25 +249,36 @@ impl TopologySpec {
         if affinity.contains(p) {
             return Duration::ZERO;
         }
+        self.non_affine_cost(affinity, self.node_of(p))
+    }
+
+    /// The cost class every non-affine processor of node `n` pays: the
+    /// class depends on the processor only through its node, so all of
+    /// them share it. Intra-node when the node holds an affine processor,
+    /// else inter-node or inter-rack; [`TopologySpec::worst_class`] for a
+    /// task with no affinity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a valid node index.
+    #[must_use]
+    #[inline]
+    pub fn non_affine_cost(&self, affinity: &AffinitySet, n: usize) -> Duration {
+        let (lo, hi) = self.node_range(n);
         if affinity.is_empty() {
             return self.worst_class();
         }
-        let node = self.node_of(p);
-        let (lo, hi) = self.node_range(node);
         if affinity.intersects_range(lo, hi) {
             return self.intra_node_cost();
         }
-        let (rlo, rhi) = self.rack_proc_range(self.rack_of_node(node));
-        if affinity.intersects_range(rlo, rhi) {
-            return self.inter_node_cost();
-        }
-        self.inter_rack_cost()
+        self.beyond_node_cost(affinity, n)
     }
 
-    /// A lower bound on [`TopologySpec::cost`] over every processor of node
-    /// `n`: zero when the node holds an affine processor, else the cheapest
-    /// class reaching one. Exact for the node's best processor, so a shard
-    /// screen built on it never rules out a feasible node.
+    /// The minimum of [`TopologySpec::cost`] over the processors of node
+    /// `n`: zero when the node holds an affine processor, else the class
+    /// its non-affine processors pay. Added to the node's earliest finish
+    /// it bounds every member's completion from below, so a shard screen
+    /// built on it never rules out a feasible node.
     ///
     /// # Panics
     ///
@@ -282,11 +293,20 @@ impl TopologySpec {
         if affinity.intersects_range(lo, hi) {
             return Duration::ZERO;
         }
+        self.beyond_node_cost(affinity, n)
+    }
+
+    /// The class of a fetch from outside node `n` for a task with a
+    /// non-empty `affinity` and no affine processor on `n`: inter-node when
+    /// `n`'s rack holds one, else inter-rack.
+    #[inline]
+    fn beyond_node_cost(&self, affinity: &AffinitySet, n: usize) -> Duration {
         let (rlo, rhi) = self.rack_proc_range(self.rack_of_node(n));
         if affinity.intersects_range(rlo, rhi) {
-            return self.inter_node_cost();
+            self.inter_node_cost()
+        } else {
+            self.inter_rack_cost()
         }
-        self.inter_rack_cost()
     }
 
     /// Which of `parts` contiguous balanced partitions of `count` items item
@@ -422,6 +442,45 @@ mod tests {
                     bound, best,
                     "node {n} bound {bound} != best member cost {best} for {a}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn non_affine_cost_is_every_non_affine_members_cost() {
+        // 130 workers on 6 nodes (sizes 22 and 21, node edges off word
+        // edges) across 2 racks; affinities include bits at and above the
+        // worker count, which no processor can use. The reference is the
+        // cost model's definition read off member by member: the cheapest
+        // class whose span holds an affine processor.
+        let t = TopologySpec::new(130, 6, 2, 1, 100, 400);
+        let affinities = [
+            AffinitySet::new(),
+            aff(&[0]),
+            aff(&[21, 64]),
+            aff(&[129]),
+            aff(&[130, 200]),
+            aff(&[5, 70, 140]),
+        ];
+        let spans = |a: &AffinitySet, (lo, hi): (usize, usize)| {
+            (lo..hi).any(|q| a.contains(ProcessorId::new(q)))
+        };
+        for a in &affinities {
+            for n in 0..t.nodes() {
+                let (lo, hi) = t.node_range(n);
+                let reference = if a.is_empty() {
+                    t.worst_class()
+                } else if spans(a, (lo, hi)) {
+                    t.intra_node_cost()
+                } else if spans(a, t.rack_proc_range(t.rack_of_node(n))) {
+                    t.inter_node_cost()
+                } else {
+                    t.inter_rack_cost()
+                };
+                assert_eq!(t.non_affine_cost(a, n), reference, "node {n}, {a}");
+                for p in (lo..hi).map(ProcessorId::new).filter(|&p| !a.contains(p)) {
+                    assert_eq!(t.cost(a, p), reference, "node {n}, {p}, {a}");
+                }
             }
         }
     }
