@@ -105,15 +105,18 @@ fn steady_state_phases_do_not_allocate() {
     }
 
     // Canonical points 2 and 3: the full algorithm layer (the driver's
-    // exact call) on the mixed and backtrack-heavy batches.
+    // exact call) on the mixed and backtrack-heavy batches, under RT-SADS
+    // and under D-COLS — the sequence-oriented layout, whose EDF successor
+    // order reads the phase's deadline ranks.
     let workers = 8;
     let comm = CommModel::constant(Duration::from_millis(2));
     let initial = vec![Time::ZERO; workers];
-    for (name, tasks) in [
-        ("mixed", synthetic_batch(150, workers)),
-        ("tight", tight_batch(150, workers)),
+    for (name, tasks, algorithm) in [
+        ("mixed", synthetic_batch(150, workers), Algorithm::rt_sads()),
+        ("tight", tight_batch(150, workers), Algorithm::rt_sads()),
+        ("mixed", synthetic_batch(150, workers), Algorithm::d_cols()),
+        ("tight", tight_batch(150, workers), Algorithm::d_cols()),
     ] {
-        let algorithm = Algorithm::rt_sads();
         let mut scratch = PhaseScratch::new();
         let n = count_allocs(WARMUP, MEASURED, || {
             let mut meter = SchedulingMeter::new(
@@ -137,7 +140,12 @@ fn steady_state_phases_do_not_allocate() {
             );
             scratch.recycle(out.assignments);
         });
-        assert_eq!(n, 0, "{name} schedule_phase allocated {n} times");
+        assert_eq!(
+            n,
+            0,
+            "{name} {} schedule_phase allocated {n} times",
+            algorithm.name()
+        );
     }
 
     // Canonical point 4: the shard-first candidate path at P=1024 (the

@@ -191,107 +191,94 @@ impl Algorithm {
         rng: &mut SimRng,
         scratch: &mut PhaseScratch,
     ) -> SearchOutcome {
-        match self {
+        // The two search algorithms differ only in their tree layout and
+        // successor order; everything else is one engine call.
+        let (representation, child_order) = match self {
             Algorithm::RtSads {
                 task_order,
                 child_order,
-            } => {
-                let repr = Representation::AssignmentOriented {
+            } => (
+                Representation::AssignmentOriented {
                     task_order: *task_order,
-                };
-                let params = SearchParams {
-                    tasks,
-                    comm,
-                    initial_finish,
-                    representation: &repr,
-                    child_order: *child_order,
-                    now,
-                    vertex_cap,
-                    pruning,
-                    resources: resources.clone(),
-                    provenance,
-                };
-                if threads >= 2 {
-                    search_schedule_parallel(
-                        &params,
-                        threads,
-                        meter,
-                        &mut scratch.search,
-                        &mut scratch.par,
-                    )
-                } else {
-                    search_schedule_with(&params, meter, &mut scratch.search)
-                }
-            }
+                },
+                *child_order,
+            ),
             Algorithm::DCols {
                 processor_order,
                 child_order,
                 skip_processors,
-            } => {
-                let repr = Representation::SequenceOriented {
+            } => (
+                Representation::SequenceOriented {
                     processor_order: *processor_order,
                     skip_processors: *skip_processors,
-                };
-                let params = SearchParams {
+                },
+                *child_order,
+            ),
+            Algorithm::GreedyEdf => {
+                return greedy_edf(
                     tasks,
                     comm,
                     initial_finish,
-                    representation: &repr,
-                    child_order: *child_order,
                     now,
-                    vertex_cap,
-                    pruning,
-                    resources: resources.clone(),
+                    resources,
                     provenance,
-                };
-                if threads >= 2 {
-                    search_schedule_parallel(
-                        &params,
-                        threads,
-                        meter,
-                        &mut scratch.search,
-                        &mut scratch.par,
-                    )
-                } else {
-                    search_schedule_with(&params, meter, &mut scratch.search)
-                }
+                    meter,
+                    scratch,
+                )
             }
-            Algorithm::GreedyEdf => greedy_edf(
-                tasks,
-                comm,
-                initial_finish,
-                now,
-                resources,
-                provenance,
-                meter,
-                scratch,
-            ),
             Algorithm::Myopic {
                 window,
                 weight_pct,
                 max_backtracks,
-            } => crate::myopic::myopic_phase(
-                tasks,
-                comm,
-                initial_finish,
-                now,
-                resources,
-                *window,
-                *weight_pct,
-                *max_backtracks,
+            } => {
+                return crate::myopic::myopic_phase(
+                    tasks,
+                    comm,
+                    initial_finish,
+                    now,
+                    resources,
+                    *window,
+                    *weight_pct,
+                    *max_backtracks,
+                    meter,
+                    scratch,
+                )
+            }
+            Algorithm::RandomAssign => {
+                return random_assign(
+                    tasks,
+                    comm,
+                    initial_finish,
+                    resources,
+                    provenance,
+                    meter,
+                    rng,
+                    scratch,
+                )
+            }
+        };
+        let params = SearchParams {
+            tasks,
+            comm,
+            initial_finish,
+            representation: &representation,
+            child_order,
+            now,
+            vertex_cap,
+            pruning,
+            resources: resources.clone(),
+            provenance,
+        };
+        if threads >= 2 {
+            search_schedule_parallel(
+                &params,
+                threads,
                 meter,
-                scratch,
-            ),
-            Algorithm::RandomAssign => random_assign(
-                tasks,
-                comm,
-                initial_finish,
-                resources,
-                provenance,
-                meter,
-                rng,
-                scratch,
-            ),
+                &mut scratch.search,
+                &mut scratch.par,
+            )
+        } else {
+            search_schedule_with(&params, meter, &mut scratch.search)
         }
     }
 }

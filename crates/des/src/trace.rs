@@ -63,7 +63,8 @@ pub struct PlacementProbe {
 /// imbalance diagnostics are computed from.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WalkProfile {
-    /// How the walk terminated: `"leaf"`, `"dead_end"` or `"budget"`.
+    /// How the walk terminated: `"leaf"`, `"dead_end"`, `"budget"` or
+    /// `"pruned"`.
     pub termination: String,
     /// Search vertices the walk generated.
     pub vertices: u64,

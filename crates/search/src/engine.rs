@@ -10,15 +10,18 @@
 //! quantum is exhausted — in the latter two cases the best (deepest, then
 //! lowest-makespan) feasible partial schedule found so far is returned.
 
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+
 use paragon_des::trace::{PhaseProfile, WalkProfile};
 use paragon_des::{Duration, Time};
-use rt_task::{CommModel, ProcessorId, ResourceEats, Task};
+use rt_task::{CommModel, ProcessorId, ResourceEats, Task, TopologySpec};
 
 use paragon_platform::{HostParams, SchedulingMeter};
 use rt_telemetry::{Stage, StageProfiler};
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{Candidate, ChildOrder};
+use crate::policy::ChildOrder;
 use crate::repr::Representation;
 use crate::state::{Assignment, PathState};
 
@@ -268,37 +271,16 @@ struct Node {
 /// scheduling phases.
 ///
 /// Lifetime contract (DESIGN.md §8): buffers live for the whole run; each
-/// phase *clears* them on entry (clear-don't-drop) and leaves their capacity
-/// behind for the next phase. Once capacities have reached the workload's
+/// phase *clears* them before use (clear-don't-drop) and leaves their
+/// capacity behind for the next phase. Once capacities have reached the workload's
 /// steady state, [`search_schedule_with`] performs **zero** heap allocations
 /// per phase (provenance off) — asserted by the counting-allocator test in
 /// `crates/bench/tests/zero_alloc.rs` and pinned against behavioral drift by
 /// the `replay-oracle` differential suite.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    /// Append-only node arena of the phase tree.
-    arena: Vec<Node>,
-    /// Per-node (completion, makespan-if-chosen), provenance only.
-    node_costs: Vec<(Time, Time)>,
-    /// The candidate list `CL` (stack: end = front).
-    cl: Vec<usize>,
-    /// Arena ids along the current vertex's root path.
-    path: Vec<usize>,
-    /// Branch-switch walk buffer (ancestors of the next vertex).
-    chain: Vec<usize>,
-    /// Feasible successors of one expansion, before ordering.
-    children: Vec<Candidate>,
-    /// Packed successors of one expansion — `completion(64) |
-    /// processor(32) | task(32)` in one `u128` — used instead of
-    /// `children` when the child order reduces to the packed key's integer
-    /// order (see the select stage in `expand`).
-    ckeys: Vec<u128>,
-    /// Raw (task, processor) candidates of one skip round.
-    raw: Vec<(usize, ProcessorId)>,
-    /// Dense completion column of one skip round, index-aligned with `raw`
-    /// (the struct-of-arrays candidate evaluation writes all completions in
-    /// one batched pass before the accounting loop consumes them).
-    comp: Vec<Time>,
+    /// The candidate-list walk's working set.
+    work: Work,
     /// Viable tasks in level order (assignment-oriented layouts).
     level_task: Vec<usize>,
     /// Per-task verdict of the phase-level viability screen.
@@ -306,20 +288,9 @@ pub struct SearchScratch {
     /// Earliest initial finish of each node under a hierarchical topology,
     /// written once per phase by the viability screen.
     node_min: Vec<Time>,
-    /// Cumulative shard end indices under a hierarchical topology (the
-    /// node partition handed to [`PathState::configure_shards`]).
-    shard_ends: Vec<usize>,
-    /// (screen bound, shard) ranking buffer of one shard-first skip round.
-    shard_rank: Vec<(Time, usize)>,
-    /// The incremental path state, lazily created on first use and reset
-    /// (not rebuilt) on later phases.
-    state: Option<PathState>,
     /// Backing storage handed out as [`SearchOutcome::assignments`]; refill
     /// it via [`SearchScratch::recycle`] to keep the hot path allocation-free.
     out: Vec<Assignment>,
-    /// Stage-scoped self-profiler (disabled by default — two branches per
-    /// span, no clock reads, no allocations; see `rt_telemetry::profile`).
-    prof: StageProfiler,
 }
 
 impl SearchScratch {
@@ -354,20 +325,87 @@ impl SearchScratch {
     /// branches per span — no clock reads, no allocations, and bit-identical
     /// outcomes (pinned by the profiled differential suite).
     pub fn set_profiling(&mut self, on: bool) {
-        self.prof.set_enabled(on);
+        self.work.prof.set_enabled(on);
     }
 
     /// Whether stage-level self-profiling is currently enabled.
     #[must_use]
     pub fn profiling(&self) -> bool {
-        self.prof.enabled()
+        self.work.prof.enabled()
     }
 
     /// Drains the stage times and subtree-walk telemetry accumulated by the
     /// last phase into a wire-format [`PhaseProfile`], resetting the
     /// accumulators. Returns an all-zero record when profiling is off.
     pub fn take_profile(&mut self) -> PhaseProfile {
-        self.prof.take()
+        self.work.prof.take()
+    }
+}
+
+/// The mutable working set of one candidate-list walk: the phase tree, `CL`,
+/// the incremental state and the per-expansion buffers. The serial engine
+/// walks the one in its [`SearchScratch`]; the parallel engine keeps one
+/// more per root subtree in its [`ParallelScratch`].
+#[derive(Debug, Default)]
+struct Work {
+    /// Append-only node arena of the phase tree.
+    arena: Vec<Node>,
+    /// Per-node (completion, makespan-if-chosen), provenance only.
+    node_costs: Vec<(Time, Time)>,
+    /// The candidate list `CL` (stack: end = front).
+    cl: Vec<usize>,
+    /// Arena ids along the current vertex's root path.
+    path: Vec<usize>,
+    /// Branch-switch walk buffer (ancestors of the next vertex).
+    chain: Vec<usize>,
+    /// Feasible successors of one expansion as packed ordering keys (see
+    /// [`successor_key`]).
+    ckeys: Vec<u128>,
+    /// Raw (task, processor) candidates of one sequence-oriented skip round.
+    raw: Vec<(usize, ProcessorId)>,
+    /// Completions of `raw`, index-aligned (one batched evaluation pass
+    /// before the accounting loop consumes them).
+    comp: Vec<Time>,
+    /// Cumulative shard end indices under a hierarchical topology (the
+    /// node partition handed to [`PathState::configure_shards`]).
+    shard_ends: Vec<usize>,
+    /// (screen bound, shard) ranking buffer of one shard-first skip round.
+    shard_rank: Vec<(Time, usize)>,
+    /// The incremental path state, created on first use and reset (not
+    /// rebuilt) on later phases.
+    state: Option<PathState>,
+    /// Stage-scoped self-profiler (disabled by default — two branches per
+    /// span, no clock reads, no allocations; see `rt_telemetry::profile`).
+    prof: StageProfiler,
+}
+
+impl Work {
+    /// Readies the walk for a phase of `params`: empties every buffer
+    /// (clear-don't-drop, so a fresh working set and a reused one are
+    /// indistinguishable) and rewinds the state to the phase root, sharded
+    /// when `shards` is set. The profiler is the caller's: a phase resets it
+    /// before the screen span, a subtree walk when it is armed.
+    fn begin(&mut self, params: &SearchParams<'_>, shards: Option<&TopologySpec>) {
+        self.arena.clear();
+        self.node_costs.clear();
+        self.cl.clear();
+        self.path.clear();
+        self.chain.clear();
+        self.ckeys.clear();
+        self.raw.clear();
+        self.comp.clear();
+        self.shard_rank.clear();
+        let n = params.tasks.len();
+        let state = self
+            .state
+            .get_or_insert_with(|| PathState::new(params.initial_finish.to_vec(), n));
+        state.reset(params.initial_finish, n, &params.resources);
+        if let Some(topo) = shards {
+            self.shard_ends.clear();
+            self.shard_ends
+                .extend((0..topo.nodes()).map(|s| topo.node_range(s).1));
+            state.configure_shards(&self.shard_ends);
+        }
     }
 }
 
@@ -379,8 +417,7 @@ impl SearchScratch {
 /// a [`SearchScratch`] and use [`search_schedule_with`] instead.
 #[must_use]
 pub fn search_schedule(params: &SearchParams<'_>, meter: &mut SchedulingMeter) -> SearchOutcome {
-    let mut scratch = SearchScratch::new();
-    search_core(params, meter, false, &mut scratch)
+    Phase::open(params, false, &mut SearchScratch::new()).run(meter, None)
 }
 
 /// [`search_schedule`] with caller-owned working buffers: the engine
@@ -398,7 +435,7 @@ pub fn search_schedule_with(
     meter: &mut SchedulingMeter,
     scratch: &mut SearchScratch,
 ) -> SearchOutcome {
-    search_core(params, meter, false, scratch)
+    Phase::open(params, false, scratch).run(meter, None)
 }
 
 /// The pre-incremental engine, kept as a differential oracle: identical
@@ -412,200 +449,7 @@ pub fn search_schedule_replay(
     params: &SearchParams<'_>,
     meter: &mut SchedulingMeter,
 ) -> SearchOutcome {
-    let mut scratch = SearchScratch::new();
-    search_core(params, meter, true, &mut scratch)
-}
-
-fn search_core(
-    params: &SearchParams<'_>,
-    meter: &mut SchedulingMeter,
-    use_replay: bool,
-    scratch: &mut SearchScratch,
-) -> SearchOutcome {
-    // Clear-don't-drop: every buffer is emptied on entry and refilled below,
-    // so a warmed scratch runs the whole phase without touching the
-    // allocator. Clearing here (rather than on phase exit) also makes a
-    // fresh scratch and a reused one indistinguishable.
-    let SearchScratch {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        level_task,
-        viable,
-        node_min,
-        shard_ends,
-        shard_rank,
-        state: state_slot,
-        out,
-        prof,
-    } = scratch;
-    arena.clear();
-    node_costs.clear();
-    cl.clear();
-    path.clear();
-    chain.clear();
-    children.clear();
-    ckeys.clear();
-    raw.clear();
-    comp.clear();
-    level_task.clear();
-    viable.clear();
-    node_min.clear();
-    shard_ends.clear();
-    shard_rank.clear();
-    out.clear();
-    prof.reset();
-
-    let n = params.tasks.len();
-    let mut stats = SearchStats::default();
-    // Root makespan: the latest initial finish time (the empty schedule's CE).
-    let root_makespan = params
-        .initial_finish
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(Time::ZERO);
-
-    if n == 0 {
-        return SearchOutcome {
-            assignments: Vec::new(),
-            termination: Termination::Leaf,
-            n_viable: 0,
-            makespan: root_makespan,
-            stats,
-            provenance: params.provenance.then(PhaseProvenance::default),
-        };
-    }
-
-    // Phase-level viability screen: processor finish times only grow along
-    // any path of `G`, so a task that cannot meet its deadline even against
-    // the *initial* finish times is infeasible in the entire phase tree.
-    // Screening it out once keeps expansions from re-evaluating it at every
-    // level. (Like the paper's per-phase batch expiry test, this screen is
-    // not charged against the quantum; screened tasks stay in the batch.)
-    // Under provenance a screen rejection also carries the test's operands.
-    let t_screen = prof.start();
-    let screened_evidence = screen_batch(params, node_min, viable);
-    prof.stop(Stage::Screen, t_screen);
-    let viable: &[bool] = viable;
-    let n_viable = viable.iter().filter(|&&v| v).count();
-    stats.screened_tasks = (n - n_viable) as u64;
-    if n_viable == 0 {
-        return SearchOutcome {
-            assignments: Vec::new(),
-            termination: Termination::DeadEnd,
-            n_viable: 0,
-            makespan: root_makespan,
-            stats,
-            provenance: params.provenance.then(|| PhaseProvenance {
-                screened: screened_evidence,
-                decisions: Vec::new(),
-            }),
-        };
-    }
-
-    if let Representation::AssignmentOriented { task_order } = params.representation {
-        task_order.order_into(params.tasks, params.now, level_task);
-        level_task.retain(|&t| viable[t]);
-    }
-    let level_task: &[usize] = level_task;
-
-    // The incremental state is part of the scratch: reset in place when a
-    // previous phase left one behind, built fresh only on first use.
-    match state_slot.as_mut() {
-        Some(s) => s.reset(params.initial_finish, n, &params.resources),
-        None => {
-            *state_slot = Some(PathState::with_resources(
-                params.initial_finish.to_vec(),
-                n,
-                params.resources.clone(),
-            ));
-        }
-    }
-    let state = state_slot.as_mut().expect("state initialized above");
-
-    // Shard-first gate: active only under a multi-node hierarchical
-    // topology with the assignment-oriented layout. Everything else —
-    // constant, mesh, 1-node topology, sequence-oriented — takes the flat
-    // candidate path untouched (the 1-node bit-identity contract).
-    let shards = shard_gate(params);
-    if let Some(topo) = shards {
-        node_ends_into(topo, shard_ends);
-        state.configure_shards(shard_ends);
-    }
-
-    // Best feasible vertex so far: the root (empty schedule, makespan =
-    // root_makespan) is the fallback.
-    let mut best: Best = (0, root_makespan, None);
-    let ctx = Ctx {
-        params,
-        viable,
-        level_task,
-        n_viable,
-        use_replay,
-        shards,
-        vertex_cap: params.vertex_cap,
-        backtrack_limit: params.pruning.backtrack_limit,
-    };
-    let mut work = Work {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        shard_rank,
-        state,
-        prof,
-    };
-    let termination;
-
-    // Expand the root, then walk the candidate list with one incrementally
-    // maintained state.
-    if let Some((leaf_id, leaf_makespan)) =
-        ctx.expand(&mut work, None, meter, &mut stats, &mut best)
-    {
-        best = (n_viable, leaf_makespan, Some(leaf_id));
-        termination = Termination::Leaf;
-    } else {
-        termination = ctx
-            .dfs_loop(&mut work, meter, &mut stats, &mut best, None)
-            .termination;
-    }
-
-    // Deliver the best vertex's schedule. Untracked: the extraction switch
-    // is not part of the search, so it must not skew the per-pop counters.
-    // The assignments are copied into the pooled `out` buffer (the state
-    // itself stays in the scratch for the next phase); callers return the
-    // vector via [`SearchScratch::recycle`] to close the reuse loop.
-    let assignments = match best.2 {
-        Some(id) => {
-            ctx.switch_to(&mut work, &mut stats, id, false);
-            out.extend_from_slice(work.state.assignments());
-            std::mem::take(out)
-        }
-        None => Vec::new(),
-    };
-    let provenance = params
-        .provenance
-        .then(|| phase_provenance(work.arena, work.node_costs, best.2, screened_evidence));
-    SearchOutcome {
-        assignments,
-        termination,
-        n_viable,
-        makespan: best.1,
-        stats,
-        provenance,
-    }
+    Phase::open(params, true, &mut SearchScratch::new()).run(meter, None)
 }
 
 /// Best feasible vertex so far: `(depth, makespan, arena id)`; a `None` id
@@ -613,10 +457,11 @@ fn search_core(
 type Best = (usize, Time, Option<usize>);
 
 /// The read-only context of one candidate-list walk: the caller's
-/// parameters plus the phase-level screen verdicts and level order
-/// (computed once per phase) and the budget this particular walk runs
+/// parameters plus the phase-level screen verdicts, level order and key
+/// rank (fixed once per phase) and the budget this particular walk runs
 /// under. The serial engine uses the caller's budget verbatim; the
 /// parallel engine hands each subtree a slice of it.
+#[derive(Clone, Copy)]
 struct Ctx<'a, 'b> {
     params: &'b SearchParams<'a>,
     viable: &'b [bool],
@@ -625,7 +470,9 @@ struct Ctx<'a, 'b> {
     use_replay: bool,
     /// `Some` when the shard-first candidate generator is active (multi-node
     /// hierarchical topology, assignment-oriented layout).
-    shards: Option<&'a rt_task::TopologySpec>,
+    shards: Option<&'a TopologySpec>,
+    /// The top word of every successor key this phase builds.
+    rank: KeyRank,
     /// Generated-vertex budget of this walk (the phase cap, or one
     /// subtree's slice of it).
     vertex_cap: Option<u64>,
@@ -634,61 +481,48 @@ struct Ctx<'a, 'b> {
     backtrack_limit: Option<u64>,
 }
 
-/// The mutable working set of one walk — disjoint borrows of one
-/// [`SearchScratch`]'s buffers plus its incremental state, bundled so the
-/// expansion/switch/loop steps can be methods shared between the serial
-/// engine and the per-subtree walks of the parallel engine.
-struct Work<'s> {
-    arena: &'s mut Vec<Node>,
-    node_costs: &'s mut Vec<(Time, Time)>,
-    cl: &'s mut Vec<usize>,
-    path: &'s mut Vec<usize>,
-    chain: &'s mut Vec<usize>,
-    children: &'s mut Vec<Candidate>,
-    ckeys: &'s mut Vec<u128>,
-    raw: &'s mut Vec<(usize, ProcessorId)>,
-    comp: &'s mut Vec<Time>,
-    shard_rank: &'s mut Vec<(Time, usize)>,
-    state: &'s mut PathState,
-    prof: &'s mut StageProfiler,
+/// Where a successor key's `rank` word comes from (see [`successor_key`]).
+#[derive(Clone, Copy)]
+enum KeyRank {
+    /// Zero, for the orders that reduce to `(completion, member)`:
+    /// `LoadBalance`, `EarliestCompletion`, and `EarliestDeadline` under the
+    /// assignment-oriented layout, whose fixed task fixes the deadline.
+    Zero,
+    /// Sequence-oriented `EarliestDeadline`: the member task's deadline as
+    /// an offset from this anchor, the phase's earliest initial finish (no
+    /// viable task's deadline lies before it), saturating at `u32::MAX`.
+    /// Deadlines more than 2^32 µs (about 71 minutes) past the anchor
+    /// share the saturated rank; [`order_keys`] sorts that tail by the full
+    /// deadline.
+    Deadline(Time),
+    /// The generation counter (`None`): keys sort back into generation order.
+    Generation,
 }
 
-impl<'s> Work<'s> {
-    /// Borrows every buffer of `scratch` (plus its state, which the caller
-    /// must have initialized) as one working set.
-    fn over(scratch: &'s mut SearchScratch) -> Self {
-        let SearchScratch {
-            arena,
-            node_costs,
-            cl,
-            path,
-            chain,
-            children,
-            ckeys,
-            raw,
-            comp,
-            level_task: _,
-            viable: _,
-            node_min: _,
-            shard_ends: _,
-            shard_rank,
-            state,
-            out: _,
-            prof,
-        } = scratch;
-        Work {
-            arena,
-            node_costs,
-            cl,
-            path,
-            chain,
-            children,
-            ckeys,
-            raw,
-            comp,
-            shard_rank,
-            state: state.as_mut().expect("scratch state initialized"),
-            prof,
+impl KeyRank {
+    /// The rank source `params`' layout and child order call for.
+    fn new(params: &SearchParams<'_>) -> Self {
+        match params.child_order {
+            ChildOrder::None => KeyRank::Generation,
+            ChildOrder::EarliestDeadline if !params.representation.is_assignment_oriented() => {
+                let anchor = params.initial_finish.iter().copied().min();
+                KeyRank::Deadline(anchor.unwrap_or(Time::ZERO))
+            }
+            _ => KeyRank::Zero,
+        }
+    }
+
+    /// The rank word of a successor whose task's deadline is `deadline`,
+    /// the `generated`-th feasible one of its expansion.
+    #[inline]
+    fn of(self, deadline: Time, generated: usize) -> u32 {
+        match self {
+            KeyRank::Zero => 0,
+            KeyRank::Deadline(anchor) => {
+                let offset = deadline.as_micros().saturating_sub(anchor.as_micros());
+                u32::try_from(offset).unwrap_or(u32::MAX)
+            }
+            KeyRank::Generation => generated as u32,
         }
     }
 }
@@ -698,7 +532,7 @@ impl<'s> Work<'s> {
 /// assignment-oriented layout (sequence-oriented levels fix a processor, so
 /// there is no per-level shard choice to make). The topology must span
 /// exactly the phase's processors.
-fn shard_gate<'a>(params: &SearchParams<'a>) -> Option<&'a rt_task::TopologySpec> {
+fn shard_gate<'a>(params: &SearchParams<'a>) -> Option<&'a TopologySpec> {
     let topo = params.comm.topology()?;
     if topo.nodes() < 2 || !params.representation.is_assignment_oriented() {
         return None;
@@ -711,21 +545,51 @@ fn shard_gate<'a>(params: &SearchParams<'a>) -> Option<&'a rt_task::TopologySpec
     Some(topo)
 }
 
-/// Writes the cumulative node end indices of `topo` into `ends` (the shard
-/// partition [`PathState::configure_shards`] consumes).
-fn node_ends_into(topo: &rt_task::TopologySpec, ends: &mut Vec<usize>) {
-    ends.clear();
-    ends.extend((0..topo.nodes()).map(|s| topo.node_range(s).1));
+/// Sorts one expansion's successor keys into child order, highest
+/// priority first. Under a deadline rank, keys whose deadline saturated the
+/// rank sort last (every unsaturated deadline is smaller) but tie among
+/// themselves, so that tail is ordered by the full `(deadline, completion,
+/// member)` tuple.
+fn order_keys(keys: &mut [u128], rank: KeyRank, tasks: &[Task]) {
+    keys.sort_unstable();
+    if let KeyRank::Deadline(_) = rank {
+        let tail = keys.partition_point(|&k| (k >> 96) as u32 != u32::MAX);
+        keys[tail..].sort_unstable_by_key(|&k| {
+            let (member, completion) = unpack_key(k);
+            (tasks[member].deadline(), completion, member)
+        });
+    }
 }
 
-/// Packs one feasible candidate into a single integer whose natural order
-/// is `(completion, processor, task)` — the layout the select stage's raw
-/// `u128` sort relies on. `Time` is transparently its microsecond count, so
-/// the round-trip through the key is exact.
+/// The one successor ordering key: `rank(32) | completion(64) | member(32)`
+/// in a `u128` whose integer order is the child order, highest priority
+/// first. `member` is the processor under the assignment-oriented layout
+/// and the task under the sequence-oriented one; the other coordinate is
+/// fixed for the whole expansion, so keys are unique and an unstable sort
+/// is deterministic.
+///
+/// Against each order's full tuple: `EarliestCompletion` is
+/// `(completion, processor, task)`, which the fixed coordinate reduces to
+/// `(completion, member)`. `LoadBalance` is `(makespan, completion,
+/// processor, task)` with every makespan `max(base, completion)` for the
+/// expansion's one `base` — monotone in `completion`, so it orders as
+/// `(completion, member)` too. `EarliestDeadline` is `(deadline,
+/// completion, task, processor)`: the assignment-oriented task is fixed, so
+/// is its deadline; the sequence-oriented processor is fixed, so the
+/// deadline rank in front orders as the deadline (see [`KeyRank::Deadline`]
+/// for the saturated tail). `None` keeps generation order through a rank
+/// that counts up. `Time` is transparently its microsecond count, so
+/// [`unpack_key`] round-trips exactly.
 #[inline]
-fn pack_candidate(completion: Time, processor: usize, task: usize) -> u128 {
-    debug_assert!(processor < (1 << 32) && task < (1 << 32));
-    ((completion.as_micros() as u128) << 64) | ((processor as u128) << 32) | task as u128
+fn successor_key(rank: u32, completion: Time, member: usize) -> u128 {
+    debug_assert!(member < (1 << 32));
+    (u128::from(rank) << 96) | (u128::from(completion.as_micros()) << 32) | member as u128
+}
+
+/// The `(member, completion)` a [`successor_key`] carries.
+#[inline]
+fn unpack_key(key: u128) -> (usize, Time) {
+    (key as u32 as usize, Time::from_micros((key >> 32) as u64))
 }
 
 /// How one candidate-list walk ended: the termination reason plus the exit
@@ -767,7 +631,7 @@ impl Ctx<'_, '_> {
     /// own depth, undo down to that common ancestor, then apply the
     /// collected chain. Both engines run the same bookkeeping (so stats are
     /// bit-identical); only the state materialization differs.
-    fn switch_to(&self, work: &mut Work<'_>, stats: &mut SearchStats, cv: usize, track: bool) {
+    fn switch_to(&self, work: &mut Work, stats: &mut SearchStats, cv: usize, track: bool) {
         // Profiling: the ancestor walk and the undo pops share one Undo
         // span; the apply chain gets its own. Spans bracket whole loops —
         // never individual apply/undo calls — per the stage-granularity
@@ -788,23 +652,24 @@ impl Ctx<'_, '_> {
             stats.undos += (work.path.len() - common_depth) as u64;
             stats.replay_avoided += common_depth as u64;
         }
+        let state = work.state.as_mut().expect("walk state initialized");
         if self.use_replay {
             work.prof.stop(Stage::Undo, t_undo);
             let t_apply = work.prof.start();
             work.path.truncate(common_depth);
             work.path.extend(work.chain.iter().rev());
-            *work.state = self.replay(work.arena, Some(cv));
+            *state = self.replay(&work.arena, Some(cv));
             work.prof.stop(Stage::Apply, t_apply);
         } else {
             while work.path.len() > common_depth {
-                work.state.undo();
+                state.undo();
                 work.path.pop();
             }
             work.prof.stop(Stage::Undo, t_undo);
             let t_apply = work.prof.start();
             for &i in work.chain.iter().rev() {
                 let node = work.arena[i];
-                work.state.apply(
+                state.apply(
                     self.params.tasks,
                     self.params.comm,
                     node.task,
@@ -816,100 +681,66 @@ impl Ctx<'_, '_> {
         }
     }
 
-    /// Expands `cv` (`None` = the root): generates, filters, orders and
-    /// pushes its successors. Returns `Some((leaf id, leaf makespan))` if a
-    /// schedule covering every viable task was generated.
+    /// Expands `cv` (`None` = the root): generates, charges, classifies,
+    /// orders and pushes its successors. Returns whether it generated a
+    /// leaf (a schedule covering every viable task); `best` then names the
+    /// highest-priority one.
     fn expand(
         &self,
-        work: &mut Work<'_>,
+        work: &mut Work,
         cv: Option<usize>,
         meter: &mut SchedulingMeter,
         stats: &mut SearchStats,
         best: &mut Best,
-    ) -> Option<(usize, Time)> {
+    ) -> bool {
         let params = self.params;
+        let state = work.state.as_mut().expect("walk state initialized");
         // Depth bound (Section 3 pruning): do not expand below the bound.
         if params
             .pruning
             .depth_bound
-            .is_some_and(|bound| work.state.depth() >= bound)
+            .is_some_and(|bound| state.depth() >= bound)
         {
             stats.depth_prunes += 1;
-            return None;
+            return false;
         }
         stats.expansions += 1;
-        let max_skips = params.representation.max_skips(work.state);
-        // The cost function ce compares each candidate's completion against
-        // the partial schedule's makespan, which the state maintains
-        // incrementally — an O(1) read per expansion.
-        let base_makespan = work.state.makespan();
-        work.children.clear();
+        let max_skips = params.representation.max_skips(state);
+        let assignment = params.representation.is_assignment_oriented();
         work.ckeys.clear();
-        // The two default-ish child orders reduce to the integer order of a
-        // packed `completion(64) | processor(32) | task(32)` key (see the
-        // select stage below), so their candidates skip the `Candidate`
-        // struct entirely: 16-byte pushes in the cost loop and a raw `u128`
-        // sort instead of a 40-byte-element comparator sort.
-        let packable = matches!(
-            params.child_order,
-            ChildOrder::LoadBalance | ChildOrder::EarliestCompletion
-        );
-        // Budget hoists: both are constant for the whole expansion, and the
-        // cap compare degenerates to an always-false branch when uncapped
-        // (`vertices_generated` cannot reach `u64::MAX`).
-        let cap = self.vertex_cap.unwrap_or(u64::MAX);
-        // Profiling: the cost span may be cut short by a `break
-        // 'skip_rounds` inside the accounting loop; the pending slot carries
-        // the open span across the jump so the stop after the loop closes
-        // it (stop with `None` is a no-op).
-        let mut t_cost = None;
-        // Per-candidate accounting order in every branch below (pinned by
-        // the `vertex_cap_break_classifies_every_counted_vertex` and
-        // `quantum_break_counts_the_uncharged_vertex` tests):
-        //   1. vertex cap — checked *before* generating, so a cap break
-        //      counts nothing: every cap-counted vertex is classified.
-        //   2. quantum charge — counted whether or not it succeeds, so
-        //      `vertices_generated == meter.vertices()` always; but a
-        //      *failed* charge never reaches classification, so a
-        //      mid-round quantum break leaves exactly one counted,
-        //      unclassified vertex.
-        //   3. feasibility classification — only for charged vertices.
-        if params.representation.is_assignment_oriented() {
-            // Assignment-oriented levels fix one task, so the round's
-            // candidates are exactly one row of the persistent candidate
-            // column: sync it in O(Δ) from the journal and read completions
-            // straight out of it — no raw candidate list, no O(P) refill.
-            // Round `skip` expands the (skip+1)-th unassigned task of the
-            // level order. The assigned set is constant for the whole
-            // expansion (charges never assign), so consecutive rounds can
-            // resume one forward scan instead of re-running `nth(skip)`
-            // from the front — O(n) total across all rounds, not O(n²).
-            let mut cursor = 0usize;
-            'skip_rounds: for _skip in 0..=max_skips {
-                let task = {
-                    let mut found = None;
-                    while let Some(&t) = self.level_task.get(cursor) {
-                        cursor += 1;
-                        if !work.state.is_assigned(t) {
-                            found = Some(t);
-                            break;
-                        }
-                    }
-                    match found {
-                        Some(t) => t,
-                        None => break, // no unassigned task remains at all
-                    }
+        // The coordinate every successor of this expansion shares: the
+        // level's task (assignment-oriented) or processor
+        // (sequence-oriented). A round that yields no feasible child pushes
+        // no key and the loop stops at the first round that does, so all
+        // keys come from one round and their `member` tells them apart.
+        let mut fixed = 0;
+        // Assignment-oriented round `skip` expands the (skip+1)-th
+        // unassigned task of the level order. The assigned set is constant
+        // for the whole expansion (charges never assign), so consecutive
+        // rounds resume one forward scan — O(n) over all rounds, not O(n²).
+        let mut cursor = 0;
+        for skip in 0..=max_skips {
+            let in_budget = if assignment {
+                let Some(off) = self.level_task[cursor..]
+                    .iter()
+                    .position(|&t| !state.is_assigned(t))
+                else {
+                    break; // no unassigned task remains at all
                 };
+                let task = self.level_task[cursor + off];
+                cursor += off + 1;
+                fixed = task;
                 // The task is fixed for the round, so its deadline is too.
                 let deadline = params.tasks[task].deadline();
+                // The round's candidates are one row of the task's
+                // persistent candidate column, synced in O(Δ) from the
+                // journal: under shard-first generation only the winning
+                // shards' segments, otherwise the whole row.
                 if let Some(topo) = self.shards {
-                    // Shard-first: screen the nodes against the level's task
-                    // and enumerate processors only inside the winning
-                    // shards. Like the batch screen, the per-shard bounds
-                    // cost no quantum — the saving the sharded bench point
-                    // measures.
+                    // Like the batch screen, the per-shard bounds cost no
+                    // quantum — the saving the sharded bench point measures.
                     let t_shard = work.prof.start();
-                    self.rank_shards(topo, work, task, stats);
+                    self.rank_shards(topo, state, &mut work.shard_rank, task, stats);
                     work.prof.stop(Stage::Shard, t_shard);
                     if work.shard_rank.is_empty() {
                         // The task exists but no shard can meet its
@@ -919,245 +750,185 @@ impl Ctx<'_, '_> {
                         stats.level_skips += 1;
                         continue;
                     }
-                    // Sync only the winning shards' column segments — the
-                    // losing shards stay stale and unpaid-for.
+                    // The losing shards' segments stay stale and unpaid-for.
                     let t_fill = work.prof.start();
-                    for i in 0..work.shard_rank.len() {
-                        let s = work.shard_rank[i].1;
-                        work.state
-                            .ensure_candidate_segment(params.tasks, params.comm, task, s);
+                    for &(_, s) in &work.shard_rank {
+                        state.ensure_candidate_segment(params.tasks, params.comm, task, s);
                     }
                     work.prof.stop(Stage::Fill, t_fill);
-                    t_cost = work.prof.start();
-                    let col = work.state.comp_column(task);
-                    for &(_, s) in work.shard_rank.iter() {
+                    let col = state.comp_column(task);
+                    let segments = work.shard_rank.iter().flat_map(|&(_, s)| {
                         let (lo, hi) = topo.node_range(s);
-                        for (off, &completion) in col[lo..hi].iter().enumerate() {
-                            let p = lo + off;
-                            if stats.vertices_generated >= cap {
-                                break 'skip_rounds; // cap reached mid-expansion
-                            }
-                            let charged = meter.charge_vertex();
-                            stats.vertices_generated += 1;
-                            if !charged {
-                                break 'skip_rounds; // quantum ran out mid-expansion
-                            }
-                            if completion <= deadline {
-                                stats.feasible_children += 1;
-                                if packable {
-                                    work.ckeys.push(pack_candidate(completion, p, task));
-                                } else {
-                                    work.children.push(Candidate {
-                                        task,
-                                        processor: p,
-                                        completion,
-                                        makespan: base_makespan.max(completion),
-                                        deadline,
-                                    });
-                                }
-                            } else {
-                                stats.infeasible_children += 1;
-                            }
-                        }
-                    }
-                    work.prof.stop(Stage::Cost, t_cost.take());
+                        (lo..hi).zip(&col[lo..hi])
+                    });
+                    self.classify(
+                        segments,
+                        |_| deadline,
+                        &mut work.ckeys,
+                        &mut work.prof,
+                        meter,
+                        stats,
+                    )
                 } else {
                     let t_fill = work.prof.start();
-                    let col = work.state.candidate_column(params.tasks, params.comm, task);
+                    let col = state.candidate_column(params.tasks, params.comm, task);
                     work.prof.stop(Stage::Fill, t_fill);
-                    t_cost = work.prof.start();
-                    for (p, &completion) in col.iter().enumerate() {
-                        if stats.vertices_generated >= cap {
-                            break 'skip_rounds; // cap reached mid-expansion
-                        }
-                        let charged = meter.charge_vertex();
-                        stats.vertices_generated += 1;
-                        if !charged {
-                            break 'skip_rounds; // quantum ran out mid-expansion
-                        }
-                        if completion <= deadline {
-                            stats.feasible_children += 1;
-                            if packable {
-                                work.ckeys.push(pack_candidate(completion, p, task));
-                            } else {
-                                work.children.push(Candidate {
-                                    task,
-                                    processor: p,
-                                    completion,
-                                    makespan: base_makespan.max(completion),
-                                    deadline,
-                                });
-                            }
-                        } else {
-                            stats.infeasible_children += 1;
-                        }
-                    }
-                    work.prof.stop(Stage::Cost, t_cost.take());
+                    self.classify(
+                        col.iter().enumerate(),
+                        |_| deadline,
+                        &mut work.ckeys,
+                        &mut work.prof,
+                        meter,
+                        stats,
+                    )
                 }
-                if !work.children.is_empty() || !work.ckeys.is_empty() {
-                    break;
-                }
-                stats.level_skips += 1;
-            }
-        } else {
-            // Sequence-oriented levels fix a processor and branch over
-            // tasks: the candidates span many tasks, so the per-task
-            // column does not apply and the round keeps the batched
-            // completions_into evaluation.
-            'skip_rounds: for skip in 0..=max_skips {
+            } else {
+                // Sequence-oriented levels fix a processor and branch over
+                // tasks, so the per-task column does not apply: the round
+                // evaluates its raw candidates in one batched pass.
+                // Screened (phase-infeasible) tasks are invisible to the
+                // search and cost no quantum; an empty round means no viable
+                // task is left at all — skipping further cannot help.
                 params.representation.raw_candidates_into(
-                    work.state,
+                    state,
                     self.level_task,
                     skip,
-                    work.raw,
+                    &mut work.raw,
                 );
-                // Screened (phase-infeasible) tasks are invisible to the
-                // search and cost no quantum. An empty round means no viable
-                // task is left at all — skipping further cannot help.
                 work.raw.retain(|&(t, _)| self.viable[t]);
-                if work.raw.is_empty() {
+                let Some(&(_, p)) = work.raw.first() else {
                     break;
-                }
+                };
+                fixed = p.index();
                 let t_fill = work.prof.start();
-                work.state
-                    .completions_into(params.tasks, params.comm, work.raw, work.comp);
+                state.completions_into(params.tasks, params.comm, &work.raw, &mut work.comp);
                 work.prof.stop(Stage::Fill, t_fill);
-                t_cost = work.prof.start();
-                for (i, &(task, p)) in work.raw.iter().enumerate() {
-                    if stats.vertices_generated >= cap {
-                        break 'skip_rounds; // cap reached mid-expansion
-                    }
-                    let charged = meter.charge_vertex();
-                    stats.vertices_generated += 1;
-                    if !charged {
-                        break 'skip_rounds; // quantum ran out mid-expansion
-                    }
-                    let completion = work.comp[i];
-                    if params.tasks[task].meets_deadline(completion) {
-                        stats.feasible_children += 1;
-                        if packable {
-                            work.ckeys.push(pack_candidate(completion, p.index(), task));
-                        } else {
-                            work.children.push(Candidate {
-                                task,
-                                processor: p.index(),
-                                completion,
-                                makespan: base_makespan.max(completion),
-                                deadline: params.tasks[task].deadline(),
-                            });
-                        }
-                    } else {
-                        stats.infeasible_children += 1;
-                    }
-                }
-                work.prof.stop(Stage::Cost, t_cost.take());
-                if !work.children.is_empty() || !work.ckeys.is_empty() {
-                    break;
-                }
-                stats.level_skips += 1;
+                let tasks = work.raw.iter().map(|&(t, _)| t);
+                let deadline = |t: usize| params.tasks[t].deadline();
+                self.classify(
+                    tasks.zip(&work.comp),
+                    deadline,
+                    &mut work.ckeys,
+                    &mut work.prof,
+                    meter,
+                    stats,
+                )
+            };
+            if !in_budget || !work.ckeys.is_empty() {
+                break;
             }
+            stats.level_skips += 1;
         }
-        // Closes the span a mid-loop budget break left open; ordering and
-        // pushing the children is its own `select` stage from here on.
-        work.prof.stop(Stage::Cost, t_cost);
+
+        // Select: order the keys and push the children lowest-priority
+        // first, so the highest-priority child is popped next (CL front).
         let t_select = work.prof.start();
-        let depth = work.state.depth() + 1;
-        // Push lowest-priority first so the highest-priority child is popped
-        // next (CL front). Bulk-extend the arena and CL rather than pushing
-        // per child: the capacity checks amortise and the Node construction
-        // stays in one tight loop.
+        order_keys(&mut work.ckeys, self.rank, params.tasks);
+        let depth = state.depth() + 1;
+        // The cost function ce compares each candidate's completion against
+        // the partial schedule's makespan, which the state maintains
+        // incrementally — an O(1) read per expansion.
+        let base_makespan = state.makespan();
         let base_id = work.arena.len();
-        let mut leaf = None;
-        if packable {
-            // The packed key's integer order is `(completion, processor,
-            // task)`. For `EarliestCompletion` that *is* the policy key;
-            // for `LoadBalance` — `(makespan, completion, processor, task)`
-            // — it is equivalent because every makespan here is
-            // `base_makespan.max(completion)` for the one shared
-            // `base_makespan`: `max` is monotone in `completion`, so
-            // distinct completions order the makespans identically, and
-            // equal completions give equal makespans, falling through to
-            // the same `(processor, task)` tiebreak. A raw `u128` sort
-            // replaces a 40-byte-element comparator sort — on wide sharded
-            // expansions this is most of the select stage.
-            work.ckeys.sort_unstable();
-            work.arena.extend(work.ckeys.iter().rev().map(|&k| Node {
+        let mut last = None;
+        for (id, &key) in (base_id..).zip(work.ckeys.iter().rev()) {
+            let (member, completion) = unpack_key(key);
+            let (task, processor) = if assignment {
+                (fixed, member)
+            } else {
+                (member, fixed)
+            };
+            work.arena.push(Node {
                 parent: cv,
                 depth,
-                task: k as u32 as usize,
-                processor: ProcessorId::new((k >> 32) as u32 as usize),
-            }));
+                task,
+                processor: ProcessorId::new(processor),
+            });
+            work.cl.push(id);
+            let makespan = base_makespan.max(completion);
             if params.provenance {
-                work.node_costs.extend(work.ckeys.iter().rev().map(|&k| {
-                    let completion = Time::from_micros((k >> 64) as u64);
-                    (completion, base_makespan.max(completion))
-                }));
+                work.node_costs.push((completion, makespan));
             }
-            work.cl.extend(base_id..base_id + work.ckeys.len());
-            if !work.ckeys.is_empty() {
-                stats.deepest = stats.deepest.max(depth);
+            // Every generated feasible vertex is a candidate "best".
+            if depth > best.0 || (depth == best.0 && makespan < best.1) {
+                *best = (depth, makespan, Some(id));
             }
-            for (i, &k) in work.ckeys.iter().rev().enumerate() {
-                let id = base_id + i;
-                let makespan = base_makespan.max(Time::from_micros((k >> 64) as u64));
-                // Every generated feasible vertex is a candidate "best".
-                let key = (depth, makespan);
-                if key.0 > best.0 || (key.0 == best.0 && key.1 < best.1) {
-                    *best = (depth, makespan, Some(id));
-                }
-                if depth == self.n_viable {
-                    // Prefer the highest-priority leaf of this expansion:
-                    // since we iterate lowest-priority first, keep
-                    // overwriting.
-                    leaf = Some((id, makespan));
-                }
-            }
-        } else {
-            params.child_order.sort(work.children);
-            work.arena
-                .extend(work.children.iter().rev().map(|child| Node {
-                    parent: cv,
-                    depth,
-                    task: child.task,
-                    processor: ProcessorId::new(child.processor),
-                }));
-            if params.provenance {
-                work.node_costs.extend(
-                    work.children
-                        .iter()
-                        .rev()
-                        .map(|c| (c.completion, c.makespan)),
-                );
-            }
-            work.cl.extend(base_id..base_id + work.children.len());
-            if !work.children.is_empty() {
-                stats.deepest = stats.deepest.max(depth);
-            }
-            for (i, child) in work.children.iter().rev().enumerate() {
-                let id = base_id + i;
-                // Every generated feasible vertex is a candidate "best".
-                let key = (depth, child.makespan);
-                if key.0 > best.0 || (key.0 == best.0 && key.1 < best.1) {
-                    *best = (depth, child.makespan, Some(id));
-                }
-                if depth == self.n_viable {
-                    // Prefer the highest-priority leaf of this expansion:
-                    // since we iterate lowest-priority first, keep
-                    // overwriting.
-                    leaf = Some((id, child.makespan));
-                }
-            }
+            last = Some((id, makespan));
         }
         work.prof.stop(Stage::Select, t_select);
+        let Some((id, makespan)) = last else {
+            return false;
+        };
+        stats.deepest = stats.deepest.max(depth);
+        // A leaf overrides the best so far: this expansion's
+        // highest-priority child, the one pushed last.
+        let leaf = depth == self.n_viable;
+        if leaf {
+            *best = (depth, makespan, Some(id));
+        }
         leaf
+    }
+
+    /// The one cap/charge/classify loop behind every candidate source — the
+    /// flat column, the shard segments and the sequence-oriented batch —
+    /// fed `(member, completion)` pairs in generation order. Each feasible
+    /// candidate becomes a [`successor_key`]. Returns `false` when a budget
+    /// broke the round off.
+    ///
+    /// Per-candidate accounting order (pinned by the
+    /// `vertex_cap_break_classifies_every_counted_vertex` and
+    /// `quantum_break_counts_the_uncharged_vertex` tests):
+    ///   1. vertex cap — checked *before* generating, so a cap break
+    ///      counts nothing: every cap-counted vertex is classified.
+    ///   2. quantum charge — counted whether or not it succeeds, so
+    ///      `vertices_generated == meter.vertices()` always; but a *failed*
+    ///      charge never reaches classification, so a mid-round quantum
+    ///      break leaves exactly one counted, unclassified vertex.
+    ///   3. feasibility classification — only for charged vertices.
+    #[inline]
+    fn classify<'c>(
+        &self,
+        source: impl IntoIterator<Item = (usize, &'c Time)>,
+        deadline: impl Fn(usize) -> Time,
+        ckeys: &mut Vec<u128>,
+        prof: &mut StageProfiler,
+        meter: &mut SchedulingMeter,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let t_cost = prof.start();
+        // Hoisted: the cap compare degenerates to an always-false branch
+        // when uncapped (`vertices_generated` cannot reach `u64::MAX`).
+        let cap = self.vertex_cap.unwrap_or(u64::MAX);
+        let mut in_budget = true;
+        for (member, &completion) in source {
+            if stats.vertices_generated >= cap {
+                in_budget = false;
+                break;
+            }
+            let charged = meter.charge_vertex();
+            stats.vertices_generated += 1;
+            if !charged {
+                in_budget = false;
+                break;
+            }
+            let deadline = deadline(member);
+            if completion <= deadline {
+                stats.feasible_children += 1;
+                let rank = self.rank.of(deadline, ckeys.len());
+                ckeys.push(successor_key(rank, completion, member));
+            } else {
+                stats.infeasible_children += 1;
+            }
+        }
+        prof.stop(Stage::Cost, t_cost);
+        in_budget
     }
 
     /// The shard-first screen: tests every shard of the topology against
     /// the level's task with an aggregate feasibility bound and leaves the
     /// best-ranked feasible shards (up to the topology's fanout) in
-    /// `work.shard_rank`. The expansion then enumerates processors only
-    /// inside those winners, reading completions from the task's candidate
-    /// column.
+    /// `shard_rank`. The expansion then enumerates processors only inside
+    /// those winners, reading completions from the task's candidate column.
     ///
     /// The screen bound for shard `s` is
     /// `max(shard_min(s), earliest_resource_start) + p + min_node_cost(s)`,
@@ -1172,30 +943,31 @@ impl Ctx<'_, '_> {
     /// generated candidate set is deterministic.
     fn rank_shards(
         &self,
-        topo: &rt_task::TopologySpec,
-        work: &mut Work<'_>,
+        topo: &TopologySpec,
+        state: &PathState,
+        shard_rank: &mut Vec<(Time, usize)>,
         task: usize,
         stats: &mut SearchStats,
     ) {
         let t = &self.params.tasks[task];
         stats.shard_screens += 1;
-        work.shard_rank.clear();
-        let earliest = work.state.earliest_resource_start(t);
+        shard_rank.clear();
+        let earliest = state.earliest_resource_start(t);
         let mut pruned = 0u64;
         for s in 0..topo.nodes() {
-            let start = work.state.shard_min(s).max(earliest);
+            let start = state.shard_min(s).max(earliest);
             let bound = start + t.processing_time() + topo.min_node_cost(t.affinity(), s);
             if t.meets_deadline(bound) {
-                work.shard_rank.push((bound, s));
+                shard_rank.push((bound, s));
             } else {
                 pruned += 1;
             }
         }
-        work.shard_rank.sort_unstable();
-        let fanout = topo.fanout().min(work.shard_rank.len());
-        pruned += (work.shard_rank.len() - fanout) as u64;
+        shard_rank.sort_unstable();
+        let fanout = topo.fanout().min(shard_rank.len());
+        pruned += (shard_rank.len() - fanout) as u64;
         stats.shards_pruned += pruned;
-        work.shard_rank.truncate(fanout);
+        shard_rank.truncate(fanout);
     }
 
     /// Walks the candidate list until a leaf, a dead-end, a budget break or
@@ -1203,13 +975,13 @@ impl Ctx<'_, '_> {
     /// by the parallel engine (against that subtree's own budget slices).
     fn dfs_loop(
         &self,
-        work: &mut Work<'_>,
+        work: &mut Work,
         meter: &mut SchedulingMeter,
         stats: &mut SearchStats,
         best: &mut Best,
-        mut last_expanded: Option<usize>,
     ) -> LoopOut {
         let mut pops = 0u64;
+        let mut last_expanded = None;
         let termination = loop {
             if meter.exhausted()
                 || self
@@ -1233,9 +1005,7 @@ impl Ctx<'_, '_> {
             }
             self.switch_to(work, stats, cv, true);
             last_expanded = Some(cv);
-            if let Some((leaf_id, leaf_makespan)) = self.expand(work, Some(cv), meter, stats, best)
-            {
-                *best = (self.n_viable, leaf_makespan, Some(leaf_id));
+            if self.expand(work, Some(cv), meter, stats, best) {
                 break Termination::Leaf;
             }
         };
@@ -1244,6 +1014,390 @@ impl Ctx<'_, '_> {
             end_depth: work.path.len(),
             pops,
         }
+    }
+}
+
+/// One phase past the shared prologue: the walk's read-only context, its
+/// working set, the pooled output buffer, and the counters, best vertex and
+/// screen evidence so far. Both engines run from here — the serial engine
+/// straight to delivery, the parallel one through the split and merge.
+struct Phase<'a, 'b> {
+    ctx: Ctx<'a, 'b>,
+    work: &'b mut Work,
+    out: &'b mut Vec<Assignment>,
+    stats: SearchStats,
+    best: Best,
+    screened: Vec<ScreenEvidence>,
+}
+
+impl<'a, 'b> Phase<'a, 'b> {
+    /// The phase prologue shared by every engine: clears the scratch, runs
+    /// the viability screen, fixes the level order and the key rank,
+    /// resets the state behind the shard gate, and sets up the walk. A
+    /// phase with nothing to search — an empty batch, or no task survives
+    /// the screen — skips everything past the screen.
+    fn open(
+        params: &'b SearchParams<'a>,
+        use_replay: bool,
+        scratch: &'b mut SearchScratch,
+    ) -> Self {
+        let SearchScratch {
+            work,
+            level_task,
+            viable,
+            node_min,
+            out,
+        } = scratch;
+        level_task.clear();
+        viable.clear();
+        node_min.clear();
+        out.clear();
+        work.prof.reset();
+
+        // Phase-level viability screen: processor finish times only grow
+        // along any path of `G`, so a task that cannot meet its deadline
+        // even against the *initial* finish times is infeasible in the
+        // entire phase tree. Screening it out once keeps expansions from
+        // re-evaluating it at every level. (Like the paper's per-phase batch
+        // expiry test, this screen is not charged against the quantum;
+        // screened tasks stay in the batch.) Under provenance a screen
+        // rejection also carries the test's operands.
+        let n = params.tasks.len();
+        let screened = if n == 0 {
+            Vec::new()
+        } else {
+            let t_screen = work.prof.start();
+            let screened = screen_batch(params, node_min, viable);
+            work.prof.stop(Stage::Screen, t_screen);
+            screened
+        };
+        let viable: &[bool] = viable;
+        let n_viable = viable.iter().filter(|&&v| v).count();
+        let stats = SearchStats {
+            screened_tasks: (n - n_viable) as u64,
+            ..SearchStats::default()
+        };
+
+        let mut shards = None;
+        if n_viable > 0 {
+            if let Representation::AssignmentOriented { task_order } = params.representation {
+                task_order.order_into(params.tasks, params.now, level_task);
+                level_task.retain(|&t| viable[t]);
+            }
+            // Shard-first gate: active only under a multi-node hierarchical
+            // topology with the assignment-oriented layout. Everything else
+            // — constant, mesh, 1-node topology, sequence-oriented — takes
+            // the flat candidate path untouched (the 1-node bit-identity
+            // contract).
+            shards = shard_gate(params);
+            work.begin(params, shards);
+        }
+        // Root makespan: the latest initial finish time (the empty
+        // schedule's CE). The root is the fallback "best" vertex.
+        let root_makespan = params
+            .initial_finish
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(Time::ZERO);
+        Phase {
+            ctx: Ctx {
+                params,
+                viable,
+                level_task,
+                n_viable,
+                use_replay,
+                shards,
+                rank: KeyRank::new(params),
+                vertex_cap: params.vertex_cap,
+                backtrack_limit: params.pruning.backtrack_limit,
+            },
+            work,
+            out,
+            stats,
+            best: (0, root_makespan, None),
+            screened,
+        }
+    }
+
+    /// Expands the root on the caller's meter, then either hands the phase
+    /// to the parallel split (`split` set, two or more root subtrees and
+    /// budget left) or walks the candidate list serially, and delivers.
+    fn run(
+        mut self,
+        meter: &mut SchedulingMeter,
+        split: Option<(usize, &mut ParallelScratch, &mut ParallelReport)>,
+    ) -> SearchOutcome {
+        if self.ctx.n_viable == 0 {
+            // Nothing to search: an empty batch is trivially a leaf, a fully
+            // screened one a dead end; either delivers the empty root.
+            let termination = if self.ctx.params.tasks.is_empty() {
+                Termination::Leaf
+            } else {
+                Termination::DeadEnd
+            };
+            return self.deliver(termination, None);
+        }
+        let leaf = self
+            .ctx
+            .expand(self.work, None, meter, &mut self.stats, &mut self.best);
+        if let Some((threads, par, report)) = split {
+            report.subtrees = self.work.cl.len();
+            report.stage_stats = self.stats;
+            // Serial fallbacks: a root leaf, fewer than two subtrees, or a
+            // budget already dead at the root. Each continues on the serial
+            // engine's exact code path (and is therefore bit-identical).
+            let budget_dead = meter.exhausted()
+                || self
+                    .ctx
+                    .vertex_cap
+                    .is_some_and(|cap| self.stats.vertices_generated >= cap);
+            if !leaf && report.subtrees >= 2 && !budget_dead {
+                return self.split(threads, meter, par, report);
+            }
+        }
+        let termination = if leaf {
+            Termination::Leaf
+        } else {
+            self.ctx
+                .dfs_loop(self.work, meter, &mut self.stats, &mut self.best)
+                .termination
+        };
+        self.deliver(termination, None)
+    }
+
+    /// Delivers the best vertex's schedule and decision evidence. `owner`
+    /// is the subtree walk whose arena holds the best vertex, with the
+    /// subtree's root child in the phase's own (stage) arena; `None` = the
+    /// phase's own arena. Untracked: the extraction switch is not part of
+    /// the search, so it must not skew the per-pop counters. The
+    /// assignments are copied into the pooled `out` buffer (the state stays
+    /// in the scratch for the next phase); callers return the vector via
+    /// [`SearchScratch::recycle`] to close the reuse loop.
+    fn deliver(
+        &mut self,
+        termination: Termination,
+        owner: Option<(&mut Work, usize)>,
+    ) -> SearchOutcome {
+        let (walk, stage) = match owner {
+            None => (&mut *self.work, None),
+            Some((sub, root_id)) => (sub, Some((&*self.work, root_id))),
+        };
+        let assignments = match self.best.2 {
+            Some(id) => {
+                self.ctx.switch_to(walk, &mut self.stats, id, false);
+                let state = walk.state.as_ref().expect("walk state initialized");
+                self.out.extend_from_slice(state.assignments());
+                std::mem::take(self.out)
+            }
+            None => Vec::new(),
+        };
+        let provenance = self.ctx.params.provenance.then(|| {
+            phase_provenance(walk, self.best.2, std::mem::take(&mut self.screened), stage)
+        });
+        SearchOutcome {
+            assignments,
+            termination,
+            n_viable: self.ctx.n_viable,
+            makespan: self.best.1,
+            stats: self.stats,
+            provenance,
+        }
+    }
+
+    /// The parallel engine proper, after the shared root expansion: a
+    /// deterministic subtree split, the walks, and the
+    /// stats/meter/best/provenance merge.
+    fn split(
+        mut self,
+        threads: usize,
+        meter: &mut SchedulingMeter,
+        par: &mut ParallelScratch,
+        report: &mut ParallelReport,
+    ) -> SearchOutcome {
+        report.split = true;
+        let k = report.subtrees;
+        let params = self.ctx.params;
+        let state = self.work.state.as_ref().expect("walk state initialized");
+        // Deterministic subtree specs, highest root priority first. `CL` is
+        // a stack (end = front), so subtree 0 — the branch the serial engine
+        // dives first — owns the last `CL` entry. Budget slices: each
+        // subtree gets 1/k of the remaining quantum, vertex cap and
+        // backtrack limit (the first `cap % k` subtrees absorb the
+        // vertex-cap remainder).
+        let quantum_slice = meter.remaining() / (k as u64);
+        let cap_left = self
+            .ctx
+            .vertex_cap
+            .map(|cap| cap.saturating_sub(self.stats.vertices_generated));
+        let bt_slice = self.ctx.backtrack_limit.map(|limit| limit / (k as u64));
+        let specs: Vec<SubSpec> = (0..k)
+            .map(|i| {
+                let root_id = self.work.cl[k - 1 - i];
+                let node = self.work.arena[root_id];
+                // The state still sits at the root, so this recomputes
+                // exactly the completion the root expansion evaluated.
+                let completion =
+                    state.completion_if(params.tasks, params.comm, node.task, node.processor);
+                SubSpec {
+                    root_id,
+                    task: node.task,
+                    processor: node.processor,
+                    completion,
+                    makespan: state.makespan().max(completion),
+                    vertex_cap: cap_left
+                        .map(|c| c / (k as u64) + u64::from((i as u64) < c % (k as u64))),
+                    backtrack_limit: bt_slice,
+                    quantum: quantum_slice,
+                }
+            })
+            .collect();
+
+        // Drain the k walks on at most `threads` OS threads, and never more
+        // than the host has cores (contiguous chunks of the per-subtree
+        // pool). The width affects scheduling only — each walk's result is
+        // keyed by its subtree index, so the merge below sees the same
+        // inputs at any width. Each walk profiles into its own working set,
+        // armed like the phase profiler so a disabled phase stays
+        // clock-free on every worker thread.
+        if par.subs.len() < k {
+            par.subs.resize_with(k, Work::default);
+        }
+        let prof_on = self.work.prof.enabled();
+        for sub in &mut par.subs[..k] {
+            sub.prof.set_enabled(prof_on);
+            sub.prof.reset();
+        }
+        let host = meter.host_params();
+        let width = threads.max(1).min(k).min(host_cores());
+        let ctx = &self.ctx;
+        let runs: Vec<SubRun> = if width == 1 {
+            par.subs[..k]
+                .iter_mut()
+                .zip(&specs)
+                .map(|(sub, spec)| run_sub(ctx, spec, sub, host))
+                .collect()
+        } else {
+            let chunk = k.div_ceil(width);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = par.subs[..k]
+                    .chunks_mut(chunk)
+                    .zip(specs.chunks(chunk))
+                    .map(|(subs, chunk_specs)| {
+                        scope.spawn(move || {
+                            subs.iter_mut()
+                                .zip(chunk_specs)
+                                .map(|(sub, spec)| run_sub(ctx, spec, sub, host))
+                                .collect::<Vec<SubRun>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("subtree search thread panicked"))
+                    .collect()
+            })
+        };
+
+        // Commit rule: the serial engine stops at the first leaf, so only
+        // the subtrees up to and including the lowest-index Leaf are "real"
+        // — later subtrees would never have run serially and are discarded
+        // wholesale.
+        let t_merge = self.work.prof.start();
+        let leaf_sub = runs.iter().position(|r| r.termination == Termination::Leaf);
+        let committed = leaf_sub.map_or(k, |l| l + 1);
+        report.committed = committed;
+
+        // Merge counters and meters in subtree-priority order, then add the
+        // cross-subtree bookkeeping the serial engine charges when hopping
+        // from the end of one exhausted subtree to the next root child: one
+        // backtrack per entered subtree after the first, and an undo of the
+        // previous subtree's final path (the common ancestor is the root, so
+        // no replay is avoided).
+        let mut entered_depths: Vec<u64> = Vec::new();
+        for run in &runs[..committed] {
+            merge_stats(&mut self.stats, &run.stats);
+            meter.absorb(run.vertices, run.consumed, run.exhausted);
+            if run.pops > 0 {
+                entered_depths.push(run.end_depth as u64);
+            }
+        }
+        self.stats.backtracks += (entered_depths.len() as u64).saturating_sub(1);
+        if let Some((_, before)) = entered_depths.split_last() {
+            self.stats.undos += before.iter().sum::<u64>();
+        }
+
+        // Best-vertex reduction. The stage fold over the root children
+        // already reproduces the serial engine's depth-1 ordering (lowest
+        // priority folded first), so only *interior* subtree bests (depth
+        // >= 2) compete: folding them in priority order under the same
+        // strict-improvement rule recovers exactly the serial "first optimum
+        // in exploration order". A leaf overrides unconditionally, as in the
+        // serial loop.
+        let mut owner: Option<usize> = None; // best's subtree; None = stage arena
+        let termination = if let Some(l) = leaf_sub {
+            self.best = runs[l].best;
+            owner = Some(l);
+            Termination::Leaf
+        } else {
+            for (i, run) in runs[..committed].iter().enumerate() {
+                let (depth, makespan, _) = run.best;
+                let best = self.best;
+                if depth >= 2 && (depth > best.0 || (depth == best.0 && makespan < best.1)) {
+                    self.best = run.best;
+                    owner = Some(i);
+                }
+            }
+            let ended = |t| runs[..committed].iter().any(|r| r.termination == t);
+            if ended(Termination::QuantumExhausted) {
+                Termination::QuantumExhausted
+            } else if ended(Termination::Pruned) {
+                Termination::Pruned
+            } else {
+                Termination::DeadEnd
+            }
+        };
+        self.work.prof.stop(Stage::Merge, t_merge);
+
+        // The screen evidence comes from the shared prologue; the schedule
+        // and decision path from whichever arena owns the best vertex. The
+        // values match the serial engine's — only arena ids differ, and
+        // evidence carries none.
+        let owner = owner.map(|i| (&mut par.subs[i], specs[i].root_id));
+        let outcome = self.deliver(termination, owner);
+
+        // Fold every walk's stage times into the phase profiler (all k
+        // walks ran and burned wall time, committed or not) — after the
+        // delivery, so the owning walk's extraction spans are in — and
+        // record one walk entry each for the imbalance diagnostics. Both
+        // are no-ops when profiling is off; the enabled guard keeps the
+        // label allocation off the hot path.
+        if prof_on {
+            for (i, run) in runs.iter().enumerate() {
+                self.work.prof.absorb(&par.subs[i].prof);
+                self.work.prof.record_walk(WalkProfile {
+                    termination: termination_label(run.termination).to_string(),
+                    vertices: run.vertices,
+                    end_depth: run.end_depth,
+                    pops: run.pops,
+                    committed: i < committed,
+                });
+            }
+        }
+        report.subs = runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| SubReport {
+                termination: run.termination,
+                stats: run.stats,
+                pops: run.pops,
+                end_depth: run.end_depth,
+                committed: i < committed,
+                vertices: run.vertices,
+                consumed: run.consumed,
+            })
+            .collect();
+        outcome
     }
 }
 
@@ -1398,37 +1552,40 @@ fn rejected_siblings(
         .collect()
 }
 
-/// Decision evidence for the delivered path: each assignment's chosen cost
-/// next to its same-task siblings (the rejected alternatives of the same
-/// expansion). Reconstructed after the fact so collection cannot perturb
-/// the search.
+/// Decision evidence for the delivered path of `work`'s arena: each
+/// assignment's chosen cost next to its same-task siblings (the rejected
+/// alternatives of the same expansion). Reconstructed after the fact so
+/// collection cannot perturb the search. When the path lives in a subtree
+/// walk, `stage` names the stage working set and the subtree's root child
+/// there: the walk's depth-1 node repeats that root child, so its rejected
+/// alternatives are the *other* root children.
 fn phase_provenance(
-    arena: &[Node],
-    node_costs: &[(Time, Time)],
+    work: &Work,
     best_id: Option<usize>,
     screened: Vec<ScreenEvidence>,
+    stage: Option<(&Work, usize)>,
 ) -> PhaseProvenance {
     let mut decisions = Vec::new();
-    if let Some(best_id) = best_id {
-        let mut path_ids = Vec::new();
-        let mut cursor = Some(best_id);
-        while let Some(i) = cursor {
-            path_ids.push(i);
-            cursor = arena[i].parent;
-        }
-        path_ids.reverse();
-        for &id in &path_ids {
-            let node = &arena[id];
-            let (completion, cost) = node_costs[id];
-            decisions.push(PlacementEvidence {
-                task: node.task,
-                processor: node.processor,
-                completion,
-                cost,
-                rejected: rejected_siblings(arena, node_costs, id),
-            });
-        }
+    let mut cursor = best_id;
+    while let Some(id) = cursor {
+        let node = work.arena[id];
+        let (completion, cost) = work.node_costs[id];
+        let rejected = match (node.parent, stage) {
+            (None, Some((stage, root_id))) => {
+                rejected_siblings(&stage.arena, &stage.node_costs, root_id)
+            }
+            _ => rejected_siblings(&work.arena, &work.node_costs, id),
+        };
+        decisions.push(PlacementEvidence {
+            task: node.task,
+            processor: node.processor,
+            completion,
+            cost,
+            rejected,
+        });
+        cursor = node.parent;
     }
+    decisions.reverse();
     PhaseProvenance {
         screened,
         decisions,
@@ -1466,16 +1623,23 @@ fn merge_stats(acc: &mut SearchStats, sub: &SearchStats) {
     acc.shards_pruned += sub.shards_pruned;
 }
 
-/// Per-subtree scratch pool for the deterministic parallel engine: one
-/// [`SearchScratch`] per root subtree, grown on demand and reused across
-/// phases exactly like the serial scratch.
+/// The host's core count, read once per process: on Linux
+/// `available_parallelism` reads cgroup files, too slow to repeat per phase.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Per-subtree working sets for the deterministic parallel engine: one
+/// walk per root subtree, grown on demand and reused across phases exactly
+/// like the serial scratch.
 #[derive(Debug, Default)]
 pub struct ParallelScratch {
-    subs: Vec<SearchScratch>,
+    subs: Vec<Work>,
 }
 
 impl ParallelScratch {
-    /// An empty pool; per-subtree scratches grow on first use.
+    /// An empty pool; per-subtree working sets grow on first use.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -1555,101 +1719,31 @@ struct SubRun {
     exhausted: bool,
 }
 
-/// Runs one subtree walk on its own scratch and private meter slice: seeds
-/// the scratch with the subtree's root child (depth 1 — the vertex the
+/// Runs one subtree walk on its own working set and private meter slice:
+/// seeds the walk with the subtree's root child (depth 1 — the vertex the
 /// shared root expansion already generated and charged), then runs the same
 /// candidate-list loop as the serial engine.
-fn run_sub(
-    ctx: &Ctx<'_, '_>,
-    spec: &SubSpec,
-    scratch: &mut SearchScratch,
-    host: HostParams,
-) -> SubRun {
-    let params = ctx.params;
-    let SearchScratch {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        level_task: _,
-        viable: _,
-        node_min: _,
-        shard_ends,
-        shard_rank,
-        state: state_slot,
-        out: _,
-        prof,
-    } = scratch;
-    arena.clear();
-    node_costs.clear();
-    cl.clear();
-    path.clear();
-    chain.clear();
-    children.clear();
-    ckeys.clear();
-    raw.clear();
-    comp.clear();
-    shard_ends.clear();
-    shard_rank.clear();
-    prof.reset();
-    match state_slot.as_mut() {
-        Some(s) => s.reset(params.initial_finish, params.tasks.len(), &params.resources),
-        None => {
-            *state_slot = Some(PathState::with_resources(
-                params.initial_finish.to_vec(),
-                params.tasks.len(),
-                params.resources.clone(),
-            ));
-        }
-    }
-    let state = state_slot.as_mut().expect("state initialized above");
-    if let Some(topo) = ctx.shards {
-        node_ends_into(topo, shard_ends);
-        state.configure_shards(shard_ends);
-    }
-    arena.push(Node {
+fn run_sub(ctx: &Ctx<'_, '_>, spec: &SubSpec, work: &mut Work, host: HostParams) -> SubRun {
+    work.begin(ctx.params, ctx.shards);
+    work.arena.push(Node {
         parent: None,
         depth: 1,
         task: spec.task,
         processor: spec.processor,
     });
-    if params.provenance {
-        node_costs.push((spec.completion, spec.makespan));
+    if ctx.params.provenance {
+        work.node_costs.push((spec.completion, spec.makespan));
     }
-    cl.push(0);
+    work.cl.push(0);
     let sub_ctx = Ctx {
-        params,
-        viable: ctx.viable,
-        level_task: ctx.level_task,
-        n_viable: ctx.n_viable,
-        use_replay: false,
-        shards: ctx.shards,
         vertex_cap: spec.vertex_cap,
         backtrack_limit: spec.backtrack_limit,
+        ..*ctx
     };
     let mut meter = SchedulingMeter::new(host, spec.quantum);
     let mut stats = SearchStats::default();
     let mut best: Best = (1, spec.makespan, Some(0));
-    let mut work = Work {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        shard_rank,
-        state,
-        prof,
-    };
-    let walk = sub_ctx.dfs_loop(&mut work, &mut meter, &mut stats, &mut best, None);
+    let walk = sub_ctx.dfs_loop(work, &mut meter, &mut stats, &mut best);
     SubRun {
         termination: walk.termination,
         stats,
@@ -1673,13 +1767,14 @@ fn run_sub(
 ///
 /// The root is expanded once, on the caller's meter, identically to the
 /// serial engine; each feasible root child then seeds an independent
-/// subtree walk with its own scratch and a private meter carrying `1/k` of
-/// the remaining quantum, plus `1/k` slices of the vertex cap and backtrack
-/// limit. The split is by *subtree*, never by thread: `threads` only sets
-/// how many OS threads drain the `k` walks, so the outcome is bit-identical
-/// at any thread count (including 1). Whenever no subtree budget slice
-/// binds, the merged outcome is also bit-identical to the serial engine's
-/// (see DESIGN.md — the deterministic-reduction invariant).
+/// subtree walk with its own working set and a private meter carrying `1/k`
+/// of the remaining quantum, plus `1/k` slices of the vertex cap and
+/// backtrack limit. The split is by *subtree*, never by thread: `threads`
+/// only caps how many OS threads drain the `k` walks (further capped at the
+/// host's core count), so the outcome is bit-identical at any thread count
+/// (including 1). Whenever no subtree budget slice binds, the merged
+/// outcome is also bit-identical to the serial engine's (see DESIGN.md —
+/// the deterministic-reduction invariant).
 #[must_use]
 pub fn search_schedule_parallel(
     params: &SearchParams<'_>,
@@ -1704,8 +1799,9 @@ pub fn search_schedule_parallel_with_report(
     search_parallel_core(params, threads, meter, scratch, par)
 }
 
-/// The parallel phase: the serial prologue and root expansion, a
-/// deterministic subtree split, and the stats/meter/best/provenance merge.
+/// The parallel phase: the shared prologue and root expansion, then the
+/// subtree split and merge ([`Phase::split`]) whenever the root offers two
+/// or more subtrees and budget is left.
 fn search_parallel_core(
     params: &SearchParams<'_>,
     threads: usize,
@@ -1713,439 +1809,9 @@ fn search_parallel_core(
     scratch: &mut SearchScratch,
     par: &mut ParallelScratch,
 ) -> (SearchOutcome, ParallelReport) {
-    let SearchScratch {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        level_task,
-        viable,
-        node_min,
-        shard_ends,
-        shard_rank,
-        state: state_slot,
-        out,
-        prof,
-    } = scratch;
-    arena.clear();
-    node_costs.clear();
-    cl.clear();
-    path.clear();
-    chain.clear();
-    children.clear();
-    ckeys.clear();
-    raw.clear();
-    comp.clear();
-    level_task.clear();
-    viable.clear();
-    node_min.clear();
-    shard_ends.clear();
-    shard_rank.clear();
-    out.clear();
-    prof.reset();
-
-    let n = params.tasks.len();
-    let mut stats = SearchStats::default();
-    let root_makespan = params
-        .initial_finish
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(Time::ZERO);
     let mut report = ParallelReport::default();
-
-    if n == 0 {
-        return (
-            SearchOutcome {
-                assignments: Vec::new(),
-                termination: Termination::Leaf,
-                n_viable: 0,
-                makespan: root_makespan,
-                stats,
-                provenance: params.provenance.then(PhaseProvenance::default),
-            },
-            report,
-        );
-    }
-
-    let t_screen = prof.start();
-    let screened_evidence = screen_batch(params, node_min, viable);
-    prof.stop(Stage::Screen, t_screen);
-    let viable: &[bool] = viable;
-    let n_viable = viable.iter().filter(|&&v| v).count();
-    stats.screened_tasks = (n - n_viable) as u64;
-    if n_viable == 0 {
-        return (
-            SearchOutcome {
-                assignments: Vec::new(),
-                termination: Termination::DeadEnd,
-                n_viable: 0,
-                makespan: root_makespan,
-                stats,
-                provenance: params.provenance.then(|| PhaseProvenance {
-                    screened: screened_evidence,
-                    decisions: Vec::new(),
-                }),
-            },
-            report,
-        );
-    }
-
-    if let Representation::AssignmentOriented { task_order } = params.representation {
-        task_order.order_into(params.tasks, params.now, level_task);
-        level_task.retain(|&t| viable[t]);
-    }
-    let level_task: &[usize] = level_task;
-
-    match state_slot.as_mut() {
-        Some(s) => s.reset(params.initial_finish, n, &params.resources),
-        None => {
-            *state_slot = Some(PathState::with_resources(
-                params.initial_finish.to_vec(),
-                n,
-                params.resources.clone(),
-            ));
-        }
-    }
-    let state = state_slot.as_mut().expect("state initialized above");
-
-    let shards = shard_gate(params);
-    if let Some(topo) = shards {
-        node_ends_into(topo, shard_ends);
-        state.configure_shards(shard_ends);
-    }
-
-    let mut best: Best = (0, root_makespan, None);
-    let ctx = Ctx {
-        params,
-        viable,
-        level_task,
-        n_viable,
-        use_replay: false,
-        shards,
-        vertex_cap: params.vertex_cap,
-        backtrack_limit: params.pruning.backtrack_limit,
-    };
-    let mut work = Work {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        shard_rank,
-        state,
-        prof,
-    };
-
-    // Stage: the shared root expansion, charged against the caller's meter
-    // exactly like the serial engine.
-    let leaf = ctx.expand(&mut work, None, meter, &mut stats, &mut best);
-    let k = work.cl.len();
-    report.subtrees = k;
-    report.stage_stats = stats;
-
-    // Serial fallbacks: a root leaf, fewer than two subtrees, or a budget
-    // already dead at the root. Each continues on the serial engine's exact
-    // code path (and is therefore bit-identical to it).
-    let budget_dead = meter.exhausted()
-        || ctx
-            .vertex_cap
-            .is_some_and(|cap| stats.vertices_generated >= cap);
-    if leaf.is_some() || k < 2 || budget_dead {
-        let termination = if let Some((leaf_id, leaf_makespan)) = leaf {
-            best = (n_viable, leaf_makespan, Some(leaf_id));
-            Termination::Leaf
-        } else {
-            ctx.dfs_loop(&mut work, meter, &mut stats, &mut best, None)
-                .termination
-        };
-        let assignments = match best.2 {
-            Some(id) => {
-                ctx.switch_to(&mut work, &mut stats, id, false);
-                out.extend_from_slice(work.state.assignments());
-                std::mem::take(out)
-            }
-            None => Vec::new(),
-        };
-        let provenance = params
-            .provenance
-            .then(|| phase_provenance(work.arena, work.node_costs, best.2, screened_evidence));
-        return (
-            SearchOutcome {
-                assignments,
-                termination,
-                n_viable,
-                makespan: best.1,
-                stats,
-                provenance,
-            },
-            report,
-        );
-    }
-    report.split = true;
-
-    // Deterministic subtree specs, highest root priority first. `CL` is a
-    // stack (end = front), so subtree 0 — the branch the serial engine
-    // dives first — owns the last `CL` entry. Budget slices: each subtree
-    // gets 1/k of the remaining quantum, vertex cap and backtrack limit
-    // (the first `cap % k` subtrees absorb the vertex-cap remainder).
-    let quantum_slice = meter.remaining() / (k as u64);
-    let cap_left = ctx
-        .vertex_cap
-        .map(|cap| cap.saturating_sub(stats.vertices_generated));
-    let bt_slice = ctx.backtrack_limit.map(|limit| limit / (k as u64));
-    let specs: Vec<SubSpec> = (0..k)
-        .map(|i| {
-            let root_id = work.cl[k - 1 - i];
-            let node = work.arena[root_id];
-            // The state still sits at the root, so this recomputes exactly
-            // the completion the root expansion evaluated.
-            let completion =
-                work.state
-                    .completion_if(params.tasks, params.comm, node.task, node.processor);
-            SubSpec {
-                root_id,
-                task: node.task,
-                processor: node.processor,
-                completion,
-                makespan: root_makespan.max(completion),
-                vertex_cap: cap_left
-                    .map(|c| c / (k as u64) + u64::from((i as u64) < c % (k as u64))),
-                backtrack_limit: bt_slice,
-                quantum: quantum_slice,
-            }
-        })
-        .collect();
-
-    // Drain the k walks on `threads` OS threads (contiguous chunks of the
-    // per-subtree scratch pool). The thread count affects scheduling only —
-    // each walk's result is keyed by its subtree index, so the merge below
-    // sees the same inputs at any width.
-    if par.subs.len() < k {
-        par.subs.resize_with(k, SearchScratch::default);
-    }
-    // Each subtree walk profiles into its own scratch's profiler; the flag
-    // mirrors the phase profiler's so a disabled phase stays clock-free on
-    // every worker thread.
-    let prof_on = work.prof.enabled();
-    for sub in par.subs[..k].iter_mut() {
-        sub.prof.set_enabled(prof_on);
-    }
-    let host = meter.host_params();
-    let width = threads.max(1).min(k);
-    let mut runs: Vec<Option<SubRun>> = Vec::with_capacity(k);
-    runs.resize_with(k, || None);
-    if width == 1 {
-        for (slot, (sub_scratch, spec)) in runs.iter_mut().zip(par.subs[..k].iter_mut().zip(&specs))
-        {
-            *slot = Some(run_sub(&ctx, spec, sub_scratch, host));
-        }
-    } else {
-        let chunk = k.div_ceil(width);
-        let ctx_ref = &ctx;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = par.subs[..k]
-                .chunks_mut(chunk)
-                .zip(specs.chunks(chunk))
-                .map(|(scratches, chunk_specs)| {
-                    scope.spawn(move || {
-                        scratches
-                            .iter_mut()
-                            .zip(chunk_specs)
-                            .map(|(s, spec)| run_sub(ctx_ref, spec, s, host))
-                            .collect::<Vec<SubRun>>()
-                    })
-                })
-                .collect();
-            for (ci, handle) in handles.into_iter().enumerate() {
-                let walks = handle.join().expect("subtree search thread panicked");
-                for (j, walk) in walks.into_iter().enumerate() {
-                    runs[ci * chunk + j] = Some(walk);
-                }
-            }
-        });
-    }
-    let runs: Vec<SubRun> = runs
-        .into_iter()
-        .map(|r| r.expect("every subtree ran"))
-        .collect();
-
-    // Commit rule: the serial engine stops at the first leaf, so only the
-    // subtrees up to and including the lowest-index Leaf are "real" — later
-    // subtrees would never have run serially and are discarded wholesale.
-    let t_merge = work.prof.start();
-    let leaf_sub = runs.iter().position(|r| r.termination == Termination::Leaf);
-    let committed = leaf_sub.map_or(k, |l| l + 1);
-    report.committed = committed;
-
-    // Merge counters and meters in subtree-priority order, then add the
-    // cross-subtree bookkeeping the serial engine charges when hopping from
-    // the end of one exhausted subtree to the next root child: one
-    // backtrack per entered subtree after the first, and an undo of the
-    // previous subtree's final path (the common ancestor is the root, so
-    // no replay is avoided).
-    let mut entered_depths: Vec<u64> = Vec::new();
-    for run in &runs[..committed] {
-        merge_stats(&mut stats, &run.stats);
-        meter.absorb(run.vertices, run.consumed, run.exhausted);
-        if run.pops > 0 {
-            entered_depths.push(run.end_depth as u64);
-        }
-    }
-    stats.backtracks += (entered_depths.len() as u64).saturating_sub(1);
-    if entered_depths.len() >= 2 {
-        stats.undos += entered_depths[..entered_depths.len() - 1]
-            .iter()
-            .sum::<u64>();
-    }
-
-    // Best-vertex reduction. The stage fold over the root children already
-    // reproduces the serial engine's depth-1 ordering (lowest priority
-    // folded first), so only *interior* subtree bests (depth >= 2) compete:
-    // folding them in priority order under the same strict-improvement rule
-    // recovers exactly the serial "first optimum in exploration order". A
-    // leaf overrides unconditionally, as in the serial loop.
-    let mut owner: Option<usize> = None; // best's subtree; None = stage arena
-    let termination = if let Some(l) = leaf_sub {
-        best = runs[l].best;
-        owner = Some(l);
-        Termination::Leaf
-    } else {
-        for (i, run) in runs[..committed].iter().enumerate() {
-            let cand = run.best;
-            if cand.0 >= 2 && (cand.0 > best.0 || (cand.0 == best.0 && cand.1 < best.1)) {
-                best = cand;
-                owner = Some(i);
-            }
-        }
-        if runs[..committed]
-            .iter()
-            .any(|r| r.termination == Termination::QuantumExhausted)
-        {
-            Termination::QuantumExhausted
-        } else if runs[..committed]
-            .iter()
-            .any(|r| r.termination == Termination::Pruned)
-        {
-            Termination::Pruned
-        } else {
-            Termination::DeadEnd
-        }
-    };
-    work.prof.stop(Stage::Merge, t_merge);
-
-    // Deliver the best vertex's schedule from whichever arena owns it.
-    let assignments = match owner {
-        None => match best.2 {
-            Some(id) => {
-                ctx.switch_to(&mut work, &mut stats, id, false);
-                out.extend_from_slice(work.state.assignments());
-                std::mem::take(out)
-            }
-            None => Vec::new(),
-        },
-        Some(i) => {
-            let mut sub_work = Work::over(&mut par.subs[i]);
-            let id = best.2.expect("a subtree best always names a vertex");
-            ctx.switch_to(&mut sub_work, &mut stats, id, false);
-            out.extend_from_slice(sub_work.state.assignments());
-            std::mem::take(out)
-        }
-    };
-
-    // Provenance merge: the screen evidence comes from the shared prologue;
-    // the decision path from the owning arena. A subtree's depth-1 node
-    // repeats a stage root child, so its rejected alternatives are the
-    // *other* root children (stage arena); deeper nodes find their siblings
-    // in the subtree's own arena. The values match the serial engine's —
-    // only arena ids differ, and evidence carries none.
-    let provenance = params.provenance.then(|| match owner {
-        None => phase_provenance(work.arena, work.node_costs, best.2, screened_evidence),
-        Some(i) => {
-            let sub = &par.subs[i];
-            let id = best.2.expect("a subtree best always names a vertex");
-            let mut path_ids = Vec::new();
-            let mut cursor = Some(id);
-            while let Some(nid) = cursor {
-                path_ids.push(nid);
-                cursor = sub.arena[nid].parent;
-            }
-            path_ids.reverse();
-            let mut decisions = Vec::new();
-            for &nid in &path_ids {
-                let node = &sub.arena[nid];
-                let (completion, cost) = sub.node_costs[nid];
-                let rejected = if node.parent.is_none() {
-                    rejected_siblings(work.arena, work.node_costs, specs[i].root_id)
-                } else {
-                    rejected_siblings(&sub.arena, &sub.node_costs, nid)
-                };
-                decisions.push(PlacementEvidence {
-                    task: node.task,
-                    processor: node.processor,
-                    completion,
-                    cost,
-                    rejected,
-                });
-            }
-            PhaseProvenance {
-                screened: screened_evidence,
-                decisions,
-            }
-        }
-    });
-
-    // Fold every walk's stage times into the phase profiler (all k walks
-    // ran and burned wall time, committed or not) and record one walk entry
-    // each for the imbalance diagnostics. Both are no-ops when profiling is
-    // off; the enabled guard keeps the label allocation off the hot path.
-    if work.prof.enabled() {
-        for (i, run) in runs.iter().enumerate() {
-            work.prof.absorb(&par.subs[i].prof);
-            work.prof.record_walk(WalkProfile {
-                termination: termination_label(run.termination).to_string(),
-                vertices: run.vertices,
-                end_depth: run.end_depth,
-                pops: run.pops,
-                committed: i < committed,
-            });
-        }
-    }
-
-    report.subs = runs
-        .iter()
-        .enumerate()
-        .map(|(i, run)| SubReport {
-            termination: run.termination,
-            stats: run.stats,
-            pops: run.pops,
-            end_depth: run.end_depth,
-            committed: i < committed,
-            vertices: run.vertices,
-            consumed: run.consumed,
-        })
-        .collect();
-
-    (
-        SearchOutcome {
-            assignments,
-            termination,
-            n_viable,
-            makespan: best.1,
-            stats,
-            provenance,
-        },
-        report,
-    )
+    let out = Phase::open(params, false, scratch).run(meter, Some((threads, par, &mut report)));
+    (out, report)
 }
 
 #[cfg(test)]
@@ -3095,10 +2761,14 @@ mod tests {
                     if !out.assignments.is_empty() {
                         // The delivered vertex's root path is what the state
                         // was left on.
-                        for (d, &id) in prov.decisions.iter().zip(scratch.path.iter()) {
+                        for (d, &id) in prov.decisions.iter().zip(scratch.work.path.iter()) {
                             assert_eq!(
                                 d.rejected,
-                                siblings_full_scan(&scratch.arena, &scratch.node_costs, id)
+                                siblings_full_scan(
+                                    &scratch.work.arena,
+                                    &scratch.work.node_costs,
+                                    id
+                                )
                             );
                         }
                     }
@@ -3108,7 +2778,7 @@ mod tests {
                         .iter()
                         .map(|d| d.rejected.len())
                         .sum::<usize>();
-                    assert_sibling_blocks(&scratch.arena, &scratch.node_costs);
+                    assert_sibling_blocks(&scratch.work.arena, &scratch.work.node_costs);
                     scratch.recycle(out.assignments);
 
                     let (out, report) = search_schedule_parallel_with_report(
@@ -3118,7 +2788,7 @@ mod tests {
                         &mut par_scratch,
                         &mut par,
                     );
-                    assert_sibling_blocks(&par_scratch.arena, &par_scratch.node_costs);
+                    assert_sibling_blocks(&par_scratch.work.arena, &par_scratch.work.node_costs);
                     if report.split {
                         splits += 1;
                         for sub in &par.subs[..report.subtrees] {
@@ -3289,5 +2959,91 @@ mod tests {
         for comm in [&topo, &constant] {
             assert_eq!(check(&tasks, comm, &initial), want, "under {comm:?}");
         }
+    }
+
+    #[test]
+    fn successor_keys_sort_like_each_child_order_tuple() {
+        // The packed key against each child order's full comparison tuple
+        // over (task, processor) pairs, on random expansions of both
+        // layouts: one coordinate fixed, the other (the key's member)
+        // distinct, and completions and deadlines drawn from small ranges
+        // so ties are common.
+        use paragon_des::SimRng;
+        let comm = CommModel::free();
+        let initial = [Time::ZERO];
+        let mut rng = SimRng::seed_from(1998);
+        let mut saturated = 0;
+        for round in 0..2_000 {
+            // Odd rounds space the deadlines 2^31 µs apart, so most of their
+            // tasks lie 2^32 µs or more past the anchor and share the
+            // saturated deadline rank that `order_keys` re-sorts.
+            let step = if round % 2 == 0 { 100 } else { 1 << 31 };
+            let tasks: Vec<Task> = (0..16)
+                .map(|i| mk_task(i, 1, step * rng.uniform_u64(1..6), &[]))
+                .collect();
+            let fixed = rng.uniform_usize(0..16);
+            let base = Time::from_micros(rng.uniform_u64(0..400));
+            // Generation order: ascending members, as every source emits.
+            let mut cands: Vec<(usize, Time)> = Vec::new();
+            for m in 0..16 {
+                if rng.bernoulli(0.6) {
+                    cands.push((m, Time::from_micros(rng.uniform_u64(0..500))));
+                }
+            }
+            for repr in [
+                Representation::assignment_oriented(),
+                Representation::sequence_oriented(),
+            ] {
+                let pair = |m: usize| {
+                    if repr.is_assignment_oriented() {
+                        (fixed, m)
+                    } else {
+                        (m, fixed)
+                    }
+                };
+                for order in [
+                    ChildOrder::LoadBalance,
+                    ChildOrder::EarliestCompletion,
+                    ChildOrder::EarliestDeadline,
+                    ChildOrder::None,
+                ] {
+                    let mut want = cands.clone();
+                    match order {
+                        ChildOrder::LoadBalance => want.sort_by_key(|&(m, c)| {
+                            let (t, p) = pair(m);
+                            (base.max(c), c, p, t)
+                        }),
+                        ChildOrder::EarliestCompletion => want.sort_by_key(|&(m, c)| {
+                            let (t, p) = pair(m);
+                            (c, p, t)
+                        }),
+                        ChildOrder::EarliestDeadline => want.sort_by_key(|&(m, c)| {
+                            let (t, p) = pair(m);
+                            (tasks[t].deadline(), c, t, p)
+                        }),
+                        ChildOrder::None => {}
+                    }
+                    let p = params(&tasks, &comm, &initial, &repr, order);
+                    let rank = KeyRank::new(&p);
+                    let mut keys: Vec<u128> = cands
+                        .iter()
+                        .enumerate()
+                        .map(|(g, &(m, c))| {
+                            let deadline = tasks[pair(m).0].deadline();
+                            successor_key(rank.of(deadline, g), c, m)
+                        })
+                        .collect();
+                    let tail = keys.iter().filter(|&&k| (k >> 96) as u32 == u32::MAX);
+                    saturated += usize::from(tail.count() >= 2);
+                    order_keys(&mut keys, rank, &tasks);
+                    let got: Vec<(usize, Time)> = keys.into_iter().map(unpack_key).collect();
+                    assert_eq!(got, want, "round {round}, {repr:?}, {order:?}");
+                }
+            }
+        }
+        assert!(
+            saturated > 500,
+            "the saturated tail must be exercised: {saturated} expansions"
+        );
     }
 }

@@ -41,6 +41,6 @@ pub use engine::{
     PlacementEvidence, Pruning, ScreenEvidence, ScreenProbe, SearchOutcome, SearchParams,
     SearchScratch, SearchStats, SubReport, Termination,
 };
-pub use policy::{Candidate, ChildOrder, ProcessorOrder, TaskOrder};
+pub use policy::{ChildOrder, ProcessorOrder, TaskOrder};
 pub use repr::Representation;
 pub use state::{Assignment, PathState};

@@ -107,47 +107,6 @@ pub enum ChildOrder {
     None,
 }
 
-/// A candidate successor during expansion, with everything needed to order
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// Batch index of the task.
-    pub task: usize,
-    /// Processor index it would run on.
-    pub processor: usize,
-    /// Predicted completion instant.
-    pub completion: Time,
-    /// Resulting partial-schedule makespan (`CE` after the assignment).
-    pub makespan: Time,
-    /// The task's deadline (cached for ordering).
-    pub deadline: Time,
-}
-
-impl ChildOrder {
-    /// Sorts candidates so that the highest-priority successor comes first.
-    ///
-    /// Unstable sorts are safe here: each key ends in the full
-    /// `(task, processor)` pair, which is unique within one expansion, so the
-    /// order is a deterministic total order regardless of sort stability —
-    /// and the unstable sort needs no temporary allocation.
-    pub fn sort(&self, candidates: &mut [Candidate]) {
-        match self {
-            ChildOrder::LoadBalance => {
-                candidates
-                    .sort_unstable_by_key(|c| (c.makespan, c.completion, c.processor, c.task));
-            }
-            ChildOrder::EarliestCompletion => {
-                candidates.sort_unstable_by_key(|c| (c.completion, c.processor, c.task));
-            }
-            ChildOrder::EarliestDeadline => {
-                candidates
-                    .sort_unstable_by_key(|c| (c.deadline, c.completion, c.task, c.processor));
-            }
-            ChildOrder::None => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,49 +168,5 @@ mod tests {
         assert_eq!(got, vec![0, 0, 1, 1, 2]);
         // levels past n clamp to the last processor
         assert_eq!(o.processor_at(99, 3, 5), 2);
-    }
-
-    fn cand(task: usize, proc: usize, comp: u64, mk: u64, dl: u64) -> Candidate {
-        Candidate {
-            task,
-            processor: proc,
-            completion: Time::from_micros(comp),
-            makespan: Time::from_micros(mk),
-            deadline: Time::from_micros(dl),
-        }
-    }
-
-    #[test]
-    fn load_balance_prefers_smallest_makespan() {
-        let mut cs = vec![
-            cand(0, 0, 500, 900, 1000),
-            cand(0, 1, 600, 600, 1000),
-            cand(0, 2, 400, 900, 1000),
-        ];
-        ChildOrder::LoadBalance.sort(&mut cs);
-        assert_eq!(cs[0].processor, 1, "smallest resulting makespan first");
-        assert_eq!(cs[1].processor, 2, "tie on makespan broken by completion");
-        assert_eq!(cs[2].processor, 0);
-    }
-
-    #[test]
-    fn earliest_completion_ordering() {
-        let mut cs = vec![cand(0, 0, 500, 900, 1000), cand(0, 1, 300, 950, 1000)];
-        ChildOrder::EarliestCompletion.sort(&mut cs);
-        assert_eq!(cs[0].processor, 1);
-    }
-
-    #[test]
-    fn earliest_deadline_ordering() {
-        let mut cs = vec![cand(0, 0, 500, 900, 2000), cand(1, 0, 600, 950, 1000)];
-        ChildOrder::EarliestDeadline.sort(&mut cs);
-        assert_eq!(cs[0].task, 1);
-    }
-
-    #[test]
-    fn none_keeps_generation_order() {
-        let mut cs = vec![cand(2, 0, 900, 900, 100), cand(1, 0, 100, 100, 50)];
-        ChildOrder::None.sort(&mut cs);
-        assert_eq!(cs[0].task, 2);
     }
 }

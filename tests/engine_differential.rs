@@ -18,7 +18,7 @@ use rt_task::{AffinitySet, CommModel, ProcessorId, ResourceEats, ResourceRequest
 use sched_search::{
     search_schedule, search_schedule_parallel_with_report, search_schedule_replay,
     search_schedule_with, ChildOrder, ParallelScratch, ProcessorOrder, Pruning, Representation,
-    SearchParams, SearchScratch, SearchStats, TaskOrder, Termination,
+    SearchOutcome, SearchParams, SearchScratch, SearchStats, TaskOrder, Termination,
 };
 
 const INSTANCES: u64 = 500;
@@ -623,4 +623,208 @@ fn one_node_topology_is_bit_identical_to_the_flat_model() {
         flat_scratch.recycle(a.assignments);
         topo_scratch.recycle(b.assignments);
     }
+}
+
+/// FNV-1a over a stream of `u64` words (each fed as 8 little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn time(&mut self, t: Time) {
+        self.word(t.as_micros());
+    }
+
+    /// Every field of `out` the search order decides: assignments,
+    /// termination, viability count, makespan, each stats counter and the
+    /// provenance evidence.
+    fn outcome(&mut self, out: &SearchOutcome) {
+        self.word(out.assignments.len() as u64);
+        for a in &out.assignments {
+            self.word(a.task as u64);
+            self.word(a.processor.index() as u64);
+            self.time(a.completion);
+        }
+        self.word(match out.termination {
+            Termination::Leaf => 0,
+            Termination::DeadEnd => 1,
+            Termination::QuantumExhausted => 2,
+            Termination::Pruned => 3,
+        });
+        self.word(out.n_viable as u64);
+        self.time(out.makespan);
+        let s = &out.stats;
+        for w in [
+            s.vertices_generated,
+            s.expansions,
+            s.backtracks,
+            s.infeasible_children,
+            s.feasible_children,
+            s.deepest as u64,
+            s.level_skips,
+            s.depth_prunes,
+            s.screened_tasks,
+            s.undos,
+            s.replay_avoided,
+            s.shard_screens,
+            s.shards_pruned,
+        ] {
+            self.word(w);
+        }
+        let Some(prov) = &out.provenance else {
+            self.word(0);
+            return;
+        };
+        self.word(1);
+        self.word(prov.screened.len() as u64);
+        for ev in &prov.screened {
+            self.word(ev.task as u64);
+            self.word(ev.probes.len() as u64);
+            for pr in &ev.probes {
+                self.word(pr.processor.index() as u64);
+                self.time(pr.available);
+                self.word(pr.demand.as_micros());
+                self.time(pr.completion);
+            }
+        }
+        self.word(prov.decisions.len() as u64);
+        for d in &prov.decisions {
+            self.word(d.task as u64);
+            self.word(d.processor.index() as u64);
+            self.time(d.completion);
+            self.time(d.cost);
+            self.word(d.rejected.len() as u64);
+            for r in &d.rejected {
+                self.word(r.processor.index() as u64);
+                self.time(r.completion);
+                self.time(r.cost);
+            }
+        }
+    }
+}
+
+/// Pins the search *order*, not just engine agreement: the replay oracle
+/// shares `expand` with the production engine, so a change to successor
+/// ordering moves both sides of the differential together and the sweeps
+/// above stay green. This test folds every outcome of the same 500 seeded
+/// instances into one FNV-1a digest per (representation × child order)
+/// cell — serially and through the parallel engine at width 2 — and
+/// compares against committed digests, recorded from an engine that sorted
+/// each child order by its full comparison tuple. Any reordering of
+/// siblings, stats drift or provenance change flips a digest; a deliberate
+/// change of search order lands with new digests.
+#[test]
+fn search_order_digests_are_pinned() {
+    const ORDERS: [ChildOrder; 4] = [
+        ChildOrder::LoadBalance,
+        ChildOrder::EarliestCompletion,
+        ChildOrder::EarliestDeadline,
+        ChildOrder::None,
+    ];
+    // (layout, child order, serial digest, width-2 parallel digest).
+    const PINNED: [(&str, ChildOrder, u64, u64); 8] = [
+        (
+            "assignment",
+            ChildOrder::LoadBalance,
+            0x4289_e679_5614_000b,
+            0xa467_e552_16cd_f56e,
+        ),
+        (
+            "assignment",
+            ChildOrder::EarliestCompletion,
+            0x9fa1_f4fb_e266_12cf,
+            0xdcfd_7338_ac4c_3c7c,
+        ),
+        (
+            "assignment",
+            ChildOrder::EarliestDeadline,
+            0xbf4b_816a_d473_f96b,
+            0x6a22_760b_0c51_4bac,
+        ),
+        (
+            "assignment",
+            ChildOrder::None,
+            0x01ef_4d09_b538_454c,
+            0x3d39_4cfe_f060_7d64,
+        ),
+        (
+            "sequence",
+            ChildOrder::LoadBalance,
+            0x516e_3992_e4af_e70f,
+            0xd4d8_649c_e8ec_15dd,
+        ),
+        (
+            "sequence",
+            ChildOrder::EarliestCompletion,
+            0x8daa_af97_495e_fb01,
+            0xff20_b05c_56f8_a694,
+        ),
+        (
+            "sequence",
+            ChildOrder::EarliestDeadline,
+            0x127b_5113_7b4e_76df,
+            0x1fb3_7383_2a59_e523,
+        ),
+        (
+            "sequence",
+            ChildOrder::None,
+            0x9ec0_3d05_a219_3a4e,
+            0x924d_5b84_ee03_09ea,
+        ),
+    ];
+    let cell = |inst: &Instance| {
+        let layout = usize::from(!inst.representation.is_assignment_oriented());
+        let order = ORDERS
+            .iter()
+            .position(|&o| o == inst.child_order)
+            .expect("every child order is swept");
+        layout * ORDERS.len() + order
+    };
+
+    let parent = SimRng::seed_from(0x5AD5_D1FF);
+    let mut serial: Vec<Fnv> = (0..PINNED.len()).map(|_| Fnv::new()).collect();
+    let mut parallel: Vec<Fnv> = (0..PINNED.len()).map(|_| Fnv::new()).collect();
+    let mut counts = [0u64; PINNED.len()];
+    let mut scratch = SearchScratch::new();
+    let (mut par_scratch, mut par) = (SearchScratch::new(), ParallelScratch::new());
+    for i in 0..INSTANCES {
+        let mut rng = parent.child(i);
+        let inst = random_instance(&mut rng);
+        let params = inst.params();
+        let c = cell(&inst);
+        counts[c] += 1;
+
+        let out = search_schedule_with(&params, &mut inst.meter(), &mut scratch);
+        serial[c].outcome(&out);
+        scratch.recycle(out.assignments);
+
+        let (out, _) = search_schedule_parallel_with_report(
+            &params,
+            2,
+            &mut inst.meter(),
+            &mut par_scratch,
+            &mut par,
+        );
+        parallel[c].outcome(&out);
+        par_scratch.recycle(out.assignments);
+    }
+
+    let got: Vec<(&str, ChildOrder, u64, u64)> = PINNED
+        .iter()
+        .enumerate()
+        .map(|(c, &(layout, order, _, _))| (layout, order, serial[c].0, parallel[c].0))
+        .collect();
+    for (c, &n) in counts.iter().enumerate() {
+        assert!(n > 20, "cell {:?} drew only {n} instances", PINNED[c]);
+    }
+    assert_eq!(got, PINNED, "search order drifted (got, pinned)");
 }
