@@ -100,7 +100,6 @@ fn phase_scratch(c: &mut Criterion) {
                         Pruning::default(),
                         &ResourceEats::new(),
                         false,
-                        1,
                         &mut meter,
                         &mut rng,
                         &mut scratch,

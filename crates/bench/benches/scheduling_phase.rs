@@ -47,7 +47,6 @@ fn phase(c: &mut Criterion) {
                         Pruning::default(),
                         &ResourceEats::new(),
                         false,
-                        1,
                         &mut meter,
                         &mut rng,
                         &mut scratch,

@@ -133,7 +133,6 @@ fn steady_state_phases_do_not_allocate() {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -176,7 +175,6 @@ fn steady_state_phases_do_not_allocate() {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -211,7 +209,6 @@ fn steady_state_phases_do_not_allocate() {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,

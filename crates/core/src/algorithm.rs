@@ -4,10 +4,9 @@ use paragon_des::{SimRng, Time};
 use paragon_platform::SchedulingMeter;
 use rt_task::{CommModel, ProcessorId, ResourceEats, Task};
 use sched_search::{
-    search_schedule_parallel, search_schedule_with, Assignment, ChildOrder, ParallelScratch,
-    PathState, PhaseProvenance, PlacementAlternative, PlacementEvidence, ProcessorOrder, Pruning,
-    Representation, SearchOutcome, SearchParams, SearchScratch, SearchStats, TaskOrder,
-    Termination,
+    search_schedule_with, Assignment, ChildOrder, PathState, PhaseProvenance, PlacementAlternative,
+    PlacementEvidence, ProcessorOrder, Pruning, Representation, SearchOutcome, SearchParams,
+    SearchScratch, SearchStats, TaskOrder, Termination,
 };
 use serde::{Deserialize, Serialize};
 
@@ -21,9 +20,6 @@ use serde::{Deserialize, Serialize};
 pub struct PhaseScratch {
     /// The tree-search engine's per-phase buffers.
     pub search: SearchScratch,
-    /// Per-subtree scratch pool for the parallel search engine (unused —
-    /// and never allocated — when phases run serially).
-    pub par: ParallelScratch,
     /// Path state for the non-search schedulers, reset per phase.
     pub(crate) state: Option<PathState>,
     /// Task-order index buffer.
@@ -168,12 +164,6 @@ impl Algorithm {
     /// schedule; the myopic baseline does not produce any). `scratch` holds
     /// the reusable working buffers — pass a fresh one for a one-off call, or
     /// carry one across phases to keep the hot path allocation-free.
-    ///
-    /// `threads` selects the search execution mode for RT-SADS and D-COLS
-    /// (the one-pass baselines ignore it): `<= 1` runs the serial engine;
-    /// `>= 2` runs the deterministic parallel engine, whose results are
-    /// independent of the exact thread count (the split is per root
-    /// subtree, not per thread — see `sched_search::search_schedule_parallel`).
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn schedule_phase(
@@ -186,7 +176,6 @@ impl Algorithm {
         pruning: Pruning,
         resources: &ResourceEats,
         provenance: bool,
-        threads: usize,
         meter: &mut SchedulingMeter,
         rng: &mut SimRng,
         scratch: &mut PhaseScratch,
@@ -269,17 +258,7 @@ impl Algorithm {
             resources: resources.clone(),
             provenance,
         };
-        if threads >= 2 {
-            search_schedule_parallel(
-                &params,
-                threads,
-                meter,
-                &mut scratch.search,
-                &mut scratch.par,
-            )
-        } else {
-            search_schedule_with(&params, meter, &mut scratch.search)
-        }
+        search_schedule_with(&params, meter, &mut scratch.search)
     }
 }
 
@@ -366,7 +345,6 @@ fn one_pass(
         state: state_slot,
         order,
         feasible,
-        ..
     } = scratch;
     match state_slot.as_mut() {
         Some(s) => s.reset(initial_finish, tasks.len(), resources),
@@ -512,7 +490,6 @@ mod tests {
             Pruning::default(),
             &ResourceEats::new(),
             false,
-            1,
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),
@@ -543,7 +520,6 @@ mod tests {
             Pruning::default(),
             &ResourceEats::new(),
             false,
-            1,
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),
@@ -568,7 +544,6 @@ mod tests {
             Pruning::default(),
             &ResourceEats::new(),
             false,
-            1,
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),
@@ -594,7 +569,6 @@ mod tests {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut free_meter(),
                 &mut rng,
                 &mut PhaseScratch::new(),
@@ -634,7 +608,6 @@ mod tests {
             Pruning::default(),
             &ResourceEats::new(),
             false,
-            1,
             &mut meter,
             &mut rng,
             &mut PhaseScratch::new(),
@@ -682,7 +655,6 @@ mod tests {
                     Pruning::default(),
                     &ResourceEats::new(),
                     true,
-                    1,
                     &mut free_meter(),
                     &mut rng,
                     scratch,
@@ -714,7 +686,6 @@ mod tests {
             Pruning::default(),
             &ResourceEats::new(),
             false,
-            1,
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),

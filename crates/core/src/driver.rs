@@ -39,7 +39,6 @@ pub struct DriverConfig {
     fault_plan: Option<FaultPlan>,
     measure_overhead: bool,
     profile: bool,
-    search_threads: usize,
 }
 
 impl DriverConfig {
@@ -66,7 +65,6 @@ impl DriverConfig {
             fault_plan: None,
             measure_overhead: false,
             profile: false,
-            search_threads: 1,
         }
     }
 
@@ -147,9 +145,8 @@ impl DriverConfig {
 
     /// Enable the search engine's stage-scoped self-profiler and emit one
     /// [`TraceEvent::PhaseProfiled`] per search phase: wall nanoseconds
-    /// attributed to each pipeline stage (screen, fill, cost, shard,
-    /// apply, undo, merge) plus per-subtree-walk telemetry on split
-    /// parallel phases. Off by default for the same reason as
+    /// attributed to each pipeline stage (screen, fill, cost, select,
+    /// shard, apply, undo). Off by default for the same reason as
     /// [`DriverConfig::measure_overhead`]: wall time is nondeterministic,
     /// so enabling it makes traces differ between repeat runs. The
     /// simulation outcome is bit-identical either way (pinned by the
@@ -158,17 +155,6 @@ impl DriverConfig {
     #[must_use]
     pub fn profile(mut self, profile: bool) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Sets the number of worker threads the search-based algorithms may use
-    /// inside one scheduling phase. `1` (the default) runs the serial engine;
-    /// `>= 2` splits the root candidate set across that many OS threads with
-    /// a deterministic reduction, so the outcome is bit-identical at any
-    /// width. Baseline (non-search) algorithms ignore this setting.
-    #[must_use]
-    pub fn search_threads(mut self, threads: usize) -> Self {
-        self.search_threads = threads.max(1);
         self
     }
 
@@ -457,7 +443,6 @@ impl Driver {
                 cfg.pruning,
                 machine.resource_eats(),
                 tracer.enabled(),
-                cfg.search_threads,
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -541,7 +526,7 @@ impl Driver {
                     // phases; baselines (which never enter the search
                     // engine) leave an all-zero record that is not emitted.
                     let profile = scratch.search.take_profile();
-                    if profile.total_ns() > 0 || !profile.walks.is_empty() {
+                    if profile.total_ns() > 0 {
                         tracer.emit(
                             ended,
                             TraceEvent::PhaseProfiled {

@@ -56,38 +56,22 @@ pub struct PlacementProbe {
     pub shard: usize,
 }
 
-/// One subtree walk of a split (parallel) scheduling phase, as reported by
-/// the search engine's per-walk telemetry: how the walk ended, how much of
-/// the tree it covered, and whether its result was committed under the
-/// deterministic first-leaf rule. The per-walk vertex counts are what the
-/// imbalance diagnostics are computed from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WalkProfile {
-    /// How the walk terminated: `"leaf"`, `"dead_end"`, `"budget"` or
-    /// `"pruned"`.
-    pub termination: String,
-    /// Search vertices the walk generated.
-    pub vertices: u64,
-    /// Depth the walk ended at (assignments on its final path).
-    pub end_depth: usize,
-    /// Candidate-list pops (backtracking steps) the walk performed.
-    pub pops: u64,
-    /// Whether the walk's result was committed into the merged outcome.
-    pub committed: bool,
-}
-
 /// Wall-time attribution of one scheduling phase across the search engine's
-/// pipeline stages, plus per-subtree-walk telemetry on split phases. All
-/// durations are monotonic wall nanoseconds measured by the stage profiler;
-/// like [`TraceEvent::SchedulerOverhead`] this is emitted only on request,
-/// because wall time is nondeterministic.
+/// pipeline stages. All durations are monotonic wall nanoseconds measured
+/// by the stage profiler; like [`TraceEvent::SchedulerOverhead`] this is
+/// emitted only on request, because wall time is nondeterministic.
+///
+/// Schema version 1 also carried a merge stage and a list of subtree walks
+/// from the retired parallel search engine. Readers ignore both keys, so
+/// version 1 records parse to the same seven stages.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PhaseProfile {
     /// Phase-level feasibility screen (`screen_batch`).
     pub screen_ns: u64,
     /// SoA completion-column fill (`completions_into`).
     pub fill_ns: u64,
-    /// Cost fold: per-candidate `ce_k` accounting and child ordering.
+    /// Cost fold: per-candidate `ce_k` accounting and feasibility
+    /// classification.
     pub cost_ns: u64,
     /// Shard gate and shard-first candidate ranking (hierarchical runs).
     pub shard_ns: u64,
@@ -95,16 +79,11 @@ pub struct PhaseProfile {
     pub apply_ns: u64,
     /// `PathState::undo` pops when backtracking to a common ancestor.
     pub undo_ns: u64,
-    /// Parallel reduction: best-vertex merge, counter absorption, delivery.
-    pub merge_ns: u64,
     /// Child ordering and push: sorting the candidate batch and the
     /// branch/best-vertex selection loop. Absent in pre-select traces, so
     /// it deserializes to `0`.
     #[serde(default)]
     pub select_ns: u64,
-    /// Per-subtree-walk telemetry; empty when the phase did not split.
-    #[serde(default)]
-    pub walks: Vec<WalkProfile>,
 }
 
 impl PhaseProfile {
@@ -113,7 +92,7 @@ impl PhaseProfile {
     /// subcommand, the bench snapshot) iterates this one list, so a new
     /// stage added here is automatically picked up everywhere.
     #[must_use]
-    pub fn stages(&self) -> [(&'static str, u64); 8] {
+    pub fn stages(&self) -> [(&'static str, u64); 7] {
         [
             ("screen", self.screen_ns),
             ("fill", self.fill_ns),
@@ -122,7 +101,6 @@ impl PhaseProfile {
             ("shard", self.shard_ns),
             ("apply", self.apply_ns),
             ("undo", self.undo_ns),
-            ("merge", self.merge_ns),
         ]
     }
 
@@ -130,24 +108,6 @@ impl PhaseProfile {
     #[must_use]
     pub fn total_ns(&self) -> u64 {
         self.stages().iter().map(|(_, ns)| ns).sum()
-    }
-
-    /// Parallel-walk imbalance: max over mean of per-walk vertex counts.
-    /// `1.0` means perfectly balanced subtrees; `1.0` is also returned for
-    /// unsplit phases (no walks) and when every walk generated zero
-    /// vertices, both of which are trivially balanced.
-    #[must_use]
-    pub fn imbalance(&self) -> f64 {
-        if self.walks.is_empty() {
-            return 1.0;
-        }
-        let max = self.walks.iter().map(|w| w.vertices).max().unwrap_or(0);
-        let sum: u64 = self.walks.iter().map(|w| w.vertices).sum();
-        if sum == 0 {
-            return 1.0;
-        }
-        let mean = sum as f64 / self.walks.len() as f64;
-        max as f64 / mean
     }
 }
 
@@ -488,13 +448,9 @@ impl fmt::Display for TraceEvent {
                 f,
                 "phase {phase} scheduling wall time {wall_ns}ns vs allocated Q_s={allocated_us}us"
             ),
-            TraceEvent::PhaseProfiled { phase, profile } => write!(
-                f,
-                "phase {phase} profile: total={}ns walks={} imbalance={:.2}",
-                profile.total_ns(),
-                profile.walks.len(),
-                profile.imbalance()
-            ),
+            TraceEvent::PhaseProfiled { phase, profile } => {
+                write!(f, "phase {phase} profile: total={}ns", profile.total_ns())
+            }
             TraceEvent::PhaseStarted {
                 phase,
                 batch_len,
@@ -725,24 +681,7 @@ mod tests {
                     shard_ns: 0,
                     apply_ns: 4_000,
                     undo_ns: 2_500,
-                    merge_ns: 800,
                     select_ns: 0,
-                    walks: vec![
-                        WalkProfile {
-                            termination: "dead_end".into(),
-                            vertices: 40,
-                            end_depth: 5,
-                            pops: 3,
-                            committed: true,
-                        },
-                        WalkProfile {
-                            termination: "leaf".into(),
-                            vertices: 10,
-                            end_depth: 8,
-                            pops: 0,
-                            committed: true,
-                        },
-                    ],
                 },
             },
             TraceEvent::PhaseStarted {
@@ -895,7 +834,7 @@ mod tests {
         r#"{"TaskScreened":{"task":2,"phase":1,"deadline_us":400,"probes":[{"processor":0,"available_us":300,"demand_us":200,"completion_us":500},{"processor":1,"available_us":350,"demand_us":180,"completion_us":530}]}}"#,
         r#"{"PlacementDecided":{"task":3,"phase":1,"processor":2,"completion_us":700,"cost_us":900,"shard":1,"rejected":[{"processor":0,"completion_us":950,"cost_us":950,"shard":0}]}}"#,
         r#"{"SchedulerOverhead":{"phase":1,"allocated_us":100,"wall_ns":48213}}"#,
-        r#"{"PhaseProfiled":{"phase":1,"profile":{"screen_ns":1000,"fill_ns":12000,"cost_ns":30000,"shard_ns":0,"apply_ns":4000,"undo_ns":2500,"merge_ns":800,"select_ns":0,"walks":[{"termination":"dead_end","vertices":40,"end_depth":5,"pops":3,"committed":true},{"termination":"leaf","vertices":10,"end_depth":8,"pops":0,"committed":true}]}}}"#,
+        r#"{"PhaseProfiled":{"phase":1,"profile":{"screen_ns":1000,"fill_ns":12000,"cost_ns":30000,"shard_ns":0,"apply_ns":4000,"undo_ns":2500,"select_ns":0}}}"#,
         r#"{"PhaseStarted":{"phase":1,"batch_len":10,"quantum":100}}"#,
         r#"{"PhaseEnded":{"phase":1,"scheduled":4,"consumed":80,"vertices":40,"backtracks":3,"undos":7,"replay_avoided":21}}"#,
         r#"{"TaskDispatched":{"task":3,"processor":2,"slack_us":-17}}"#,
@@ -925,39 +864,53 @@ mod tests {
     }
 
     #[test]
-    fn phase_profile_totals_and_imbalance() {
-        let mut p = PhaseProfile {
+    fn phase_profile_totals() {
+        let p = PhaseProfile {
             screen_ns: 1,
             fill_ns: 2,
             cost_ns: 3,
             shard_ns: 4,
             apply_ns: 5,
             undo_ns: 6,
-            merge_ns: 7,
-            select_ns: 8,
-            walks: Vec::new(),
+            select_ns: 7,
         };
-        assert_eq!(p.total_ns(), 36);
-        assert_eq!(p.stages().iter().map(|(_, ns)| ns).sum::<u64>(), 36);
-        // No walks: trivially balanced.
-        assert_eq!(p.imbalance(), 1.0);
-        // Walks of 30 and 10 vertices: max 30, mean 20 → 1.5.
-        for v in [30u64, 10] {
-            p.walks.push(WalkProfile {
-                termination: "dead_end".into(),
-                vertices: v,
-                end_depth: 0,
-                pops: 0,
-                committed: true,
-            });
-        }
-        assert!((p.imbalance() - 1.5).abs() < 1e-12);
-        // All-zero walks are also trivially balanced, not a division by 0.
-        for w in &mut p.walks {
-            w.vertices = 0;
-        }
-        assert_eq!(p.imbalance(), 1.0);
+        assert_eq!(p.total_ns(), 28);
+        assert_eq!(p.stages().iter().map(|(_, ns)| ns).sum::<u64>(), 28);
         assert_eq!(PhaseProfile::default().total_ns(), 0);
+    }
+
+    /// A `PhaseProfiled` line as schema version 1 wrote it, with the merge
+    /// stage and the walk list of the retired parallel engine.
+    const PHASE_PROFILED_V1: &str = r#"{"PhaseProfiled":{"phase":1,"profile":{"screen_ns":1000,"fill_ns":12000,"cost_ns":30000,"shard_ns":0,"apply_ns":4000,"undo_ns":2500,"merge_ns":800,"select_ns":0,"walks":[{"termination":"dead_end","vertices":40,"end_depth":5,"pops":3,"committed":true},{"termination":"leaf","vertices":10,"end_depth":8,"pops":0,"committed":true}]}}}"#;
+
+    #[test]
+    fn version_1_phase_profile_parses_to_the_same_stages() {
+        let event: TraceEvent = serde_json::from_str(PHASE_PROFILED_V1).expect("v1 parses");
+        let TraceEvent::PhaseProfiled { phase, profile } = event else {
+            panic!("not a PhaseProfiled event: {event:?}");
+        };
+        assert_eq!(phase, 1);
+        assert_eq!(
+            profile.stages(),
+            [
+                ("screen", 1_000),
+                ("fill", 12_000),
+                ("cost", 30_000),
+                ("select", 0),
+                ("shard", 0),
+                ("apply", 4_000),
+                ("undo", 2_500),
+            ]
+        );
+        // And it re-serializes as the current schema's line.
+        let sample = all_variants()
+            .into_iter()
+            .position(|e| e.kind() == "PhaseProfiled")
+            .expect("sampled");
+        assert_eq!(
+            serde_json::to_string(&TraceEvent::PhaseProfiled { phase, profile }).unwrap(),
+            ALL_VARIANTS_JSON[sample]
+        );
     }
 
     #[test]

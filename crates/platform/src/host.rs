@@ -106,31 +106,6 @@ impl SchedulingMeter {
         }
     }
 
-    /// The host cost parameters this meter charges with.
-    #[must_use]
-    pub fn host_params(&self) -> HostParams {
-        self.params
-    }
-
-    /// Folds a sub-meter's tally into this meter. Used by the parallel
-    /// search engine, whose subtree walks each charge a private meter
-    /// carrying a slice of the parent quantum: vertices add up, consumed
-    /// time adds up but never exceeds the quantum, and exhaustion carries
-    /// over from the sub-meter. Exactly filling a nonzero-cost quantum
-    /// exhausts, mirroring [`SchedulingMeter::charge_vertex`].
-    pub fn absorb(&mut self, vertices: u64, consumed: Duration, exhausted: bool) {
-        self.vertices += vertices;
-        let after = self.consumed + consumed;
-        self.consumed = if after > self.quantum {
-            self.quantum
-        } else {
-            after
-        };
-        if exhausted || (self.consumed == self.quantum && !self.params.vertex_eval_cost.is_zero()) {
-            self.exhausted = true;
-        }
-    }
-
     /// The allocated quantum `Q_s(j)`.
     #[must_use]
     pub fn quantum(&self) -> Duration {
@@ -218,44 +193,6 @@ mod tests {
         let mut m = SchedulingMeter::new(HostParams::default(), Duration::ZERO);
         assert!(!m.charge_vertex());
         assert!(m.exhausted());
-    }
-
-    #[test]
-    fn absorb_accumulates_and_clamps() {
-        let mut m = SchedulingMeter::new(
-            HostParams::new(Duration::from_micros(10)),
-            Duration::from_micros(100),
-        );
-        assert!(m.charge_vertex());
-        m.absorb(3, Duration::from_micros(30), false);
-        assert_eq!(m.vertices(), 4);
-        assert_eq!(m.consumed(), Duration::from_micros(40));
-        assert!(!m.exhausted());
-        // Sub-meter exhaustion carries over even when time remains here.
-        m.absorb(2, Duration::from_micros(20), true);
-        assert_eq!(m.vertices(), 6);
-        assert_eq!(m.consumed(), Duration::from_micros(60));
-        assert!(m.exhausted());
-    }
-
-    #[test]
-    fn absorb_never_exceeds_quantum_and_exact_fill_exhausts() {
-        let mut m = SchedulingMeter::new(
-            HostParams::new(Duration::from_micros(10)),
-            Duration::from_micros(50),
-        );
-        m.absorb(4, Duration::from_micros(40), false);
-        assert!(!m.exhausted());
-        m.absorb(2, Duration::from_micros(20), false);
-        assert_eq!(m.consumed(), Duration::from_micros(50), "clamped");
-        assert!(m.exhausted(), "full nonzero-cost quantum is exhausted");
-    }
-
-    #[test]
-    fn host_params_round_trip() {
-        let params = HostParams::new(Duration::from_micros(7));
-        let m = SchedulingMeter::new(params, Duration::from_micros(100));
-        assert_eq!(m.host_params(), params);
     }
 
     #[test]

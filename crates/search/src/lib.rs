@@ -36,10 +36,9 @@ mod state;
 #[cfg(any(test, feature = "replay-oracle"))]
 pub use engine::search_schedule_replay;
 pub use engine::{
-    search_schedule, search_schedule_parallel, search_schedule_parallel_with_report,
-    search_schedule_with, ParallelReport, ParallelScratch, PhaseProvenance, PlacementAlternative,
+    search_schedule, search_schedule_with, PhaseProvenance, PlacementAlternative,
     PlacementEvidence, Pruning, ScreenEvidence, ScreenProbe, SearchOutcome, SearchParams,
-    SearchScratch, SearchStats, SubReport, Termination,
+    SearchScratch, SearchStats, Termination,
 };
 pub use policy::{ChildOrder, ProcessorOrder, TaskOrder};
 pub use repr::Representation;

@@ -16,8 +16,7 @@
 //! | `phase.replay_avoided` | histogram | replay applies avoided per phase |
 //! | `phase.scheduled` | histogram | tasks dispatched per phase |
 //! | `phase.sched_wall_ns` | histogram | measured scheduler wall time per phase |
-//! | `profile.<stage>_ns` | histogram | per-phase wall time of one search stage (`screen`, `fill`, `cost`, `shard`, `apply`, `undo`, `merge`), from `PhaseProfiled` |
-//! | `profile.imbalance_x100` | histogram | parallel-walk imbalance (max/mean walk vertices × 100) on split phases |
+//! | `profile.<stage>_ns` | histogram | per-phase wall time of one search stage (`screen`, `fill`, `cost`, `select`, `shard`, `apply`, `undo`), from `PhaseProfiled` |
 //! | `task.admitted` | counter | tasks admitted into a batch |
 //! | `task.screened` | counter | viability-screen rejections recorded |
 //! | `task.placements` | counter | placement decisions recorded |
@@ -107,12 +106,6 @@ impl TraceSink for MetricsCollector {
             TraceEvent::PhaseProfiled { profile, .. } => {
                 for (stage, ns) in profile.stages() {
                     r.record(&format!("profile.{stage}_ns"), as_sample(ns));
-                }
-                if !profile.walks.is_empty() {
-                    r.record(
-                        "profile.imbalance_x100",
-                        as_sample((profile.imbalance() * 100.0).round() as u64),
-                    );
                 }
             }
             TraceEvent::PhaseStarted {
@@ -266,24 +259,7 @@ mod tests {
                     shard_ns: 0,
                     apply_ns: 300,
                     undo_ns: 200,
-                    merge_ns: 50,
-                    select_ns: 0,
-                    walks: vec![
-                        paragon_des::trace::WalkProfile {
-                            termination: "dead_end".into(),
-                            vertices: 30,
-                            end_depth: 4,
-                            pops: 2,
-                            committed: true,
-                        },
-                        paragon_des::trace::WalkProfile {
-                            termination: "leaf".into(),
-                            vertices: 10,
-                            end_depth: 7,
-                            pops: 0,
-                            committed: true,
-                        },
-                    ],
+                    select_ns: 50,
                 },
             },
         );
@@ -391,11 +367,7 @@ mod tests {
         assert_eq!(r.histogram("task.lateness_us").unwrap().p50(), Some(-10));
         assert_eq!(r.histogram("profile.cost_ns").unwrap().p50(), Some(5_000));
         assert_eq!(r.histogram("profile.shard_ns").unwrap().count(), 1);
-        // max 30 / mean 20 = 1.5 → 150 after the ×100 fixed-point scaling.
-        assert_eq!(
-            r.histogram("profile.imbalance_x100").unwrap().p50(),
-            Some(150)
-        );
+        assert_eq!(r.histogram("profile.select_ns").unwrap().p50(), Some(50));
         assert_eq!(r.histogram("comm.delay_us").unwrap().count(), 1);
         let snap = c.into_registry().snapshot();
         assert!(snap.histograms.contains_key("phase.consumed_us"));

@@ -7,7 +7,8 @@
 //! (e.g. `{"TaskStarted": {"task": 3, "processor": 1}}`). Every line parses
 //! back into the same event, so traces double as machine-readable logs.
 //! [`parse_trace`] accepts headerless traces from before the header existed
-//! and rejects traces from a newer schema with a clear error.
+//! and version-1 traces, and rejects traces from a newer schema with a
+//! clear error.
 
 use std::io::Write;
 
@@ -15,10 +16,15 @@ use paragon_des::trace::{TraceEvent, TraceSink};
 use paragon_des::Time;
 use serde::{Deserialize, Serialize};
 
-/// The trace schema version this crate writes and reads. Bump it whenever
-/// a [`TraceEvent`] change breaks old readers (renaming or removing a
-/// variant or field; additions are compatible).
-pub const SCHEMA_VERSION: u32 = 1;
+/// The trace schema version this crate writes. Bump it whenever a
+/// [`TraceEvent`] change breaks old readers (renaming or removing a variant
+/// or field; additions are compatible). Version 2 dropped the merge stage
+/// and the subtree-walk list from `PhaseProfiled`.
+pub const SCHEMA_VERSION: u32 = 2;
+
+/// The oldest schema [`parse_trace`] still reads. Version 1 differs from
+/// version 2 only by two `PhaseProfiled` keys, which the reader ignores.
+const OLDEST_READABLE_VERSION: u32 = 1;
 
 /// The header manifest on the first line of a JSONL trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -119,7 +125,7 @@ impl<W: Write> TraceSink for JsonlTracer<W> {
 /// A leading [`TraceHeader`] line is consumed and version-checked: a trace
 /// written by a newer schema is rejected with a clear error rather than a
 /// confusing per-line parse failure. Traces without a header (written
-/// before it existed) still parse.
+/// before it existed) and version-1 traces still parse.
 pub fn parse_trace(input: &str) -> Result<Vec<(Time, TraceEvent)>, String> {
     let mut events = Vec::new();
     let mut first = true;
@@ -130,10 +136,11 @@ pub fn parse_trace(input: &str) -> Result<Vec<(Time, TraceEvent)>, String> {
         if std::mem::take(&mut first) {
             if let Ok(value) = serde_json::from_str::<serde::Value>(raw) {
                 if let Some(version) = value.get("schema_version").and_then(|v| v.as_u64()) {
-                    if version != u64::from(SCHEMA_VERSION) {
+                    let readable = u64::from(OLDEST_READABLE_VERSION)..=u64::from(SCHEMA_VERSION);
+                    if !readable.contains(&version) {
                         return Err(format!(
                             "unknown trace schema version {version}: this reader supports \
-                             version {SCHEMA_VERSION}"
+                             versions {OLDEST_READABLE_VERSION} to {SCHEMA_VERSION}"
                         ));
                     }
                     continue; // header consumed
@@ -219,7 +226,19 @@ mod tests {
             err.contains("unknown trace schema version 999"),
             "got: {err}"
         );
-        assert!(err.contains("supports version 1"), "got: {err}");
+        assert!(err.contains("supports versions 1 to 2"), "got: {err}");
+    }
+
+    #[test]
+    fn version_1_traces_parse_and_version_3_is_rejected() {
+        let body = "{\"t_us\": 4, \"event\": {\"TaskDropped\": {\"task\": 2}}}\n";
+        let v1 = format!("{{\"schema_version\":1}}\n{body}");
+        let parsed = parse_trace(&v1).unwrap();
+        assert_eq!(parsed.len(), 1);
+        assert!(matches!(parsed[0].1, TraceEvent::TaskDropped { task: 2 }));
+        let v3 = format!("{{\"schema_version\":3}}\n{body}");
+        let err = parse_trace(&v3).unwrap_err();
+        assert!(err.contains("unknown trace schema version 3"), "got: {err}");
     }
 
     #[test]

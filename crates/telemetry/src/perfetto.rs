@@ -13,12 +13,9 @@
 //!   `"down"` span from `ProcessorFailed` to `ProcessorRecovered` (or to
 //!   the end of the trace for a fail-stop), and orphaned/lost tasks appear
 //!   as instant events on the processor that held them.
-//! * tid 1000 + i — when the run was profiled (`PhaseProfiled` events),
-//!   one child track per parallel subtree walk: span width proportional to
-//!   the walk's vertex count, with termination/depth/pops in `args`. The
-//!   scheduler track additionally nests per-stage sub-spans inside each
-//!   phase span (screen/fill/cost/shard/apply/undo/merge, scaled by wall-ns
-//!   share) and carries an `imbalance` counter (max/mean walk vertices).
+//! * when the run was profiled (`PhaseProfiled` events), the scheduler
+//!   track additionally nests per-stage sub-spans inside each phase span
+//!   (screen/fill/cost/select/shard/apply/undo, scaled by wall-ns share).
 //!
 //! When a windowed [`TimeSeries`] is attached via
 //! [`PerfettoTracer::set_counters`], the export additionally carries
@@ -40,11 +37,6 @@ use crate::timeseries::TimeSeries;
 
 /// Process id used for every track (one simulated machine = one process).
 const PID: u64 = 1;
-
-/// First tid of the per-subtree-walk tracks rendered from `PhaseProfiled`
-/// walk telemetry (walk `i` gets `WALK_TID_BASE + i`). High enough that the
-/// processor tracks (`k + 1`) cannot collide on any realistic platform.
-const WALK_TID_BASE: u64 = 1000;
 
 /// A buffering [`TraceSink`] that renders a Chrome trace-event JSON file.
 #[derive(Debug, Default)]
@@ -162,7 +154,6 @@ impl PerfettoTracer {
         let mut open_phase: Option<(u64, u64, usize, u64)> = None; // (phase, ts, batch, quantum)
         let mut pending_wall: Option<(u64, u64)> = None; // (phase, wall_ns)
         let mut pending_profile: Option<(u64, PhaseProfile)> = None;
-        let mut named_walks: usize = 0; // walk tracks given thread_name metadata so far
         let mut open_tasks: Vec<(u64, usize, OpenTask)> = Vec::new(); // (task, processor, data)
         let mut pending: Vec<(u64, usize, OpenTask)> = Vec::new(); // dispatched, not started
         let mut open_downs: Vec<(usize, u64, bool, usize, usize)> = Vec::new(); // (processor, ts, fail_stop, orphaned, lost)
@@ -217,17 +208,10 @@ impl PerfettoTracer {
                         consumed.as_micros(),
                     ));
                     // Stage attribution (if the run profiled it): nested
-                    // stage spans inside the phase span, per-walk child
-                    // tracks, and the imbalance counter.
+                    // stage spans inside the phase span.
                     match pending_profile.take() {
                         Some((p, prof)) if p == *phase => {
-                            profile_rows(
-                                &mut rows,
-                                &mut named_walks,
-                                start_ts,
-                                ts - start_ts,
-                                &prof,
-                            );
+                            profile_rows(&mut rows, start_ts, ts - start_ts, &prof);
                         }
                         other => pending_profile = other,
                     }
@@ -401,80 +385,34 @@ impl TraceSink for PerfettoTracer {
     }
 }
 
-/// Renders one phase's stage profile: stage sub-spans nested inside the
-/// phase span on the scheduler track (durations scale the virtual-time span
+/// Renders one phase's stage profile as stage sub-spans nested inside the
+/// phase span on the scheduler track. Durations scale the virtual-time span
 /// by each stage's share of attributed wall time, so the visual split *is*
-/// the stage-fraction table), one child track per subtree walk (span width
-/// proportional to the walk's vertex count relative to the largest walk, so
-/// imbalance is visible as ragged right edges), and an `imbalance` counter
-/// sample per split phase.
-fn profile_rows(
-    rows: &mut Vec<String>,
-    named_walks: &mut usize,
-    start_ts: u64,
-    dur: u64,
-    prof: &PhaseProfile,
-) {
+/// the stage-fraction table.
+fn profile_rows(rows: &mut Vec<String>, start_ts: u64, dur: u64, prof: &PhaseProfile) {
     let total = prof.total_ns();
-    if total > 0 {
-        let mut acc_ns = 0u64;
-        let mut cursor = 0u64;
-        for (name, ns) in prof.stages() {
-            if ns == 0 {
-                continue;
-            }
-            acc_ns += ns;
-            // End offsets come from the running sum so rounding never lets
-            // the stage spans overflow the enclosing phase span.
-            let end = ((dur as f64) * (acc_ns as f64) / (total as f64)).round() as u64;
-            rows.push(format!(
-                "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":{PID},\"tid\":0,\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"wall_ns\":{ns},\"frac\":{:.4}}}}}",
-                start_ts + cursor,
-                end.saturating_sub(cursor),
-                ns as f64 / total as f64,
-            ));
-            cursor = end;
-        }
-    }
-    if prof.walks.is_empty() {
+    if total == 0 {
         return;
     }
-    let max_vertices = prof.walks.iter().map(|w| w.vertices).max().unwrap_or(0);
-    for (i, walk) in prof.walks.iter().enumerate() {
-        while *named_walks <= i {
-            rows.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\
-                 \"args\":{{\"name\":\"search walk {}\"}}}}",
-                WALK_TID_BASE + *named_walks as u64,
-                *named_walks,
-            ));
-            *named_walks += 1;
+    let mut acc_ns = 0u64;
+    let mut cursor = 0u64;
+    for (name, ns) in prof.stages() {
+        if ns == 0 {
+            continue;
         }
-        let share = if max_vertices == 0 {
-            1.0
-        } else {
-            walk.vertices as f64 / max_vertices as f64
-        };
-        // Escape via the serializer: terminations come off the wire.
-        let termination = serde_json::to_string(&walk.termination).expect("strings serialize");
+        acc_ns += ns;
+        // End offsets come from the running sum so rounding never lets the
+        // stage spans overflow the enclosing phase span.
+        let end = ((dur as f64) * (acc_ns as f64) / (total as f64)).round() as u64;
         rows.push(format!(
-            "{{\"name\":\"walk {i}\",\"ph\":\"X\",\"pid\":{PID},\"tid\":{},\
-             \"ts\":{start_ts},\"dur\":{},\"args\":{{\"termination\":{termination},\
-             \"vertices\":{},\"end_depth\":{},\"pops\":{},\"committed\":{}}}}}",
-            WALK_TID_BASE + i as u64,
-            ((dur as f64) * share).round() as u64,
-            walk.vertices,
-            walk.end_depth,
-            walk.pops,
-            walk.committed,
+            "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":{PID},\"tid\":0,\
+             \"ts\":{},\"dur\":{},\"args\":{{\"wall_ns\":{ns},\"frac\":{:.4}}}}}",
+            start_ts + cursor,
+            end.saturating_sub(cursor),
+            ns as f64 / total as f64,
         ));
+        cursor = end;
     }
-    rows.push(format!(
-        "{{\"name\":\"imbalance\",\"ph\":\"C\",\"pid\":{PID},\"tid\":0,\
-         \"ts\":{start_ts},\"args\":{{\"max_over_mean\":{:.4}}}}}",
-        prof.imbalance(),
-    ));
 }
 
 #[cfg(test)]
@@ -723,8 +661,8 @@ mod tests {
     }
 
     #[test]
-    fn phase_profile_renders_stage_spans_walk_tracks_and_imbalance() {
-        use paragon_des::trace::{PhaseProfile, WalkProfile};
+    fn phase_profile_renders_stage_spans() {
+        use paragon_des::trace::PhaseProfile;
         let mut p = PerfettoTracer::new();
         p.emit(
             Time::from_micros(0),
@@ -745,24 +683,7 @@ mod tests {
                     shard_ns: 0,
                     apply_ns: 150,
                     undo_ns: 100,
-                    merge_ns: 0,
                     select_ns: 0,
-                    walks: vec![
-                        WalkProfile {
-                            termination: "dead_end".into(),
-                            vertices: 30,
-                            end_depth: 4,
-                            pops: 2,
-                            committed: true,
-                        },
-                        WalkProfile {
-                            termination: "leaf".into(),
-                            vertices: 10,
-                            end_depth: 7,
-                            pops: 0,
-                            committed: true,
-                        },
-                    ],
                 },
             },
         );
@@ -791,15 +712,6 @@ mod tests {
         assert!(text.contains("\"frac\":0.5000"));
         // Zero stages are skipped entirely.
         assert!(!text.contains("\"name\":\"shard\""));
-        // Walk child tracks with their metadata and telemetry.
-        assert!(text.contains("\"name\":\"search walk 0\""));
-        assert!(text.contains("\"name\":\"search walk 1\""));
-        assert!(text.contains("\"termination\":\"leaf\""));
-        assert!(text.contains("\"end_depth\":7"));
-        assert!(text.contains(&format!("\"tid\":{}", WALK_TID_BASE + 1)));
-        // Imbalance counter: max 30 over mean 20.
-        assert!(text.contains("\"name\":\"imbalance\""));
-        assert!(text.contains("\"max_over_mean\":1.5000"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The search engine owns one [`StageProfiler`] per scratch and brackets
 //! each pipeline stage — feasibility screen, SoA completion fill, cost
-//! fold, shard ranking, apply/undo branch walks, parallel merge — with a
+//! fold, child selection, shard ranking, apply/undo branch walks — with a
 //! [`StageProfiler::start`]/[`StageProfiler::stop`] pair. Disabled (the
 //! default) the pair costs two predictable branches and touches no clock,
 //! so the instrumented engine stays bit-identical and allocation-free;
@@ -18,18 +18,16 @@
 //! [`StageProfiler::take`], which the driver emits as
 //! [`TraceEvent::PhaseProfiled`](paragon_des::trace::TraceEvent) for the
 //! collector, the Perfetto exporter and the `rtsads_sim profile`
-//! subcommand to consume. On split phases each subtree walk profiles into
-//! its own scratch's profiler; the engine folds those into the main one
-//! with [`StageProfiler::absorb`] and records one
-//! [`WalkProfile`](paragon_des::trace::WalkProfile) per walk for the
-//! imbalance diagnostics.
+//! subcommand to consume.
 
-use paragon_des::trace::{PhaseProfile, WalkProfile};
+use paragon_des::trace::PhaseProfile;
 
 use crate::clock::MonotonicInstant;
 
-/// The search pipeline stages the profiler attributes time to. The
-/// discriminants index [`StageProfiler`]'s fixed accumulator array.
+/// The search pipeline stages the profiler attributes time to, in the
+/// order of [`PhaseProfile::stages`]: screen, fill, cost, select, shard,
+/// apply, undo. The discriminants index [`StageProfiler`]'s fixed
+/// accumulator array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -37,23 +35,21 @@ pub enum Stage {
     Screen = 0,
     /// SoA completion-column fill across all candidate processors.
     Fill = 1,
-    /// Per-candidate `ce_k` cost fold and child ordering.
+    /// Per-candidate `ce_k` cost fold and feasibility classification.
     Cost = 2,
-    /// Shard gate and shard-first ranking (hierarchical topologies).
-    Shard = 3,
-    /// `PathState::apply` chain walks when switching branches.
-    Apply = 4,
-    /// `PathState::undo` pops when backtracking.
-    Undo = 5,
-    /// Parallel reduction: best-vertex merge and counter absorption.
-    Merge = 6,
     /// Child ordering and push: sorting the candidate batch and selecting
     /// the branch/best-vertex updates.
-    Select = 7,
+    Select = 3,
+    /// Shard gate and shard-first ranking (hierarchical topologies).
+    Shard = 4,
+    /// `PathState::apply` chain walks when switching branches.
+    Apply = 5,
+    /// `PathState::undo` pops when backtracking.
+    Undo = 6,
 }
 
 /// Number of stages — the length of the accumulator array.
-pub const STAGE_COUNT: usize = 8;
+pub const STAGE_COUNT: usize = 7;
 
 /// A per-scratch stage-time accumulator. See the module docs for the
 /// enable/measure/drain lifecycle.
@@ -61,7 +57,6 @@ pub const STAGE_COUNT: usize = 8;
 pub struct StageProfiler {
     enabled: bool,
     stage_ns: [u64; STAGE_COUNT],
-    walks: Vec<WalkProfile>,
 }
 
 impl StageProfiler {
@@ -105,31 +100,12 @@ impl StageProfiler {
     }
 
     /// Credits raw nanoseconds to a stage — used when a span's clock reads
-    /// happened elsewhere (folding a subtree walk's profiler, or timing a
-    /// region whose start predates the profiler borrow).
+    /// happened elsewhere (timing a region whose start predates the
+    /// profiler borrow).
     #[inline]
     pub fn add_ns(&mut self, stage: Stage, ns: u64) {
         if self.enabled {
             self.stage_ns[stage as usize] += ns;
-        }
-    }
-
-    /// Folds another profiler's accumulated stage times into this one
-    /// (no-op when disabled). Walk telemetry is deliberately not folded —
-    /// walks are recorded once, by the merge site, via
-    /// [`record_walk`](StageProfiler::record_walk).
-    pub fn absorb(&mut self, other: &StageProfiler) {
-        if self.enabled {
-            for (mine, theirs) in self.stage_ns.iter_mut().zip(other.stage_ns.iter()) {
-                *mine += theirs;
-            }
-        }
-    }
-
-    /// Records one subtree walk's telemetry (no-op when disabled).
-    pub fn record_walk(&mut self, walk: WalkProfile) {
-        if self.enabled {
-            self.walks.push(walk);
         }
     }
 
@@ -146,12 +122,10 @@ impl StageProfiler {
     }
 
     /// Drains the accumulation into a wire-format [`PhaseProfile`] and
-    /// resets the accumulators for the next phase. The walk vector is
-    /// moved out, not cloned, so a phase with no walks allocates nothing.
+    /// resets the accumulators for the next phase.
     pub fn take(&mut self) -> PhaseProfile {
-        let [screen_ns, fill_ns, cost_ns, shard_ns, apply_ns, undo_ns, merge_ns, select_ns] =
-            self.stage_ns;
-        self.stage_ns = [0; STAGE_COUNT];
+        let [screen_ns, fill_ns, cost_ns, select_ns, shard_ns, apply_ns, undo_ns] =
+            std::mem::take(&mut self.stage_ns);
         PhaseProfile {
             screen_ns,
             fill_ns,
@@ -159,17 +133,13 @@ impl StageProfiler {
             shard_ns,
             apply_ns,
             undo_ns,
-            merge_ns,
             select_ns,
-            walks: std::mem::take(&mut self.walks),
         }
     }
 
-    /// Clears the accumulators without building a record. Keeps the walk
-    /// vector's capacity.
+    /// Clears the accumulators without building a record.
     pub fn reset(&mut self) {
         self.stage_ns = [0; STAGE_COUNT];
-        self.walks.clear();
     }
 }
 
@@ -185,16 +155,8 @@ mod tests {
         assert!(span.is_none(), "disabled start must not read the clock");
         p.stop(Stage::Fill, span);
         p.add_ns(Stage::Cost, 1_000);
-        p.record_walk(WalkProfile {
-            termination: "leaf".into(),
-            vertices: 1,
-            end_depth: 1,
-            pops: 0,
-            committed: true,
-        });
         let rec = p.take();
         assert_eq!(rec.total_ns(), 0);
-        assert!(rec.walks.is_empty());
     }
 
     #[test]
@@ -210,59 +172,37 @@ mod tests {
         }
         std::hint::black_box(x);
         p.stop(Stage::Fill, span);
-        p.add_ns(Stage::Merge, 123);
+        p.add_ns(Stage::Select, 123);
         let fill = p.stage_ns(Stage::Fill);
         assert!(fill > 0);
-        assert_eq!(p.stage_ns(Stage::Merge), 123);
+        assert_eq!(p.stage_ns(Stage::Select), 123);
         assert_eq!(p.total_ns(), fill + 123);
 
         let rec = p.take();
         assert_eq!(rec.fill_ns, fill);
-        assert_eq!(rec.merge_ns, 123);
+        assert_eq!(rec.select_ns, 123);
         assert_eq!(p.total_ns(), 0, "take() resets the accumulators");
     }
 
     #[test]
-    fn absorb_folds_stage_times_but_not_walks() {
-        let mut sub = StageProfiler::new();
-        sub.set_enabled(true);
-        sub.add_ns(Stage::Cost, 40);
-        sub.add_ns(Stage::Apply, 2);
-        sub.record_walk(WalkProfile {
-            termination: "dead_end".into(),
-            vertices: 9,
-            end_depth: 3,
-            pops: 1,
-            committed: false,
-        });
-
-        let mut main = StageProfiler::new();
-        main.set_enabled(true);
-        main.add_ns(Stage::Cost, 10);
-        main.absorb(&sub);
-        assert_eq!(main.stage_ns(Stage::Cost), 50);
-        assert_eq!(main.stage_ns(Stage::Apply), 2);
-        let rec = main.take();
-        assert!(rec.walks.is_empty(), "absorb must not copy walks");
-    }
-
-    #[test]
-    fn record_walk_feeds_the_phase_profile() {
+    fn each_stage_drains_into_the_field_stages_names_for_it() {
+        let stages = [
+            Stage::Screen,
+            Stage::Fill,
+            Stage::Cost,
+            Stage::Select,
+            Stage::Shard,
+            Stage::Apply,
+            Stage::Undo,
+        ];
+        assert_eq!(stages.len(), STAGE_COUNT);
         let mut p = StageProfiler::new();
         p.set_enabled(true);
-        for (v, term) in [(30u64, "dead_end"), (10, "leaf")] {
-            p.record_walk(WalkProfile {
-                termination: term.into(),
-                vertices: v,
-                end_depth: 4,
-                pops: 2,
-                committed: true,
-            });
+        for (k, &stage) in stages.iter().enumerate() {
+            p.add_ns(stage, 1 << k);
         }
-        let rec = p.take();
-        assert_eq!(rec.walks.len(), 2);
-        assert!((rec.imbalance() - 1.5).abs() < 1e-12);
-        let rec2 = p.take();
-        assert!(rec2.walks.is_empty(), "walks drained by the first take");
+        for (k, (name, ns)) in p.take().stages().into_iter().enumerate() {
+            assert_eq!(ns, 1 << k, "stage {name}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! rtsads-sim [--workers N] [--txns N] [--replication PCT] [--sf X]
 //!            [--algorithm rt-sads|d-cols|greedy|myopic|random]
 //!            [--comm-us C] [--nodes N] [--racks R] [--inter-rack-cost C2]
-//!            [--seed S] [--search-threads N] [--phases] [--profile]
+//!            [--seed S] [--phases] [--profile]
 //!            [--trace-out FILE.jsonl] [--metrics-out FILE.json]
 //!            [--perfetto-out FILE.trace.json] [--report-out FILE.json]
 //!            [--timeseries-out FILE.csv|.jsonl] [--timeseries-window-us W]
@@ -39,8 +39,8 @@
 //! prints an ASCII sparkline summary in the terminal.
 //! `--profile` turns on the search engine's stage-scoped self-profiler:
 //! each phase's `PhaseProfiled` record attributes scheduling wall time to
-//! the pipeline stages (screen, fill, cost, shard, apply, undo, merge) and
-//! carries per-subtree-walk telemetry on split phases. Like
+//! the pipeline stages (screen, fill, cost, select, shard, apply, undo).
+//! Like
 //! `--perfetto-out` (which implies it, so stage sub-spans appear in the
 //! timeline) it measures nondeterministic wall time, so traces stop being
 //! byte-reproducible — scheduling *decisions* are unchanged. The `profile`
@@ -79,7 +79,6 @@ struct Args {
     racks: usize,
     inter_rack_us: Option<u64>,
     seed: u64,
-    search_threads: usize,
     phases: bool,
     profile: bool,
     trace_out: Option<PathBuf>,
@@ -102,7 +101,6 @@ fn parse_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
         racks: 1,
         inter_rack_us: None,
         seed: 1_998,
-        search_threads: 1,
         phases: false,
         profile: false,
         trace_out: None,
@@ -158,14 +156,6 @@ fn parse_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
                 )
             }
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--search-threads" => {
-                args.search_threads = value("--search-threads")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                if args.search_threads == 0 {
-                    return Err("--search-threads must be positive".to_string());
-                }
-            }
             "--phases" => args.phases = true,
             "--profile" => args.profile = true,
             "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
@@ -362,8 +352,7 @@ fn cmd_timeline(argv: &[String]) -> Result<(), String> {
 /// stage, attributed nanoseconds, and the fraction of the attributed total
 /// (the fractions must sum to 1.0 within 1e-6 or the command fails — the
 /// attribution is exhaustive by construction, so a hole means a stage
-/// timer went missing). Split phases additionally get a subtree-walk
-/// summary with the peak imbalance. `--folded` writes collapsed-stack
+/// timer went missing). `--folded` writes collapsed-stack
 /// lines (`scheduler;search;<stage> <ns>`) for flamegraph tooling.
 fn cmd_profile(argv: &[String]) -> Result<(), String> {
     use rtsads_repro::des::trace::{PhaseProfile, TraceEvent};
@@ -387,20 +376,16 @@ fn cmd_profile(argv: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot read {}: {e}", trace.display()))?;
     let mut total = PhaseProfile::default();
     let mut phases = 0u64;
-    let mut peak_imbalance = 1.0f64;
     for (_, event) in parse_trace(&text)? {
         if let TraceEvent::PhaseProfiled { profile, .. } = event {
             phases += 1;
-            peak_imbalance = peak_imbalance.max(profile.imbalance());
             total.screen_ns += profile.screen_ns;
             total.fill_ns += profile.fill_ns;
             total.cost_ns += profile.cost_ns;
             total.shard_ns += profile.shard_ns;
             total.apply_ns += profile.apply_ns;
             total.undo_ns += profile.undo_ns;
-            total.merge_ns += profile.merge_ns;
             total.select_ns += profile.select_ns;
-            total.walks.extend(profile.walks);
         }
     }
     if phases == 0 {
@@ -431,15 +416,6 @@ fn cmd_profile(argv: &[String]) -> Result<(), String> {
         ));
     }
     println!("{:<8} {:>14} {:>10.4}", "total", grand, sum);
-    if !total.walks.is_empty() {
-        let committed = total.walks.iter().filter(|w| w.committed).count();
-        let vertices: u64 = total.walks.iter().map(|w| w.vertices).sum();
-        println!(
-            "walks    {} across split phases ({committed} committed, \
-             {vertices} vertices), peak imbalance {peak_imbalance:.2}x",
-            total.walks.len()
-        );
-    }
     if let Some(path) = folded {
         let mut out = String::new();
         for (name, ns) in total.stages() {
@@ -637,8 +613,7 @@ fn main() -> ExitCode {
                 "usage: rtsads-sim [--workers N] [--txns N] [--replication PCT] [--sf X] \
                  [--algorithm rt-sads|d-cols|greedy|myopic|random] [--comm-us C] \
                  [--nodes N] [--racks R] [--inter-rack-cost C2] [--seed S] \
-                 [--search-threads N] [--phases] [--profile] [--trace-out FILE.jsonl] \
-                 [--metrics-out FILE.json] \
+                 [--phases] [--profile] [--trace-out FILE.jsonl] [--metrics-out FILE.json] \
                  [--perfetto-out FILE.trace.json] [--report-out FILE.json] \
                  [--timeseries-out FILE.csv|.jsonl] [--timeseries-window-us W]\n\
                         rtsads-sim explain --task N --trace FILE.jsonl\n\
@@ -665,7 +640,6 @@ fn main() -> ExitCode {
         .comm(comm_model(&args))
         .host(HostParams::new(Duration::from_micros(1)))
         .seed(args.seed)
-        .search_threads(args.search_threads)
         // The timeline gets measured scheduling wall time next to Q_s(j);
         // wall time is nondeterministic, so only measure when asked for a
         // timeline (JSONL traces stay byte-reproducible otherwise).
@@ -798,7 +772,6 @@ mod tests {
         let args = parse_strs(&[]).expect("defaults");
         assert_eq!(args.workers, 10);
         assert_eq!(args.txns, 1_000);
-        assert_eq!(args.search_threads, 1);
     }
 
     #[test]
@@ -851,15 +824,12 @@ mod tests {
 
     #[test]
     fn zero_search_threads_is_an_error() {
-        let err = parse_strs(&["--search-threads", "0"]).expect_err("rejected");
-        assert_eq!(err, "--search-threads must be positive");
-    }
-
-    #[test]
-    fn search_threads_flag_parses() {
-        let args = parse_strs(&["--search-threads", "8", "--workers", "4"]).expect("parses");
-        assert_eq!(args.search_threads, 8);
-        assert_eq!(args.workers, 4);
+        // The parallel search engine is gone; a script still passing its
+        // flag, at any width, must fail rather than silently run serially.
+        for width in ["0", "2"] {
+            let err = parse_strs(&["--search-threads", width]).expect_err("rejected");
+            assert_eq!(err, "unknown flag '--search-threads'");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Tracked search-throughput baseline: `rtsads-sim bench-snapshot` measures
-//! steady-state scheduling throughput at three canonical scenario points and
+//! steady-state scheduling throughput at four canonical scenario points and
 //! writes `BENCH_search.json` — phases/sec, vertices/sec and undos/sec plus
 //! a [`RunManifest`] (seed, git describe) — so a perf regression shows up as
 //! a diff against the committed baseline rather than a vague feeling.
@@ -34,10 +34,10 @@ use serde::{Deserialize, Serialize, Value};
 /// Stage-level wall-time attribution of one snapshot point, measured by a
 /// dedicated profiled pass run after the timed passes so the stage timers
 /// can never taint the throughput rates. Stage values are fractions of the
-/// attributed total and sum to 1.0; `imbalance` is the max-over-mean
-/// subtree vertex count on split (multi-thread) points and 1.0 on serial
-/// ones. Lives behind `serde(default)` on [`SnapshotPoint`], so baselines
-/// written before the field existed parse to `None` and skip comparison.
+/// attributed total and sum to 1.0. Lives behind `serde(default)` on
+/// [`SnapshotPoint`], so baselines written before the field existed parse to
+/// `None` and skip comparison. Baselines from the parallel engine's days
+/// also carry `merge` and `imbalance` keys; parsing ignores them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PointProfile {
     /// Total attributed wall nanoseconds in the profiled pass.
@@ -54,16 +54,12 @@ pub struct PointProfile {
     pub apply: f64,
     /// Backtrack undo fraction.
     pub undo: f64,
-    /// Parallel merge/reduction fraction.
-    pub merge: f64,
     /// Child ordering and push (branch selection) fraction. `None` in
     /// baselines written before the `select` stage existed
     /// (`serde(default)`), in which case [`PointProfile::fractions`] omits
     /// it and the remaining stages still sum to 1.0.
     #[serde(default)]
     pub select: Option<f64>,
-    /// Parallel-walk imbalance (max/mean subtree vertices; 1.0 = balanced).
-    pub imbalance: f64,
 }
 
 impl PointProfile {
@@ -85,9 +81,7 @@ impl PointProfile {
             shard: frac(profile.shard_ns),
             apply: frac(profile.apply_ns),
             undo: frac(profile.undo_ns),
-            merge: frac(profile.merge_ns),
             select: Some(frac(profile.select_ns)),
-            imbalance: profile.imbalance(),
         })
     }
 
@@ -104,7 +98,6 @@ impl PointProfile {
             ("profile.shard", self.shard),
             ("profile.apply", self.apply),
             ("profile.undo", self.undo),
-            ("profile.merge", self.merge),
         ];
         if let Some(select) = self.select {
             out.push(("profile.select", select));
@@ -136,14 +129,6 @@ pub struct SnapshotPoint {
     /// (`serde(default)`), which skips its comparison.
     #[serde(default)]
     pub candidates_per_vertex: f64,
-    /// Subtree walks the point's profiled pass spawned, summed over its
-    /// phases. `0` on serial points — and, tellingly, on nominally
-    /// multi-threaded points that fell back to the serial walk (k < 2
-    /// viable subtrees), which is why the `*_t8` points' imbalance can sit
-    /// pinned at 1.0. `0` also in baselines written before the field
-    /// existed (`serde(default)`).
-    #[serde(default)]
-    pub walks_spawned: u64,
     /// Stage-level time attribution from a separate profiled pass; `None`
     /// in baselines written before the field existed (`serde(default)`),
     /// which skips the stage-shift comparison.
@@ -151,7 +136,7 @@ pub struct SnapshotPoint {
     pub profile: Option<PointProfile>,
 }
 
-/// The whole snapshot: provenance plus the three measured points.
+/// The whole snapshot: provenance plus the four measured points.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchSnapshot {
     /// Run provenance: seed, workers, calibration, `git describe`.
@@ -512,7 +497,6 @@ fn point(
             vertices_per_sec: vertices as f64 / secs,
             undos_per_sec: undos as f64 / secs,
             candidates_per_vertex: candidates as f64 / expansions.max(1) as f64,
-            walks_spawned: 0,
             profile: None,
         };
         if best
@@ -525,7 +509,7 @@ fn point(
     best.expect("at least one measured pass")
 }
 
-/// Measures all five canonical points. `measured` is the number of timed
+/// Measures all four canonical points. `measured` is the number of timed
 /// phases per point (the CLI default is [`DEFAULT_MEASURED`]; tests pass a
 /// small count).
 #[must_use]
@@ -579,23 +563,17 @@ pub fn collect(measured: u64) -> BenchSnapshot {
             }
         }
         let prof = best_prof.expect("at least one profiled pass");
-        p.walks_spawned = prof.walks.len() as u64;
         p.profile = PointProfile::from_phase(&prof);
         p
     };
 
-    // Points 2-5: the full algorithm layer on 8 workers, serial and at 8
-    // search threads. Phases here are ~1000× slower than the deep dive, so
-    // they get fewer iterations.
+    // Points 2-3: the full algorithm layer on 8 workers. Phases here are
+    // ~1000× slower than the deep dive, so they get fewer iterations.
     let workers = 8;
     let comm = CommModel::constant(Duration::from_millis(2));
     let initial = vec![Time::ZERO; workers];
     let phase_measured = (measured / 40).max(3);
-    let full_point = |name: &str,
-                      tasks: &[rt_task::Task],
-                      threads: usize,
-                      comm: &CommModel,
-                      initial: &[Time]| {
+    let full_point = |name: &str, tasks: &[rt_task::Task], comm: &CommModel, initial: &[Time]| {
         let algorithm = Algorithm::rt_sads();
         let mut scratch = PhaseScratch::new();
         let run = |scratch: &mut PhaseScratch| -> PhaseTally {
@@ -613,7 +591,6 @@ pub fn collect(measured: u64) -> BenchSnapshot {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                threads,
                 &mut meter,
                 &mut rng,
                 scratch,
@@ -628,10 +605,9 @@ pub fn collect(measured: u64) -> BenchSnapshot {
         // preemption only ever inflates a stage's wall time (the stalled
         // stage absorbs the involuntary wait), so of several profiled
         // passes the one with the smallest total is the cleanest window —
-        // averaging would fold the stalls back in. This matters most for
-        // the multi-thread points on hosts with nproc < threads, where a
-        // single time-slice landing inside one stage can move tens of
-        // percentage points of a short pass's attribution.
+        // averaging would fold the stalls back in. On a short pass a single
+        // time-slice landing inside one stage can move tens of percentage
+        // points of the attribution.
         scratch.search.set_profiling(true);
         let mut best_prof: Option<PhaseProfile> = None;
         for _ in 0..PASSES {
@@ -647,18 +623,15 @@ pub fn collect(measured: u64) -> BenchSnapshot {
             }
         }
         let prof = best_prof.expect("at least one profiled pass");
-        p.walks_spawned = prof.walks.len() as u64;
         p.profile = PointProfile::from_phase(&prof);
         p
     };
     let mixed_tasks = synthetic_batch(150, workers);
     let tight_tasks = tight_batch(150, workers);
-    let mixed = full_point("mixed_150x8", &mixed_tasks, 1, &comm, &initial);
-    let tight = full_point("tight_150x8", &tight_tasks, 1, &comm, &initial);
-    let mixed_t8 = full_point("mixed_150x8_t8", &mixed_tasks, 8, &comm, &initial);
-    let tight_t8 = full_point("tight_150x8_t8", &tight_tasks, 8, &comm, &initial);
+    let mixed = full_point("mixed_150x8", &mixed_tasks, &comm, &initial);
+    let tight = full_point("tight_150x8", &tight_tasks, &comm, &initial);
 
-    // Point 6: the shard-first candidate loop at P=1024 (16 nodes of 64
+    // Point 4: the shard-first candidate loop at P=1024 (16 nodes of 64
     // processors on 4 racks). The flat loop would probe all 1024 processors
     // per expansion; the shard screen ranks the 16 node minima and emits
     // only the best `fanout` nodes' processors, so candidates_per_vertex is
@@ -672,15 +645,13 @@ pub fn collect(measured: u64) -> BenchSnapshot {
         full_point(
             "sharded_1024x64",
             &sharded_tasks,
-            1,
             &sharded_comm,
             &sharded_initial,
         )
     };
 
-    // The host's logical CPU count: the multi-thread points' split decision
-    // (and therefore their imbalance/walk telemetry) depends on it, so a
-    // baseline measured on a narrower machine is identifiable as such.
+    // The host's logical CPU count, so a baseline measured on a different
+    // machine is identifiable as such.
     let nproc = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -688,14 +659,14 @@ pub fn collect(measured: u64) -> BenchSnapshot {
         .calibration(1, Some(2_000))
         .with(
             "points",
-            "deep_dive_64,mixed_150x8,tight_150x8,mixed_150x8_t8,tight_150x8_t8,sharded_1024x64",
+            "deep_dive_64,mixed_150x8,tight_150x8,sharded_1024x64",
         )
         .with("measured_phases", measured.to_string())
         .with("nproc", nproc.to_string());
 
     BenchSnapshot {
         manifest,
-        points: vec![dive, mixed, tight, mixed_t8, tight_t8, sharded],
+        points: vec![dive, mixed, tight, sharded],
     }
 }
 
@@ -709,7 +680,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_reports_positive_rates() {
         let snap = collect(120);
-        assert_eq!(snap.points.len(), 6);
+        assert_eq!(snap.points.len(), 4);
         assert_eq!(snap.points[0].name, "deep_dive_64");
         for p in &snap.points {
             assert!(p.phases > 0, "{}: no phases", p.name);
@@ -723,13 +694,6 @@ mod tests {
             .find(|p| p.name == "tight_150x8")
             .expect("tight point present");
         assert!(tight.undos_per_sec > 0.0, "tight point never undid");
-        // The 8-thread variants of both full-phase points must be present.
-        for name in ["mixed_150x8_t8", "tight_150x8_t8"] {
-            assert!(
-                snap.points.iter().any(|p| p.name == name),
-                "{name} missing from snapshot"
-            );
-        }
         // The sharded point's raison d'etre: candidate evaluations per
         // expansion must sit far below the flat loop's O(P) = 1024 —
         // bounded by fanout x (P / nodes) = 2 x 64 plus screen slack.
@@ -749,7 +713,7 @@ mod tests {
             sharded.candidates_per_vertex
         );
         // Every point carries a profile section whose stage fractions sum
-        // to 1.0, and the parallel points report an imbalance >= 1.
+        // to 1.0.
         for p in &snap.points {
             let prof = p
                 .profile
@@ -762,22 +726,17 @@ mod tests {
                 p.name
             );
             assert!(prof.total_ns > 0, "{}: zero attributed time", p.name);
-            assert!(prof.imbalance >= 1.0, "{}: imbalance below 1", p.name);
         }
         let back = BenchSnapshot::parse(&snap.to_json()).expect("round trip");
-        assert_eq!(back.points.len(), 6);
+        assert_eq!(back.points.len(), 4);
         assert_eq!(back.manifest.seed, SNAPSHOT_SEED);
         // The profile section round-trips through JSON too, including the
-        // select stage and the walk count.
+        // select stage.
         assert!(back.points.iter().all(|p| p.profile.is_some()));
         assert!(back
             .points
             .iter()
             .all(|p| p.profile.as_ref().unwrap().select.is_some()));
-        assert_eq!(
-            back.points.iter().map(|p| p.walks_spawned).sum::<u64>(),
-            snap.points.iter().map(|p| p.walks_spawned).sum::<u64>()
-        );
         // The manifest records the host's logical CPU count.
         assert!(snap
             .manifest
@@ -795,7 +754,6 @@ mod tests {
             vertices_per_sec: rate * 50.0 * scale,
             undos_per_sec: rate * 2.0 * scale,
             candidates_per_vertex: 0.0,
-            walks_spawned: 0,
             profile: None,
         };
         BenchSnapshot {
@@ -832,14 +790,13 @@ mod tests {
         let base = synthetic_snapshot(1.0);
         let mut grown = synthetic_snapshot(1.0);
         grown.points.push(SnapshotPoint {
-            name: "mixed_150x8_t8".to_string(),
+            name: "tight_150x8".to_string(),
             phases: 100,
             elapsed_us: 1_000,
             phases_per_sec: 300.0,
             vertices_per_sec: 15_000.0,
             undos_per_sec: 600.0,
             candidates_per_vertex: 0.0,
-            walks_spawned: 0,
             profile: None,
         });
         let diff = diff_snapshots(&base, &grown, 0.20);
@@ -848,7 +805,7 @@ mod tests {
             "matched points are all fine"
         );
         assert!(diff.has_regression(), "unexpected point must fail the gate");
-        assert_eq!(diff.unexpected, vec!["mixed_150x8_t8".to_string()]);
+        assert_eq!(diff.unexpected, vec!["tight_150x8".to_string()]);
         assert!(diff.render().contains("not in baseline"));
         assert!(diff.render().contains("verdict: FAIL"));
 
@@ -894,10 +851,8 @@ mod tests {
             cost: 0.3,
             shard: 0.1,
             apply: 0.1,
-            undo: 0.1,
-            merge: 0.1,
+            undo: 0.2,
             select: None,
-            imbalance: 1.0,
         }
     }
 

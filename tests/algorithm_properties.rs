@@ -112,7 +112,6 @@ proptest! {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -149,7 +148,6 @@ proptest! {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -217,7 +215,6 @@ proptest! {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut PhaseScratch::new(),

@@ -5,27 +5,30 @@
 //! `--allow-dirty` is passed and records that override in the manifest;
 //! this test asserts the committed file was produced without it.
 
-use serde_json::Value;
+use rtsads_repro::snapshot::BenchSnapshot;
 
-fn baseline() -> Value {
+/// The points `bench-snapshot` measures. `bench-diff` fails on any point
+/// the baseline has and a fresh snapshot lacks, and the other way round.
+const CANONICAL_POINTS: [&str; 4] = [
+    "deep_dive_64",
+    "mixed_150x8",
+    "tight_150x8",
+    "sharded_1024x64",
+];
+
+fn baseline() -> BenchSnapshot {
     let raw = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_search.json"))
         .expect("BENCH_search.json missing from repo root");
-    serde_json::from_str(&raw).expect("BENCH_search.json is not valid JSON")
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    v.get(key)
-        .unwrap_or_else(|| panic!("baseline missing field {key:?}"))
+    BenchSnapshot::parse(&raw).expect("BENCH_search.json is not a bench snapshot")
 }
 
 #[test]
 fn committed_baseline_comes_from_a_clean_tree() {
-    let doc = baseline();
-    let manifest = field(&doc, "manifest");
+    let manifest = baseline().manifest;
 
-    let describe = field(manifest, "git_describe")
-        .as_str()
-        .expect("manifest.git_describe is not a string");
+    let describe = manifest
+        .git_describe
+        .expect("manifest.git_describe is missing");
     assert!(
         !describe.ends_with("-dirty"),
         "baseline captured from a dirty tree: git_describe = {describe:?}; \
@@ -34,10 +37,9 @@ fn committed_baseline_comes_from_a_clean_tree() {
     );
 
     let allow_dirty = manifest
-        .get("extra")
-        .and_then(|e| e.get("allow_dirty"))
-        .and_then(Value::as_str)
-        .unwrap_or("false");
+        .extra
+        .get("allow_dirty")
+        .map_or("false", String::as_str);
     assert_ne!(
         allow_dirty, "true",
         "baseline was captured with --allow-dirty; regenerate from a clean tree"
@@ -47,47 +49,34 @@ fn committed_baseline_comes_from_a_clean_tree() {
 #[test]
 fn committed_baseline_covers_the_canonical_points_with_profiles() {
     let doc = baseline();
-    let points = field(&doc, "points").as_array().expect("points array");
-    let names: Vec<&str> = points
-        .iter()
-        .map(|p| field(p, "name").as_str().expect("point name"))
-        .collect();
-    for required in [
-        "deep_dive_64",
-        "mixed_150x8",
-        "tight_150x8",
-        "sharded_1024x64",
-    ] {
-        assert!(
-            names.contains(&required),
-            "baseline lost canonical point {required:?}; have {names:?}"
-        );
-    }
+    let names: Vec<&str> = doc.points.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(
+        names, CANONICAL_POINTS,
+        "baseline points differ from the points bench-snapshot measures"
+    );
+    assert_eq!(
+        doc.manifest.extra.get("points").map(String::as_str),
+        Some(CANONICAL_POINTS.join(",").as_str()),
+        "manifest point list disagrees with the points"
+    );
     // Every point carries a stage profile whose fractions cover the
     // attributed time (the bench-diff stage comparison reads these).
-    for p in points {
-        let name = field(p, "name").as_str().unwrap();
-        let profile = field(p, "profile")
-            .as_object()
-            .unwrap_or_else(|| panic!("point {name:?} lacks a profile"));
+    for p in &doc.points {
+        let profile = p
+            .profile
+            .as_ref()
+            .unwrap_or_else(|| panic!("point {:?} lacks a profile", p.name));
         assert!(
-            profile.iter().any(|(k, _)| k == "select"),
-            "point {name:?} profile predates the select stage; regenerate"
+            profile.select.is_some(),
+            "point {:?} profile predates the select stage; regenerate",
+            p.name
         );
-        let total_ns = profile
-            .iter()
-            .find(|(k, _)| k == "total_ns")
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap_or(0);
-        if total_ns > 0 {
-            let sum: f64 = profile
-                .iter()
-                .filter(|(k, _)| !matches!(k.as_str(), "total_ns" | "imbalance"))
-                .filter_map(|(_, v)| v.as_f64())
-                .sum();
+        if profile.total_ns > 0 {
+            let sum: f64 = profile.fractions().iter().map(|(_, f)| f).sum();
             assert!(
                 (sum - 1.0).abs() < 1e-6,
-                "point {name:?} stage fractions sum to {sum}, not 1.0"
+                "point {:?} stage fractions sum to {sum}, not 1.0",
+                p.name
             );
         }
     }

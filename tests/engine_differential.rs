@@ -16,9 +16,8 @@ use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{HostParams, SchedulingMeter};
 use rt_task::{AffinitySet, CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId};
 use sched_search::{
-    search_schedule, search_schedule_parallel_with_report, search_schedule_replay,
-    search_schedule_with, ChildOrder, ParallelScratch, ProcessorOrder, Pruning, Representation,
-    SearchOutcome, SearchParams, SearchScratch, SearchStats, TaskOrder, Termination,
+    search_schedule, search_schedule_replay, search_schedule_with, ChildOrder, ProcessorOrder,
+    Pruning, Representation, SearchOutcome, SearchParams, SearchScratch, TaskOrder, Termination,
 };
 
 const INSTANCES: u64 = 500;
@@ -246,222 +245,19 @@ fn incremental_engine_matches_replay_oracle_over_random_instances() {
     );
 }
 
-/// The parallel engine over the same 500 seeded instances, at 1, 2 and 8
-/// threads. Three properties:
-///
-/// 1. **Width invariance** — thread count is pure execution width, so every
-///    outcome field, meter counter and per-subtree report entry must be
-///    bit-identical across widths.
-/// 2. **Counter conservation** — on split phases the merged counters must
-///    equal the shared prologue's plus every committed subtree's, plus the
-///    cross-subtree backtrack/undo hops, and the meter's vertex tally must
-///    equal `vertices_generated`.
-/// 3. **Serial agreement** — whenever the phase didn't split, or split but
-///    no subtree was cut short by its budget slice (all committed walks
-///    dead-ended, the last one possibly at a leaf, and the merged backtrack
-///    count stayed within any global limit), the parallel result must be
-///    bit-identical to the serial engine's. Budget-sliced phases may
-///    legitimately explore a different frontier; they are still covered by
-///    properties 1 and 2.
-#[test]
-fn parallel_engine_is_width_invariant_and_matches_serial_when_unsliced() {
-    let parent = SimRng::seed_from(0x5AD5_D1FF);
-    let mut serial_scratch = SearchScratch::new();
-    // One persistent scratch pair per width, carried across all instances.
-    let widths = [1usize, 2, 8];
-    let mut scratches: Vec<(SearchScratch, ParallelScratch)> = widths
-        .iter()
-        .map(|_| (SearchScratch::new(), ParallelScratch::new()))
-        .collect();
-    let mut splits = 0u64;
-    let mut split_serial_equal = 0u64;
-    let mut sliced = 0u64;
-    let mut leaf_commits = 0u64;
-
-    for i in 0..INSTANCES {
-        let mut rng = parent.child(i);
-        let inst = random_instance(&mut rng);
-        let params = inst.params();
-
-        let mut serial_meter = inst.meter();
-        let serial = search_schedule_with(&params, &mut serial_meter, &mut serial_scratch);
-
-        let mut results = Vec::new();
-        for (w, (scratch, par)) in widths.iter().zip(scratches.iter_mut()) {
-            let mut meter = inst.meter();
-            let (out, rep) =
-                search_schedule_parallel_with_report(&params, *w, &mut meter, scratch, par);
-            results.push((out, rep, meter));
-        }
-
-        // Property 1: bit-identical across widths.
-        let (base_out, base_rep, base_meter) = &results[0];
-        for ((out, rep, meter), w) in results.iter().zip(widths).skip(1) {
-            let at = format!("instance {i} width {w}");
-            assert_eq!(out.assignments, base_out.assignments, "{at}");
-            assert_eq!(out.termination, base_out.termination, "{at}");
-            assert_eq!(out.n_viable, base_out.n_viable, "{at}");
-            assert_eq!(out.makespan, base_out.makespan, "{at}");
-            assert_eq!(out.stats, base_out.stats, "{at}");
-            assert_eq!(out.provenance, base_out.provenance, "{at}");
-            assert_eq!(meter.vertices(), base_meter.vertices(), "{at}");
-            assert_eq!(meter.consumed(), base_meter.consumed(), "{at}");
-            assert_eq!(meter.exhausted(), base_meter.exhausted(), "{at}");
-            assert_eq!(rep.split, base_rep.split, "{at}");
-            assert_eq!(rep.subtrees, base_rep.subtrees, "{at}");
-            assert_eq!(rep.committed, base_rep.committed, "{at}");
-            assert_eq!(rep.stage_stats, base_rep.stage_stats, "{at}");
-            assert_eq!(rep.subs.len(), base_rep.subs.len(), "{at}");
-            for (a, b) in rep.subs.iter().zip(&base_rep.subs) {
-                assert_eq!(a.termination, b.termination, "{at}");
-                assert_eq!(a.stats, b.stats, "{at}");
-                assert_eq!(a.pops, b.pops, "{at}");
-                assert_eq!(a.end_depth, b.end_depth, "{at}");
-                assert_eq!(a.committed, b.committed, "{at}");
-                assert_eq!(a.vertices, b.vertices, "{at}");
-                assert_eq!(a.consumed, b.consumed, "{at}");
-            }
-        }
-
-        // Property 2: merged counters = prologue + committed subtrees +
-        // cross-subtree hops.
-        if base_rep.split {
-            splits += 1;
-            let subs = &base_rep.subs[..base_rep.committed];
-            let stage = &base_rep.stage_stats;
-            let sum = |f: fn(&SearchStats) -> u64| subs.iter().map(|s| f(&s.stats)).sum::<u64>();
-            let entered: Vec<u64> = subs
-                .iter()
-                .filter(|s| s.pops > 0)
-                .map(|s| s.end_depth as u64)
-                .collect();
-            let cross_backtracks = (entered.len() as u64).saturating_sub(1);
-            let cross_undos: u64 = entered
-                .split_last()
-                .map_or(0, |(_, before)| before.iter().sum());
-            let m = &base_out.stats;
-            assert_eq!(
-                m.vertices_generated,
-                stage.vertices_generated + sum(|s| s.vertices_generated),
-                "instance {i}"
-            );
-            assert_eq!(
-                m.expansions,
-                stage.expansions + sum(|s| s.expansions),
-                "instance {i}"
-            );
-            assert_eq!(
-                m.feasible_children,
-                stage.feasible_children + sum(|s| s.feasible_children),
-                "instance {i}"
-            );
-            assert_eq!(
-                m.infeasible_children,
-                stage.infeasible_children + sum(|s| s.infeasible_children),
-                "instance {i}"
-            );
-            assert_eq!(
-                m.backtracks,
-                stage.backtracks + sum(|s| s.backtracks) + cross_backtracks,
-                "instance {i}"
-            );
-            assert_eq!(
-                m.undos,
-                stage.undos + sum(|s| s.undos) + cross_undos,
-                "instance {i}"
-            );
-            assert_eq!(
-                base_meter.vertices(),
-                m.vertices_generated,
-                "instance {i}: meter out of step with stats"
-            );
-            if subs.iter().any(|s| s.termination == Termination::Leaf) {
-                leaf_commits += 1;
-            }
-        }
-
-        // Property 3: serial agreement whenever no budget slice bound.
-        let unsliced = !base_rep.split || {
-            let shape_ok = base_rep.subs[..base_rep.committed]
-                .iter()
-                .enumerate()
-                .all(|(j, s)| {
-                    s.termination == Termination::DeadEnd
-                        || (j + 1 == base_rep.committed && s.termination == Termination::Leaf)
-                });
-            let backtracks_ok = inst
-                .pruning
-                .backtrack_limit
-                .is_none_or(|limit| base_out.stats.backtracks <= limit);
-            shape_ok && backtracks_ok
-        };
-        if unsliced {
-            if base_rep.split {
-                split_serial_equal += 1;
-            }
-            let at = format!("instance {i} vs serial");
-            assert_eq!(base_out.assignments, serial.assignments, "{at}");
-            assert_eq!(base_out.termination, serial.termination, "{at}");
-            assert_eq!(base_out.n_viable, serial.n_viable, "{at}");
-            assert_eq!(base_out.makespan, serial.makespan, "{at}");
-            assert_eq!(base_out.stats, serial.stats, "{at}");
-            assert_eq!(base_out.provenance, serial.provenance, "{at}");
-            assert_eq!(base_meter.vertices(), serial_meter.vertices(), "{at}");
-            assert_eq!(base_meter.consumed(), serial_meter.consumed(), "{at}");
-            assert_eq!(base_meter.exhausted(), serial_meter.exhausted(), "{at}");
-        } else {
-            sliced += 1;
-        }
-
-        serial_scratch.recycle(serial.assignments);
-        for ((out, _, _), (scratch, _)) in results.into_iter().zip(scratches.iter_mut()) {
-            scratch.recycle(out.assignments);
-        }
-    }
-
-    // The sweep must exercise every regime, or the checks are vacuous.
-    assert!(splits > 0, "no instance ever split");
-    assert!(
-        split_serial_equal > 0,
-        "no split instance was ever serial-equal"
-    );
-    assert!(sliced > 0, "no instance was ever budget-sliced");
-    assert!(leaf_commits > 0, "no split instance ever committed a leaf");
-}
-
 /// The stage profiler's neutrality contract: profiling observes wall time
 /// but never influences a scheduling decision, so a profiled scratch must
-/// produce the bit-identical `SearchOutcome`, meter state and subtree
-/// report as an unprofiled one — serially and at parallel widths 1 and 8 —
-/// over the same 500 seeded instances as the oracle sweep. The profiled
-/// runs must also actually attribute time, or the equalities are vacuous.
+/// produce the bit-identical `SearchOutcome` and meter state as an
+/// unprofiled one over the same 500 seeded instances as the oracle sweep.
+/// The profiled runs must also actually attribute time, or the equalities
+/// are vacuous.
 #[test]
 fn profiled_search_is_bit_identical_to_unprofiled() {
     let parent = SimRng::seed_from(0x5AD5_D1FF);
-    let widths = [1usize, 8];
     let mut plain_scratch = SearchScratch::new();
     let mut prof_scratch = SearchScratch::new();
     prof_scratch.set_profiling(true);
-    let mut par_scratches: Vec<(
-        SearchScratch,
-        ParallelScratch,
-        SearchScratch,
-        ParallelScratch,
-    )> = widths
-        .iter()
-        .map(|_| {
-            let mut prof = SearchScratch::new();
-            prof.set_profiling(true);
-            (
-                SearchScratch::new(),
-                ParallelScratch::new(),
-                prof,
-                ParallelScratch::new(),
-            )
-        })
-        .collect();
     let mut attributed_ns = 0u64;
-    let mut split_walks = 0usize;
 
     for i in 0..INSTANCES {
         let mut rng = parent.child(i);
@@ -488,45 +284,11 @@ fn profiled_search_is_bit_identical_to_unprofiled() {
             "take_profile must keep the profiler armed"
         );
 
-        for (w, (ps, pp, fs, fp)) in widths.iter().zip(par_scratches.iter_mut()) {
-            let mut pm = inst.meter();
-            let mut fm = inst.meter();
-            let (po, pr) = search_schedule_parallel_with_report(&params, *w, &mut pm, ps, pp);
-            let (fo, fr) = search_schedule_parallel_with_report(&params, *w, &mut fm, fs, fp);
-            let at = format!("instance {i} width {w}");
-            assert_eq!(po.assignments, fo.assignments, "{at}");
-            assert_eq!(po.termination, fo.termination, "{at}");
-            assert_eq!(po.n_viable, fo.n_viable, "{at}");
-            assert_eq!(po.makespan, fo.makespan, "{at}");
-            assert_eq!(po.stats, fo.stats, "{at}");
-            assert_eq!(po.provenance, fo.provenance, "{at}");
-            assert_eq!(pm.vertices(), fm.vertices(), "{at}");
-            assert_eq!(pm.consumed(), fm.consumed(), "{at}");
-            assert_eq!(pr.split, fr.split, "{at}");
-            assert_eq!(pr.committed, fr.committed, "{at}");
-            assert_eq!(pr.stage_stats, fr.stage_stats, "{at}");
-            let profile = fs.take_profile();
-            attributed_ns += profile.total_ns();
-            if fr.split {
-                assert_eq!(
-                    profile.walks.len(),
-                    fr.subtrees,
-                    "{at}: one walk record per subtree"
-                );
-                split_walks += profile.walks.len();
-            } else {
-                assert!(profile.walks.is_empty(), "{at}: unsplit phase has walks");
-            }
-            ps.recycle(po.assignments);
-            fs.recycle(fo.assignments);
-        }
-
         plain_scratch.recycle(a.assignments);
         prof_scratch.recycle(b.assignments);
     }
 
     assert!(attributed_ns > 0, "profiled sweep attributed no time");
-    assert!(split_walks > 0, "no split phase ever recorded walks");
 }
 
 /// The degenerate-topology contract: a 1-node/1-rack [`TopologySpec`] is the
@@ -534,33 +296,15 @@ fn profiled_search_is_bit_identical_to_unprofiled() {
 /// the equivalent one-node hierarchical model must leave the entire
 /// `SearchOutcome` — assignments, termination, viability count, makespan,
 /// every stats counter, provenance and the meter — bit-identical across the
-/// same 500 seeded instances, serially and at parallel widths 1 and 8. The
-/// shard-first candidate screen must never engage (it needs >= 2 nodes), so
-/// its counters stay zero.
+/// same 500 seeded instances. The shard-first candidate screen must never
+/// engage (it needs >= 2 nodes), so its counters stay zero.
 #[test]
 fn one_node_topology_is_bit_identical_to_the_flat_model() {
     use rt_task::TopologySpec;
 
     let parent = SimRng::seed_from(0x5AD5_D1FF);
-    let widths = [1usize, 8];
     let mut flat_scratch = SearchScratch::new();
     let mut topo_scratch = SearchScratch::new();
-    let mut par_scratches: Vec<(
-        SearchScratch,
-        ParallelScratch,
-        SearchScratch,
-        ParallelScratch,
-    )> = widths
-        .iter()
-        .map(|_| {
-            (
-                SearchScratch::new(),
-                ParallelScratch::new(),
-                SearchScratch::new(),
-                ParallelScratch::new(),
-            )
-        })
-        .collect();
 
     for i in 0..INSTANCES {
         let mut rng = parent.child(i);
@@ -600,25 +344,6 @@ fn one_node_topology_is_bit_identical_to_the_flat_model() {
         assert_eq!(flat_meter.consumed(), topo_meter.consumed(), "{at}");
         assert_eq!(b.stats.shard_screens, 0, "{at}: 1 node must not shard");
         assert_eq!(b.stats.shards_pruned, 0, "{at}: 1 node must not shard");
-
-        for (w, (fs, fp, ts, tp)) in widths.iter().zip(par_scratches.iter_mut()) {
-            let mut fm = flat.meter();
-            let mut tm = topo.meter();
-            let (fo, _) = search_schedule_parallel_with_report(&flat.params(), *w, &mut fm, fs, fp);
-            let (to, _) = search_schedule_parallel_with_report(&topo.params(), *w, &mut tm, ts, tp);
-            let at = format!("instance {i} width {w}");
-            assert_eq!(fo.assignments, to.assignments, "{at}");
-            assert_eq!(fo.termination, to.termination, "{at}");
-            assert_eq!(fo.n_viable, to.n_viable, "{at}");
-            assert_eq!(fo.makespan, to.makespan, "{at}");
-            assert_eq!(fo.stats, to.stats, "{at}");
-            assert_eq!(fo.provenance, to.provenance, "{at}");
-            assert_eq!(fm.vertices(), tm.vertices(), "{at}");
-            assert_eq!(fm.consumed(), tm.consumed(), "{at}");
-            assert_eq!(to.stats.shard_screens, 0, "{at}: 1 node must not shard");
-            fs.recycle(fo.assignments);
-            ts.recycle(to.assignments);
-        }
 
         flat_scratch.recycle(a.assignments);
         topo_scratch.recycle(b.assignments);
@@ -717,8 +442,7 @@ impl Fnv {
 /// ordering moves both sides of the differential together and the sweeps
 /// above stay green. This test folds every outcome of the same 500 seeded
 /// instances into one FNV-1a digest per (representation × child order)
-/// cell — serially and through the parallel engine at width 2 — and
-/// compares against committed digests, recorded from an engine that sorted
+/// cell and compares against committed digests, recorded from an engine that sorted
 /// each child order by its full comparison tuple. Any reordering of
 /// siblings, stats drift or provenance change flips a digest; a deliberate
 /// change of search order lands with new digests.
@@ -730,56 +454,32 @@ fn search_order_digests_are_pinned() {
         ChildOrder::EarliestDeadline,
         ChildOrder::None,
     ];
-    // (layout, child order, serial digest, width-2 parallel digest).
-    const PINNED: [(&str, ChildOrder, u64, u64); 8] = [
-        (
-            "assignment",
-            ChildOrder::LoadBalance,
-            0x4289_e679_5614_000b,
-            0xa467_e552_16cd_f56e,
-        ),
+    // (layout, child order, serial digest).
+    const PINNED: [(&str, ChildOrder, u64); 8] = [
+        ("assignment", ChildOrder::LoadBalance, 0x4289_e679_5614_000b),
         (
             "assignment",
             ChildOrder::EarliestCompletion,
             0x9fa1_f4fb_e266_12cf,
-            0xdcfd_7338_ac4c_3c7c,
         ),
         (
             "assignment",
             ChildOrder::EarliestDeadline,
             0xbf4b_816a_d473_f96b,
-            0x6a22_760b_0c51_4bac,
         ),
-        (
-            "assignment",
-            ChildOrder::None,
-            0x01ef_4d09_b538_454c,
-            0x3d39_4cfe_f060_7d64,
-        ),
-        (
-            "sequence",
-            ChildOrder::LoadBalance,
-            0x516e_3992_e4af_e70f,
-            0xd4d8_649c_e8ec_15dd,
-        ),
+        ("assignment", ChildOrder::None, 0x01ef_4d09_b538_454c),
+        ("sequence", ChildOrder::LoadBalance, 0x516e_3992_e4af_e70f),
         (
             "sequence",
             ChildOrder::EarliestCompletion,
             0x8daa_af97_495e_fb01,
-            0xff20_b05c_56f8_a694,
         ),
         (
             "sequence",
             ChildOrder::EarliestDeadline,
             0x127b_5113_7b4e_76df,
-            0x1fb3_7383_2a59_e523,
         ),
-        (
-            "sequence",
-            ChildOrder::None,
-            0x9ec0_3d05_a219_3a4e,
-            0x924d_5b84_ee03_09ea,
-        ),
+        ("sequence", ChildOrder::None, 0x9ec0_3d05_a219_3a4e),
     ];
     let cell = |inst: &Instance| {
         let layout = usize::from(!inst.representation.is_assignment_oriented());
@@ -792,10 +492,8 @@ fn search_order_digests_are_pinned() {
 
     let parent = SimRng::seed_from(0x5AD5_D1FF);
     let mut serial: Vec<Fnv> = (0..PINNED.len()).map(|_| Fnv::new()).collect();
-    let mut parallel: Vec<Fnv> = (0..PINNED.len()).map(|_| Fnv::new()).collect();
     let mut counts = [0u64; PINNED.len()];
     let mut scratch = SearchScratch::new();
-    let (mut par_scratch, mut par) = (SearchScratch::new(), ParallelScratch::new());
     for i in 0..INSTANCES {
         let mut rng = parent.child(i);
         let inst = random_instance(&mut rng);
@@ -806,22 +504,12 @@ fn search_order_digests_are_pinned() {
         let out = search_schedule_with(&params, &mut inst.meter(), &mut scratch);
         serial[c].outcome(&out);
         scratch.recycle(out.assignments);
-
-        let (out, _) = search_schedule_parallel_with_report(
-            &params,
-            2,
-            &mut inst.meter(),
-            &mut par_scratch,
-            &mut par,
-        );
-        parallel[c].outcome(&out);
-        par_scratch.recycle(out.assignments);
     }
 
-    let got: Vec<(&str, ChildOrder, u64, u64)> = PINNED
+    let got: Vec<(&str, ChildOrder, u64)> = PINNED
         .iter()
         .enumerate()
-        .map(|(c, &(layout, order, _, _))| (layout, order, serial[c].0, parallel[c].0))
+        .map(|(c, &(layout, order, _))| (layout, order, serial[c].0))
         .collect();
     for (c, &n) in counts.iter().enumerate() {
         assert!(n > 20, "cell {:?} drew only {n} instances", PINNED[c]);
