@@ -173,19 +173,6 @@ impl FaultConfig {
         self.failure_rate <= 0.0 && self.spike_rate <= 0.0 && self.node_failure_rate <= 0.0
     }
 
-    /// Samples the concrete plan a run with `workers` processors and the
-    /// given seed executes, on a flat (topology-less) platform. Node faults
-    /// need shard boundaries, so this is [`FaultConfig::sample_plan_topo`]
-    /// with no topology. Deterministic in `(self, workers, seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a rate is negative or not finite.
-    #[must_use]
-    pub fn sample_plan(&self, workers: usize, seed: u64) -> FaultPlan {
-        self.sample_plan_topo(workers, None, seed)
-    }
-
     /// Samples the concrete plan for a run on a (possibly hierarchical)
     /// platform. Per-processor failures sample exactly as on the flat
     /// machine; with a topology and `node_failure_rate > 0`, each node also
@@ -463,7 +450,7 @@ mod tests {
 
     #[test]
     fn disabled_config_samples_an_empty_plan() {
-        let plan = FaultConfig::disabled().sample_plan(8, 1234);
+        let plan = FaultConfig::disabled().sample_plan_topo(8, None, 1234);
         assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::empty());
     }
@@ -476,10 +463,10 @@ mod tests {
             Duration::from_millis(3),
             0.1,
         );
-        let a = cfg.sample_plan(10, 77);
-        let b = cfg.sample_plan(10, 77);
+        let a = cfg.sample_plan_topo(10, None, 77);
+        let b = cfg.sample_plan_topo(10, None, 77);
         assert_eq!(a, b);
-        let c = cfg.sample_plan(10, 78);
+        let c = cfg.sample_plan_topo(10, None, 78);
         assert_ne!(a, c, "different seeds give different plans");
         assert!(!a.is_empty());
     }
@@ -487,7 +474,7 @@ mod tests {
     #[test]
     fn events_are_sorted_and_alternate_per_processor() {
         let cfg = FaultConfig::fail_recover(20.0, Duration::from_millis(100));
-        let plan = cfg.sample_plan(4, 9);
+        let plan = cfg.sample_plan_topo(4, None, 9);
         assert!(plan.events.windows(2).all(|w| w[0].at <= w[1].at));
         for k in 0..4 {
             let seq: Vec<&FaultEvent> = plan
@@ -509,7 +496,7 @@ mod tests {
 
     #[test]
     fn fail_stop_yields_at_most_one_failure_per_processor() {
-        let plan = FaultConfig::fail_stop(50.0).sample_plan(6, 3);
+        let plan = FaultConfig::fail_stop(50.0).sample_plan_topo(6, None, 3);
         for k in 0..6 {
             let downs = plan
                 .events
@@ -534,7 +521,7 @@ mod tests {
                 0.5,
             )
             .horizon(Duration::from_secs(1));
-        let plan = cfg.sample_plan(3, 5);
+        let plan = cfg.sample_plan_topo(3, None, 5);
         let horizon = Time::ZERO + Duration::from_secs(1);
         // Down events respect the horizon; a matching Up may land past it
         // (repairs are not censored), and spikes *start* inside it.
@@ -657,7 +644,7 @@ mod tests {
     fn adding_node_faults_leaves_processor_streams_unchanged() {
         let topo = rt_task::TopologySpec::new(8, 4, 2, 0, 100, 200);
         let base = FaultConfig::fail_recover(2.0, Duration::from_millis(50));
-        let flat = base.sample_plan(8, 77);
+        let flat = base.sample_plan_topo(8, None, 77);
         let with_nodes = base
             .node_faults(1.0, None)
             .sample_plan_topo(8, Some(&topo), 77);

@@ -152,21 +152,6 @@ impl RunReport {
         self.phases.iter().map(|p| p.undos).sum()
     }
 
-    /// Total replay applies avoided by the incremental engine across phases.
-    #[must_use]
-    pub fn total_replay_avoided(&self) -> u64 {
-        self.phases.iter().map(|p| p.replay_avoided).sum()
-    }
-
-    /// Total tasks observed expiring while a phase was computing, summed
-    /// over phases. Each is also counted once in [`RunReport::dropped`]
-    /// (when the next phase's filter removes it), so this is a breakdown,
-    /// not an addition.
-    #[must_use]
-    pub fn total_expired_mid_phase(&self) -> usize {
-        self.phases.iter().map(|p| p.expired_mid_phase).sum()
-    }
-
     /// Number of phases that ended at a dead-end.
     #[must_use]
     pub fn dead_end_phases(&self) -> usize {
@@ -447,8 +432,6 @@ mod tests {
         assert_eq!(r.total_vertices(), 36);
         assert_eq!(r.total_backtracks(), 9);
         assert_eq!(r.total_undos(), 15);
-        assert_eq!(r.total_replay_avoided(), 24);
-        assert_eq!(r.total_expired_mid_phase(), 3);
         assert_eq!(r.dead_end_phases(), 2);
         assert_eq!(r.mean_processors_used(), Some(3.0));
     }

@@ -1,10 +1,11 @@
-//! Deterministic discrete-event simulation (DES) engine.
+//! Deterministic simulation substrate: virtual time, seeded randomness and
+//! tracing.
 //!
-//! This crate is the lowest substrate of the RT-SADS reproduction: it provides
-//! a virtual clock ([`Time`], [`Duration`]), a deterministic event queue
-//! ([`EventQueue`]), a generic simulation driver ([`Simulation`]), a seeded
-//! random-number helper ([`SimRng`]) and a lightweight trace facility
-//! ([`trace::Tracer`]).
+//! This crate is the lowest layer of the RT-SADS reproduction: it provides
+//! a virtual clock ([`Time`], [`Duration`]), a seeded random-number helper
+//! ([`SimRng`]) and a lightweight trace facility ([`trace::Tracer`]). The
+//! driver in the `rtsads` crate advances the clock with its own next-event
+//! phase loop.
 //!
 //! Everything is integer-based (microsecond ticks) so that simulations are
 //! bit-for-bit reproducible across runs and platforms — a property the test
@@ -13,26 +14,21 @@
 //! # Example
 //!
 //! ```
-//! use paragon_des::{Duration, EventQueue, Time};
+//! use paragon_des::{Duration, Time};
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(Time::ZERO + Duration::from_millis(2), "later");
-//! q.schedule(Time::ZERO + Duration::from_millis(1), "sooner");
-//! let (t, e) = q.pop().unwrap();
-//! assert_eq!(e, "sooner");
-//! assert_eq!(t, Time::from_micros(1_000));
+//! let release = Time::ZERO + Duration::from_millis(1);
+//! let deadline = release + Duration::from_micros(2_500);
+//! assert_eq!(deadline.as_micros(), 3_500);
+//! assert_eq!(deadline - release, Duration::from_micros(2_500));
+//! assert_eq!(release.saturating_since(deadline), Duration::ZERO);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod queue;
 mod rng;
-mod sim;
 mod time;
 pub mod trace;
 
-pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use sim::{EventHandler, HandlerFlow, Simulation, StopReason};
 pub use time::{Duration, Time};

@@ -78,11 +78,6 @@ impl SimRng {
         self.inner.gen_range(range)
     }
 
-    /// Samples a uniform `f64` in `[0, 1)`.
-    pub fn uniform_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
     /// Returns `true` with probability `p`.
     ///
     /// # Panics
@@ -195,8 +190,6 @@ mod tests {
             assert!((10..20).contains(&x));
             let y = r.uniform_usize(0..3);
             assert!(y < 3);
-            let u = r.uniform_f64();
-            assert!((0.0..1.0).contains(&u));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Virtual time for the simulation: [`Time`] (an instant) and [`Duration`]
 //! (a span), both counted in integer microseconds.
 //!
-//! Integer ticks keep the event queue totally ordered without floating-point
+//! Integer ticks keep instants totally ordered without floating-point
 //! drift, which is what makes simulation runs reproducible.
 
 use std::fmt;
@@ -92,12 +92,6 @@ impl Time {
     #[must_use]
     pub fn saturating_since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Returns `self - other` if `self >= other`.
-    #[must_use]
-    pub fn checked_since(self, earlier: Time) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration)
     }
 
     /// Returns the later of two instants.
@@ -366,8 +360,6 @@ mod tests {
         assert_eq!(a - b, Duration::from_micros(60));
         assert_eq!(a.saturating_since(b), Duration::from_micros(60));
         assert_eq!(b.saturating_since(a), Duration::ZERO);
-        assert_eq!(b.checked_since(a), None);
-        assert_eq!(a.checked_since(b), Some(Duration::from_micros(60)));
     }
 
     #[test]

@@ -367,33 +367,6 @@ impl TraceEvent {
             TraceEvent::Note(_) => "Note",
         }
     }
-
-    /// The task this event is about, if it is about one — the filter the
-    /// `explain` tooling uses to pull a single task's causal chain out of a
-    /// trace.
-    #[must_use]
-    pub fn task_id(&self) -> Option<u64> {
-        match self {
-            TraceEvent::TaskAdmitted { task, .. }
-            | TraceEvent::TaskScreened { task, .. }
-            | TraceEvent::PlacementDecided { task, .. }
-            | TraceEvent::TaskDispatched { task, .. }
-            | TraceEvent::CommDelay { task, .. }
-            | TraceEvent::TaskStarted { task, .. }
-            | TraceEvent::TaskCompleted { task, .. }
-            | TraceEvent::TaskDropped { task }
-            | TraceEvent::TaskExpiredMidPhase { task, .. }
-            | TraceEvent::TaskOrphaned { task, .. }
-            | TraceEvent::TaskLost { task, .. } => Some(*task),
-            TraceEvent::PhaseStarted { .. }
-            | TraceEvent::SchedulerOverhead { .. }
-            | TraceEvent::PhaseProfiled { .. }
-            | TraceEvent::PhaseEnded { .. }
-            | TraceEvent::ProcessorFailed { .. }
-            | TraceEvent::ProcessorRecovered { .. }
-            | TraceEvent::Note(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for TraceEvent {
@@ -793,38 +766,6 @@ mod tests {
             assert!(seen.contains(kind), "all_variants() is missing {kind}");
         }
         assert_eq!(seen.len(), TraceEvent::KINDS.len());
-    }
-
-    #[test]
-    fn task_id_extracts_subject_task() {
-        assert_eq!(TraceEvent::TaskDropped { task: 5 }.task_id(), Some(5));
-        assert_eq!(
-            TraceEvent::PhaseStarted {
-                phase: 0,
-                batch_len: 1,
-                quantum: Duration::from_micros(10),
-            }
-            .task_id(),
-            None
-        );
-        for event in all_variants() {
-            // Kinds that name a task must report it; the rest must not.
-            let about_task = matches!(
-                event.kind(),
-                "TaskAdmitted"
-                    | "TaskScreened"
-                    | "PlacementDecided"
-                    | "TaskDispatched"
-                    | "CommDelay"
-                    | "TaskStarted"
-                    | "TaskCompleted"
-                    | "TaskDropped"
-                    | "TaskExpiredMidPhase"
-                    | "TaskOrphaned"
-                    | "TaskLost"
-            );
-            assert_eq!(event.task_id().is_some(), about_task, "{}", event.kind());
-        }
     }
 
     /// The compact JSON of each `all_variants()` sample, in order. Pinned

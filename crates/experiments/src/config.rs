@@ -89,9 +89,11 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// Returns the serde error message on malformed JSON.
+    /// Returns the serde error message on malformed JSON, and
+    /// [`Scenario::validate`]'s message on degenerate parameters.
     pub fn with_scenario_json(mut self, json: &str) -> Result<Self, String> {
         let scenario: Scenario = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        scenario.validate()?;
         self.base = Some(scenario);
         Ok(self)
     }
@@ -157,6 +159,17 @@ mod tests {
         assert!(ExperimentConfig::quick()
             .with_scenario_json("not json")
             .is_err());
+    }
+
+    #[test]
+    fn scenario_json_with_degenerate_parameters_is_rejected() {
+        let json = ExperimentConfig::quick()
+            .scenario_json()
+            .replace("\"sf\": 1.0", "\"sf\": 0.0");
+        let err = ExperimentConfig::quick()
+            .with_scenario_json(&json)
+            .expect_err("sf 0 is degenerate");
+        assert!(err.contains("`sf`"), "got {err:?}");
     }
 
     #[test]

@@ -78,6 +78,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     .ok_or("--runs needs a value")?
                     .parse()
                     .map_err(|e| format!("--runs: {e}"))?;
+                if config.runs == 0 {
+                    return Err("--runs must be positive".to_string());
+                }
             }
             "--txns" => {
                 config.transactions = it
@@ -281,4 +284,25 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Cli, String> {
+        parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_runs_is_an_error_not_a_panic() {
+        assert_eq!(
+            parse_strs(&["fig5", "--quick", "--runs", "0"])
+                .err()
+                .as_deref(),
+            Some("--runs must be positive")
+        );
+        let cli = parse_strs(&["fig5", "--quick", "--runs", "2"]).expect("parses");
+        assert_eq!(cli.config.runs, 2);
+    }
 }

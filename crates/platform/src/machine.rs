@@ -259,16 +259,6 @@ impl Machine {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// The instant every worker has drained its queue.
-    #[must_use]
-    pub fn all_idle_at(&self) -> Time {
-        self.workers
-            .iter()
-            .map(Worker::busy_until)
-            .max()
-            .expect("machine has at least one worker")
-    }
-
     /// Every completion record so far, in delivery order.
     #[must_use]
     pub fn completions(&self) -> &[CompletionRecord] {
@@ -390,7 +380,6 @@ mod tests {
             vec![Duration::ZERO, Duration::from_micros(3_000), Duration::ZERO]
         );
         assert_eq!(m.min_load(now), Duration::ZERO);
-        assert_eq!(m.all_idle_at(), Time::from_micros(4_000));
     }
 
     #[test]

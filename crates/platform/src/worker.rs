@@ -230,13 +230,6 @@ impl Worker {
         self.busy_until.saturating_since(now)
     }
 
-    /// Whether the worker has no pending work at `now` (a down worker is
-    /// never idle — it cannot accept work).
-    #[must_use]
-    pub fn is_idle(&self, now: Time) -> bool {
-        !self.down && self.busy_until <= now
-    }
-
     /// Total service time executed so far (for utilization reports).
     #[must_use]
     pub fn busy_time(&self) -> Duration {
@@ -310,11 +303,8 @@ mod tests {
     fn load_reflects_backlog() {
         let mut w = Worker::new(ProcessorId::new(0));
         assert_eq!(w.load(Time::ZERO), Duration::ZERO);
-        assert!(w.is_idle(Time::ZERO));
         w.admit(&task(0), Time::ZERO, Duration::from_millis(4));
         assert_eq!(w.load(Time::from_millis(1)), Duration::from_millis(3));
-        assert!(!w.is_idle(Time::from_millis(1)));
-        assert!(w.is_idle(Time::from_millis(4)));
     }
 
     #[test]
@@ -396,7 +386,6 @@ mod tests {
         let mut w = Worker::new(ProcessorId::new(0));
         let _ = w.fail(Time::from_millis(1), false);
         assert_eq!(w.available_from(Time::from_millis(2)), UNAVAILABLE);
-        assert!(!w.is_idle(Time::from_millis(100)));
         assert!(w.load(Time::from_millis(2)) > Duration::from_secs(1_000_000));
         w.recover(Time::from_millis(10));
         assert!(!w.is_down());

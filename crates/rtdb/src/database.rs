@@ -32,11 +32,6 @@ impl Tuple {
     pub fn key(&self) -> u64 {
         self.values[Schema::KEY_ATTR]
     }
-
-    /// Mutable access for the write path (crate-internal).
-    pub(crate) fn values_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.values
-    }
 }
 
 /// One partition of the global database, indexed on the key attribute.
@@ -118,16 +113,6 @@ impl SubDatabase {
     /// Iterates over the tuples.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter()
-    }
-
-    /// Mutable tuple storage for the write path (crate-internal).
-    pub(crate) fn tuples_mut(&mut self) -> &mut Vec<Tuple> {
-        &mut self.tuples
-    }
-
-    /// Mutable key index for the write path (crate-internal).
-    pub(crate) fn key_index_mut(&mut self) -> &mut HashMap<u64, Vec<usize>> {
-        &mut self.key_index
     }
 }
 
@@ -246,16 +231,6 @@ impl GlobalDatabase {
     #[must_use]
     pub fn execute(&self, txn: &Transaction) -> (usize, usize) {
         self.subdb(self.target_subdb(txn)).execute(txn)
-    }
-
-    /// Mutable partition access for the write path (crate-internal).
-    pub(crate) fn subdb_mut(&mut self, s: usize) -> &mut SubDatabase {
-        &mut self.subdbs[s]
-    }
-
-    /// Mutable global index for the write path (crate-internal).
-    pub(crate) fn global_key_index_mut(&mut self) -> &mut HashMap<u64, usize> {
-        &mut self.global_key_index
     }
 }
 

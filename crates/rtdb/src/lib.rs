@@ -43,12 +43,10 @@
 
 mod cost;
 mod database;
-mod mutation;
 mod schema;
 mod transaction;
 
 pub use cost::CostModel;
 pub use database::{GlobalDatabase, SubDatabase, Tuple};
-pub use mutation::MutateError;
 pub use schema::Schema;
 pub use transaction::Transaction;

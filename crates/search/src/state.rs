@@ -664,12 +664,6 @@ impl PathState {
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
     }
-
-    /// Consumes the state, returning the assignments.
-    #[must_use]
-    pub fn into_assignments(self) -> Vec<Assignment> {
-        self.assignments
-    }
 }
 
 #[cfg(test)]
@@ -995,13 +989,13 @@ mod tests {
     }
 
     #[test]
-    fn into_assignments_returns_path_order() {
+    fn assignments_are_in_path_order() {
         let tasks = mk_tasks(&[(1, 1_000, &[]), (1, 1_000, &[])]);
         let comm = CommModel::free();
         let mut s = PathState::new(vec![Time::ZERO], 2);
         s.apply(&tasks, &comm, 1, ProcessorId::new(0));
         s.apply(&tasks, &comm, 0, ProcessorId::new(0));
-        let asg = s.into_assignments();
+        let asg = s.assignments();
         assert_eq!(asg[0].task, 1);
         assert_eq!(asg[1].task, 0);
     }

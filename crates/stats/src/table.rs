@@ -39,12 +39,6 @@ impl Series {
         &self.points
     }
 
-    /// The y value at a given x, if present (exact match).
-    #[must_use]
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|(px, _)| *px == x).map(|(_, y)| *y)
-    }
-
     /// Whether y is non-decreasing in x (scalability check helper).
     ///
     /// `tolerance` allows small dips (e.g. 0.02 = two percentage points).
@@ -213,8 +207,6 @@ mod tests {
         s.push(1.0, 2.0);
         s.push(3.0, 4.0);
         assert_eq!(s.points(), &[(1.0, 2.0), (3.0, 4.0)]);
-        assert_eq!(s.y_at(3.0), Some(4.0));
-        assert_eq!(s.y_at(9.0), None);
     }
 
     #[test]
@@ -233,7 +225,10 @@ mod tests {
         assert_eq!(t.title(), "demo");
         assert_eq!(t.xs(), vec![1.0, 2.0]);
         assert_eq!(t.series().len(), 2);
-        assert_eq!(t.series_by_label("B").unwrap().y_at(2.0), Some(0.35));
+        assert_eq!(
+            t.series_by_label("B").unwrap().points(),
+            &[(1.0, 0.4), (2.0, 0.35)]
+        );
         assert!(t.series_by_label("C").is_none());
     }
 

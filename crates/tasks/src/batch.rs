@@ -185,18 +185,6 @@ impl Batch {
     pub fn min_slack(&self, now: Time) -> Option<Duration> {
         self.tasks.iter().map(|t| t.slack(now)).min()
     }
-
-    /// The earliest deadline in the batch, if any.
-    #[must_use]
-    pub fn earliest_deadline(&self) -> Option<Time> {
-        self.tasks.iter().map(Task::deadline).min()
-    }
-
-    /// Total processing demand (sum of `p_i`) — useful for load diagnostics.
-    #[must_use]
-    pub fn total_processing(&self) -> Duration {
-        self.tasks.iter().map(Task::processing_time).sum()
-    }
 }
 
 impl IntoIterator for Batch {
@@ -310,23 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn min_slack_and_earliest_deadline() {
+    fn min_slack_tracks_the_tightest_task() {
         let mut b = Batch::new(0);
         assert_eq!(b.min_slack(Time::ZERO), None);
-        assert_eq!(b.earliest_deadline(), None);
         b.push(mk(0, 2, 10)); // slack 8ms at t=0
         b.push(mk(1, 1, 5)); // slack 4ms at t=0
         assert_eq!(b.min_slack(Time::ZERO), Some(Duration::from_millis(4)));
-        assert_eq!(b.earliest_deadline(), Some(Time::from_millis(5)));
         assert_eq!(b.min_slack(Time::from_millis(4)), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn total_processing_sums() {
-        let mut b = Batch::new(0);
-        b.push(mk(0, 2, 100));
-        b.push(mk(1, 3, 100));
-        assert_eq!(b.total_processing(), Duration::from_millis(5));
     }
 
     #[test]

@@ -212,16 +212,6 @@ impl TopologySpec {
         Self::part_of(self.nodes(), self.racks(), n)
     }
 
-    /// The rack hosting processor `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` lies outside the topology.
-    #[must_use]
-    pub fn rack_of(&self, p: ProcessorId) -> usize {
-        self.rack_of_node(self.node_of(p))
-    }
-
     /// The half-open *processor* range `[lo, hi)` covered by rack `r`.
     ///
     /// # Panics
@@ -364,7 +354,6 @@ mod tests {
         assert_eq!(t.rack_of_node(3), 1);
         assert_eq!(t.rack_proc_range(0), (0, 4));
         assert_eq!(t.rack_proc_range(1), (4, 8));
-        assert_eq!(t.rack_of(ProcessorId::new(5)), 1);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl MetricsCollector {
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.registry
     }
-
-    /// Consumes the collector and returns the registry.
-    #[must_use]
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
 }
 
 impl TraceSink for MetricsCollector {
@@ -369,7 +363,7 @@ mod tests {
         assert_eq!(r.histogram("profile.shard_ns").unwrap().count(), 1);
         assert_eq!(r.histogram("profile.select_ns").unwrap().p50(), Some(50));
         assert_eq!(r.histogram("comm.delay_us").unwrap().count(), 1);
-        let snap = c.into_registry().snapshot();
+        let snap = c.registry().snapshot();
         assert!(snap.histograms.contains_key("phase.consumed_us"));
     }
 }

@@ -14,7 +14,7 @@
 //! it measures as little as possible.
 //!
 //! One phase's accumulation drains into a
-//! [`PhaseProfile`](paragon_des::trace::PhaseProfile) via
+//! [`PhaseProfile`] via
 //! [`StageProfiler::take`], which the driver emits as
 //! [`TraceEvent::PhaseProfiled`](paragon_des::trace::TraceEvent) for the
 //! collector, the Perfetto exporter and the `rtsads_sim profile`
@@ -99,9 +99,10 @@ impl StageProfiler {
         }
     }
 
-    /// Credits raw nanoseconds to a stage — used when a span's clock reads
-    /// happened elsewhere (timing a region whose start predates the
-    /// profiler borrow).
+    /// Credits `ns` nanoseconds to `stage` without reading the clock, when
+    /// enabled. The engine times every stage with `start`/`stop`; this exists
+    /// so tests can load known values and check what
+    /// [`take`](StageProfiler::take) drains.
     #[inline]
     pub fn add_ns(&mut self, stage: Stage, ns: u64) {
         if self.enabled {

@@ -124,20 +124,40 @@ impl Scenario {
     ///
     /// Returns a human-readable description of the first degenerate
     /// parameter found (zero workers, partitions, tuples, attributes,
-    /// domain values or transactions).
+    /// domain values, transactions, per-tuple cost or Poisson mean gap, a
+    /// replication rate outside `(0, 1]`, or a slack factor that is not
+    /// finite and positive).
     pub fn validate(&self) -> Result<(), String> {
-        let positive: [(&str, usize); 6] = [
-            ("workers", self.workers),
-            ("partitions", self.partitions),
-            ("tuples_per_partition", self.tuples_per_partition),
-            ("attributes", self.attributes),
-            ("domain_size", self.domain_size as usize),
-            ("transactions", self.transactions),
+        let positive: [(&str, u64); 7] = [
+            ("workers", self.workers as u64),
+            ("partitions", self.partitions as u64),
+            ("tuples_per_partition", self.tuples_per_partition as u64),
+            ("attributes", self.attributes as u64),
+            ("domain_size", self.domain_size),
+            ("transactions", self.transactions as u64),
+            ("per_tuple_cost", self.per_tuple_cost.as_micros()),
         ];
         for (name, value) in positive {
             if value == 0 {
                 return Err(format!("scenario parameter `{name}` must be positive"));
             }
+        }
+        if let ArrivalProcess::Poisson { mean_gap, .. } = self.arrivals {
+            if mean_gap.is_zero() {
+                return Err("scenario parameter `arrivals.mean_gap` must be positive".to_string());
+            }
+        }
+        let rate = self.replication_rate;
+        if !(rate > 0.0 && rate <= 1.0) {
+            return Err(format!(
+                "scenario parameter `replication_rate` must be positive and at most 1, got {rate}"
+            ));
+        }
+        if !(self.sf.is_finite() && self.sf > 0.0) {
+            return Err(format!(
+                "scenario parameter `sf` must be positive and finite, got {}",
+                self.sf
+            ));
         }
         Ok(())
     }
@@ -149,7 +169,7 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate parameters (zero workers/partitions/…), via the
+    /// Panics on the parameters [`Scenario::validate`] rejects, via the
     /// constituent constructors.
     #[must_use]
     pub fn build(&self, seed: u64) -> BuiltScenario {
@@ -357,9 +377,33 @@ mod tests {
 
     #[test]
     fn validate_names_the_degenerate_parameter() {
-        let cases: [(&str, Scenario); 4] = [
+        let cases: [(&str, Scenario); 13] = [
             ("workers", Scenario::small().workers(0)),
             ("transactions", Scenario::small().transactions(0)),
+            ("replication_rate", Scenario::small().replication_rate(0.0)),
+            ("replication_rate", Scenario::small().replication_rate(1.01)),
+            (
+                "replication_rate",
+                Scenario::small().replication_rate(f64::NAN),
+            ),
+            ("sf", Scenario::small().sf(0.0)),
+            ("sf", Scenario::small().sf(-1.0)),
+            ("sf", Scenario::small().sf(f64::NAN)),
+            ("sf", Scenario::small().sf(f64::INFINITY)),
+            (
+                "mean_gap",
+                Scenario::small().arrivals(ArrivalProcess::Poisson {
+                    start: Time::ZERO,
+                    mean_gap: Duration::ZERO,
+                }),
+            ),
+            (
+                "per_tuple_cost",
+                Scenario {
+                    per_tuple_cost: Duration::ZERO,
+                    ..Scenario::small()
+                },
+            ),
             (
                 "partitions",
                 Scenario {

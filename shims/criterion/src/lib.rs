@@ -33,13 +33,6 @@ impl BenchmarkId {
             id: format!("{function}/{parameter}"),
         }
     }
-
-    /// An id from a parameter only.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
 }
 
 /// Anything usable as a benchmark id.

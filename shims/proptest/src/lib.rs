@@ -304,7 +304,7 @@ pub mod prop {
         use std::fmt::Debug;
         use std::ops::{Range, RangeInclusive};
 
-        /// Anything usable as a size range for [`vec`].
+        /// Anything usable as a size range for [`vec()`].
         pub trait SizeRange {
             /// Draws a length.
             fn sample_len(&self, rng: &mut TestRng) -> usize;

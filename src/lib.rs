@@ -2,7 +2,7 @@
 //! of every workspace crate so examples and downstream users need a single
 //! dependency.
 //!
-//! * [`des`] — deterministic discrete-event simulation engine,
+//! * [`des`] — virtual time, seeded randomness and the trace seam,
 //! * [`platform`] — the simulated distributed-memory multiprocessor,
 //! * [`task`] — the real-time task model,
 //! * [`search`] — the search-space framework (representations, engine),
