@@ -3,10 +3,14 @@
 //! heap allocations — every buffer the search touches lives in the reused
 //! [`SearchScratch`]/[`PhaseScratch`] at its high-water capacity.
 //!
+//! It also fences a whole warm `Driver::run` at the paper's P=10 point: the
+//! driver allocates per phase (dispatch lists, delivery records), but the
+//! count and the bytes must stay under fixed bounds.
+//!
 //! The counting allocator wraps [`System`] and counts `alloc`/`realloc`/
-//! `alloc_zeroed` calls only while armed. All scenarios run inside one test
-//! function so no sibling test can allocate concurrently while the counter
-//! is armed.
+//! `alloc_zeroed` calls, and the bytes they request, only while armed. All
+//! scenarios run inside one test function so no sibling test can allocate
+//! concurrently while the counter is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -15,12 +19,19 @@ struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation of `bytes` bytes while armed.
+fn record(bytes: usize) {
+    if ARMED.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(layout.size());
         System.alloc(layout)
     }
 
@@ -29,16 +40,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -48,18 +55,20 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Runs `phase` `warmup` times unarmed (to grow every buffer to its
 /// high-water mark), then `measured` times armed, and returns the number of
-/// heap allocations observed during the armed window.
-fn count_allocs(warmup: usize, measured: usize, mut phase: impl FnMut()) -> u64 {
+/// heap allocations observed during the armed window and the bytes they
+/// requested (a `realloc` counts its new size).
+fn count_allocs(warmup: usize, measured: usize, mut phase: impl FnMut()) -> (u64, u64) {
     for _ in 0..warmup {
         phase();
     }
     ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..measured {
         phase();
     }
     ARMED.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
 }
 
 #[test]
@@ -95,7 +104,7 @@ fn steady_state_phases_do_not_allocate() {
             provenance: false,
         };
         let mut scratch = SearchScratch::new();
-        let n = count_allocs(WARMUP, MEASURED, || {
+        let (n, _) = count_allocs(WARMUP, MEASURED, || {
             let mut meter = SchedulingMeter::new(HostParams::free(), Duration::ZERO);
             let out = search_schedule_with(&params, &mut meter, &mut scratch);
             assert_eq!(out.assignments.len(), 64);
@@ -118,7 +127,7 @@ fn steady_state_phases_do_not_allocate() {
         ("tight", tight_batch(150, workers), Algorithm::d_cols()),
     ] {
         let mut scratch = PhaseScratch::new();
-        let n = count_allocs(WARMUP, MEASURED, || {
+        let (n, _) = count_allocs(WARMUP, MEASURED, || {
             let mut meter = SchedulingMeter::new(
                 HostParams::new(Duration::from_micros(1)),
                 Duration::from_secs(10),
@@ -160,7 +169,7 @@ fn steady_state_phases_do_not_allocate() {
         let sharded_initial = vec![Time::ZERO; 1_024];
         let algorithm = Algorithm::rt_sads();
         let mut scratch = PhaseScratch::new();
-        let n = count_allocs(WARMUP, MEASURED, || {
+        let (n, _) = count_allocs(WARMUP, MEASURED, || {
             let mut meter = SchedulingMeter::new(
                 HostParams::new(Duration::from_micros(1)),
                 Duration::from_secs(10),
@@ -194,7 +203,7 @@ fn steady_state_phases_do_not_allocate() {
         let algorithm = Algorithm::rt_sads();
         let mut scratch = PhaseScratch::new();
         scratch.search.set_profiling(true);
-        let n = count_allocs(WARMUP, MEASURED, || {
+        let (n, _) = count_allocs(WARMUP, MEASURED, || {
             let mut meter = SchedulingMeter::new(
                 HostParams::new(Duration::from_micros(1)),
                 Duration::from_secs(10),
@@ -218,6 +227,48 @@ fn steady_state_phases_do_not_allocate() {
         assert_eq!(n, 0, "profiled schedule_phase allocated {n} times");
         let profile = scratch.search.take_profile();
         assert!(profile.total_ns() > 0, "profiler attributed no time");
+    }
+
+    // A whole warm, untraced run at the paper's P=10 point (Figure 5's
+    // scenario, C = 2 ms, 1 µs per generated vertex). Each run builds its
+    // own scratch, so "warm" means a second run in the same process. The
+    // bounds fence the per-run allocation traffic: one batch kept for the
+    // whole run, scheduled tasks removed by position and arrivals moved
+    // rather than cloned. A zero-allocation warm driver phase is still
+    // open.
+    {
+        use paragon_platform::HostParams;
+        use rtsads::{Driver, DriverConfig};
+
+        let tasks = rt_workload::Scenario::paper_defaults()
+            .workers(10)
+            .replication_rate(0.3)
+            .sf(1.0)
+            .build(1998)
+            .tasks;
+        for (algorithm, max_allocs) in [(Algorithm::rt_sads(), 2_500), (Algorithm::d_cols(), 400)] {
+            let driver = Driver::new(
+                DriverConfig::new(10, algorithm.clone())
+                    .comm(comm)
+                    .host(HostParams::new(Duration::from_micros(1)))
+                    .seed(1998),
+            );
+            // The input copies are made before the counter is armed.
+            let mut inputs = vec![tasks.clone(), tasks.clone()];
+            let (allocs, bytes) = count_allocs(1, 1, || {
+                let report = driver.run(inputs.pop().expect("one input per run"));
+                assert_eq!(report.total_tasks, tasks.len());
+            });
+            let name = algorithm.name();
+            assert!(
+                allocs < max_allocs,
+                "a warm {name} run allocated {allocs} times (bound {max_allocs})"
+            );
+            assert!(
+                bytes < 1 << 20,
+                "a warm {name} run allocated {bytes} bytes (bound 1 MiB)"
+            );
+        }
     }
 
     // The JSONL sink serializes each line straight into one reused buffer:
@@ -255,7 +306,7 @@ fn steady_state_phases_do_not_allocate() {
         let mut sink = JsonlTracer::new(Vec::with_capacity(2 * bytes));
         let mut passes: Vec<Vec<(paragon_des::Time, TraceEvent)>> =
             vec![events.clone(), events.clone()];
-        let n = count_allocs(1, 1, || {
+        let (n, _) = count_allocs(1, 1, || {
             for (now, event) in passes.pop().expect("one copy per pass") {
                 sink.emit(now, event);
             }

@@ -8,12 +8,10 @@
 //! which is exact because worker queues are FIFO, non-preemptive and
 //! append-only.
 
-use std::collections::HashSet;
-
 use paragon_des::trace::{PlacementProbe, ScreenProbe, TraceEvent, TraceSink, Tracer};
 use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{Dispatch, HostParams, Machine, MachineConfig, SchedulingMeter};
-use rt_task::{Batch, CommModel, Task, TaskId};
+use rt_task::{Batch, CommModel, Task};
 
 use sched_search::Pruning;
 
@@ -244,7 +242,10 @@ impl Driver {
         let min_quantum = cfg.host.vertex_eval_cost * (cfg.workers as u64 + 1);
         let min_step = Duration::from_micros(1).max(cfg.host.vertex_eval_cost);
 
-        let mut cursor = 0;
+        // Arrivals are moved into the batch straight out of the sorted input.
+        let mut arrivals = tasks.into_iter().peekable();
+        // One batch for the whole run: each phase removes its scheduled and
+        // expired tasks in place and arrivals are pushed onto the survivors.
         let mut batch = Batch::new(0);
         let mut now = Time::ZERO;
         let mut phases: Vec<PhaseRecord> = Vec::new();
@@ -260,6 +261,8 @@ impl Driver {
             .search
             .set_profiling(cfg.profile && tracer.enabled());
         let mut initial_finish: Vec<Time> = Vec::new();
+        // Batch positions of each phase's delivered tasks.
+        let mut delivered_at: Vec<usize> = Vec::new();
 
         loop {
             // Apply fault events that have come due. The host observes the
@@ -347,8 +350,7 @@ impl Driver {
             }
 
             // Ingest everything that has arrived by `now`.
-            while cursor < tasks.len() && tasks[cursor].arrival() <= now {
-                let t = &tasks[cursor];
+            while let Some(t) = arrivals.next_if(|t| t.arrival() <= now) {
                 if tracer.enabled() {
                     // The first link of the task's decision chain: the
                     // parameters every later feasibility test uses.
@@ -362,8 +364,7 @@ impl Driver {
                         },
                     );
                 }
-                batch.push(t.clone());
-                cursor += 1;
+                batch.push(t);
             }
             if batch.is_empty() {
                 // Idle until something changes the problem: the next arrival
@@ -371,7 +372,7 @@ impl Driver {
                 // running work (an event past every worker's busy horizon
                 // can neither orphan nor lose anything, and with no arrivals
                 // left a recovery is moot too).
-                let next_arrival = tasks.get(cursor).map(|t| t.arrival());
+                let next_arrival = arrivals.peek().map(Task::arrival);
                 let busy_horizon = machine
                     .iter_workers()
                     .map(|w| w.busy_until())
@@ -538,15 +539,7 @@ impl Driver {
                 }
             }
 
-            let dispatches: Vec<Dispatch> = outcome
-                .assignments
-                .iter()
-                .map(|a| Dispatch {
-                    task: batch.tasks()[a.task].clone(),
-                    processor: a.processor,
-                })
-                .collect();
-            let planned = dispatches.len();
+            let planned = outcome.assignments.len();
 
             // Communication spikes: while a window covers the delivery
             // instant, the schedule message pays `spike_delay` extra latency
@@ -559,8 +552,10 @@ impl Driver {
             } else {
                 ended
             };
-            let mut delivered: Vec<Dispatch> = Vec::with_capacity(dispatches.len());
-            for d in dispatches {
+            let mut delivered: Vec<Dispatch> = Vec::with_capacity(planned);
+            delivered_at.clear();
+            for a in &outcome.assignments {
+                let task = &batch.tasks()[a.task];
                 if in_spike && plan.spike_loss > 0.0 && loss_rng.bernoulli(plan.spike_loss) {
                     orphaned_total += 1;
                     pending_orphaned += 1;
@@ -568,21 +563,25 @@ impl Driver {
                         tracer.emit(
                             ended,
                             TraceEvent::TaskOrphaned {
-                                task: d.task.id().as_u64(),
-                                processor: d.processor.index(),
+                                task: task.id().as_u64(),
+                                processor: a.processor.index(),
                             },
                         );
                     }
                 } else {
-                    delivered.push(d);
+                    delivered.push(Dispatch {
+                        task: task.clone(),
+                        processor: a.processor,
+                    });
+                    delivered_at.push(a.task);
                 }
             }
-            let scheduled_ids: HashSet<TaskId> = delivered.iter().map(|d| d.task.id()).collect();
             let scheduled = delivered.len();
             let processing_times: Vec<Duration> =
                 delivered.iter().map(|d| d.task.processing_time()).collect();
             let records = machine.deliver(delivered, delivery_at);
-            batch.remove_scheduled(&scheduled_ids);
+            delivered_at.sort_unstable();
+            batch.remove_sorted(&delivered_at);
             // Tasks whose deadline lapsed *while* the phase was computing:
             // they stay in the batch (and are dropped — and counted — at the
             // next phase start), but the telemetry layer wants to see the
@@ -679,7 +678,7 @@ impl Driver {
             pending_lost = 0;
             pending_faults = 0;
 
-            batch = batch.into_next(Vec::new());
+            batch.advance_phase();
             now = ended;
 
             // Fast-forward through provably idle stretches. If the phase
@@ -702,7 +701,7 @@ impl Driver {
             // a failure or recovery changes the processor set, which changes
             // the search's outcome.
             if planned == 0 {
-                let next_arrival = tasks.get(cursor).map(|t| t.arrival());
+                let next_arrival = arrivals.peek().map(Task::arrival);
                 let next_expiry = batch
                     .iter()
                     .map(|t| (t.deadline() - t.processing_time()) + Duration::from_micros(1))
@@ -786,7 +785,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_task::{AffinitySet, ProcessorId};
+    use rt_task::{AffinitySet, ProcessorId, TaskId};
 
     fn mk_task(id: u64, p_ms: u64, a_ms: u64, d_ms: u64, workers: usize) -> Task {
         Task::builder(TaskId::new(id))

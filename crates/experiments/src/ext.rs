@@ -388,7 +388,7 @@ pub fn pruning(config: &ExperimentConfig) -> FigureOutput {
                 depth_bound: None,
                 backtrack_limit: limit,
             });
-            let p = point(config, workers, 0.3, 2.0, driver);
+            let p = point(config, workers, 0.3, 1.0, driver);
             s.push(x, p.mean_hit_ratio());
         }
         series.push(s);
@@ -799,6 +799,31 @@ mod tests {
             "Random",
         ] {
             assert!(fig.table.series_by_label(name).is_some(), "missing {name}");
+        }
+    }
+
+    #[test]
+    fn pruning_unlimited_row_is_figure_5_at_p10() {
+        // Ext. H sweeps the backtrack limit at Figure 5's P=10 point (R=30%,
+        // SF=1), so its unlimited row must read Figure 5's P=10 hit ratios.
+        // `tiny()` is too small to tell SF=1 from SF=2 apart.
+        let config = ExperimentConfig::quick();
+        let fig = pruning(&config);
+        for (alg, row) in [Algorithm::rt_sads(), Algorithm::d_cols()]
+            .iter()
+            .zip(fig.table.series())
+        {
+            assert_eq!(row.label(), alg.name());
+            let &(x, unlimited) = row.points().last().expect("four limits");
+            assert_eq!(x, 1e6, "the last column is the unlimited one");
+            let fig5 = crate::fig5::sweep(&config, alg);
+            let p10 = fig5.last().expect("P=10 is swept last").mean_hit_ratio();
+            assert_eq!(
+                unlimited,
+                p10,
+                "{}: Ext. H unlimited vs Figure 5 P=10",
+                alg.name()
+            );
         }
     }
 }

@@ -18,7 +18,7 @@ use paragon_platform::SchedulingMeter;
 use rt_telemetry::{Stage, StageProfiler};
 use serde::{Deserialize, Serialize};
 
-use crate::policy::ChildOrder;
+use crate::policy::{ChildOrder, TaskOrder};
 use crate::repr::Representation;
 use crate::state::{Assignment, PathState};
 
@@ -278,8 +278,6 @@ struct Node {
 pub struct SearchScratch {
     /// The candidate-list walk's working set.
     work: Work,
-    /// Viable tasks in level order (assignment-oriented layouts).
-    level_task: Vec<usize>,
     /// Per-task verdict of the phase-level viability screen.
     viable: Vec<bool>,
     /// Earliest initial finish of each node under a hierarchical topology,
@@ -343,6 +341,9 @@ impl SearchScratch {
 /// the incremental state and the per-expansion buffers.
 #[derive(Debug, Default)]
 struct Work {
+    /// Viable tasks in level order (assignment-oriented layouts), sorted
+    /// only as far as the walk reads.
+    level: LevelOrder,
     /// Append-only node arena of the phase tree.
     arena: Vec<Node>,
     /// Per-node (completion, makespan-if-chosen), provenance only.
@@ -404,6 +405,80 @@ impl Work {
     }
 }
 
+/// The viable tasks of an assignment-oriented phase in level order, sorted
+/// on demand: the prologue fills `idx` with the viable batch indices,
+/// unsorted, and the expansion scan sorts more of it only when its cursor
+/// reaches the end of the sorted prefix `idx[..sorted]`. A walk reads a few
+/// dozen levels of a batch of hundreds, so most of the order is never
+/// sorted. Keys end in the batch index ([`TaskOrder::key`]), so they are
+/// unique and every prefix equals the full sort's prefix.
+#[derive(Debug, Default)]
+struct LevelOrder {
+    idx: Vec<usize>,
+    sorted: usize,
+}
+
+impl LevelOrder {
+    /// Entries the first growth sorts; each later one doubles the prefix.
+    const FIRST_CHUNK: usize = 32;
+
+    /// Refills the order with the viable batch indices, none sorted yet.
+    fn reset(&mut self, viable: &[bool]) {
+        self.idx.clear();
+        self.idx.extend((0..viable.len()).filter(|&t| viable[t]));
+        self.sorted = 0;
+    }
+
+    /// Extends the sorted prefix by the next-smallest keys of the unsorted
+    /// tail — to [`LevelOrder::FIRST_CHUNK`] entries at first, then double
+    /// the prefix — sorting only those. Returns `false` when the whole
+    /// order is sorted already.
+    fn grow(&mut self, order: TaskOrder, tasks: &[Task], now: Time) -> bool {
+        let len = self.idx.len();
+        if self.sorted == len {
+            return false;
+        }
+        let end = (2 * self.sorted).max(Self::FIRST_CHUNK).min(len);
+        let take = end - self.sorted;
+        let key = |&i: &usize| order.key(tasks, now, i);
+        let tail = &mut self.idx[self.sorted..];
+        if take < tail.len() {
+            tail.select_nth_unstable_by_key(take, key);
+        }
+        tail[..take].sort_unstable_by_key(key);
+        self.sorted = end;
+        true
+    }
+
+    /// The first task at or after `*cursor` in level order that `state`
+    /// has not assigned, growing the sorted prefix as the scan reaches its
+    /// end; `*cursor` moves past the task. `None` when every remaining
+    /// task is assigned.
+    fn next_unassigned(
+        &mut self,
+        cursor: &mut usize,
+        state: &PathState,
+        order: TaskOrder,
+        tasks: &[Task],
+        now: Time,
+    ) -> Option<usize> {
+        loop {
+            if let Some(off) = self.idx[*cursor..self.sorted]
+                .iter()
+                .position(|&t| !state.is_assigned(t))
+            {
+                let task = self.idx[*cursor + off];
+                *cursor += off + 1;
+                return Some(task);
+            }
+            *cursor = self.sorted;
+            if !self.grow(order, tasks, now) {
+                return None;
+            }
+        }
+    }
+}
+
 /// Runs one scheduling phase (see the module docs for the algorithm)
 /// and [`SearchParams`] for the inputs. The `meter` both limits and measures
 /// the scheduling time consumed.
@@ -452,12 +527,14 @@ pub fn search_schedule_replay(
 type Best = (usize, Time, Option<usize>);
 
 /// The read-only context of one candidate-list walk: the caller's
-/// parameters plus the phase-level screen verdicts, level order and key
+/// parameters plus the phase-level screen verdicts, task order and key
 /// rank, fixed once per phase.
 struct Ctx<'a, 'b> {
     params: &'b SearchParams<'a>,
     viable: &'b [bool],
-    level_task: &'b [usize],
+    /// The level order of the assignment-oriented layout; `None` under the
+    /// sequence-oriented one, whose levels fix a processor.
+    task_order: Option<TaskOrder>,
     n_viable: usize,
     use_replay: bool,
     /// `Some` when the shard-first candidate generator is active (multi-node
@@ -697,15 +774,13 @@ impl Ctx<'_, '_> {
         // rounds resume one forward scan — O(n) over all rounds, not O(n²).
         let mut cursor = 0;
         for skip in 0..=max_skips {
-            let in_budget = if assignment {
-                let Some(off) = self.level_task[cursor..]
-                    .iter()
-                    .position(|&t| !state.is_assigned(t))
+            let in_budget = if let Some(order) = self.task_order {
+                let Some(task) =
+                    work.level
+                        .next_unassigned(&mut cursor, state, order, params.tasks, params.now)
                 else {
                     break; // no unassigned task remains at all
                 };
-                let task = self.level_task[cursor + off];
-                cursor += off + 1;
                 fixed = task;
                 // The task is fixed for the round, so its deadline is too.
                 let deadline = params.tasks[task].deadline();
@@ -766,12 +841,9 @@ impl Ctx<'_, '_> {
                 // Screened (phase-infeasible) tasks are invisible to the
                 // search and cost no quantum; an empty round means no viable
                 // task is left at all — skipping further cannot help.
-                params.representation.raw_candidates_into(
-                    state,
-                    self.level_task,
-                    skip,
-                    &mut work.raw,
-                );
+                params
+                    .representation
+                    .raw_candidates_into(state, &[], skip, &mut work.raw);
                 work.raw.retain(|&(t, _)| self.viable[t]);
                 let Some(&(_, p)) = work.raw.first() else {
                     break;
@@ -1002,8 +1074,8 @@ struct Phase<'a, 'b> {
 
 impl<'a, 'b> Phase<'a, 'b> {
     /// The phase prologue: clears the scratch, runs the viability screen,
-    /// fixes the level order and the key rank, resets the state behind the
-    /// shard gate, and sets up the walk. A phase with nothing to search — an
+    /// fills the (still unsorted) level order, fixes the key rank, resets
+    /// the state behind the shard gate, and sets up the walk. A phase with nothing to search — an
     /// empty batch, or no task survives the screen — skips everything past
     /// the screen.
     fn open(
@@ -1013,12 +1085,10 @@ impl<'a, 'b> Phase<'a, 'b> {
     ) -> Self {
         let SearchScratch {
             work,
-            level_task,
             viable,
             node_min,
             out,
         } = scratch;
-        level_task.clear();
         viable.clear();
         node_min.clear();
         out.clear();
@@ -1048,11 +1118,14 @@ impl<'a, 'b> Phase<'a, 'b> {
             ..SearchStats::default()
         };
 
+        let task_order = match params.representation {
+            Representation::AssignmentOriented { task_order } => Some(*task_order),
+            Representation::SequenceOriented { .. } => None,
+        };
         let mut shards = None;
         if n_viable > 0 {
-            if let Representation::AssignmentOriented { task_order } = params.representation {
-                task_order.order_into(params.tasks, params.now, level_task);
-                level_task.retain(|&t| viable[t]);
+            if task_order.is_some() {
+                work.level.reset(viable);
             }
             // Shard-first gate: active only under a multi-node hierarchical
             // topology with the assignment-oriented layout. Everything else
@@ -1074,7 +1147,7 @@ impl<'a, 'b> Phase<'a, 'b> {
             ctx: Ctx {
                 params,
                 viable,
-                level_task,
+                task_order,
                 n_viable,
                 use_replay,
                 shards,
@@ -2345,5 +2418,72 @@ mod tests {
             saturated > 500,
             "the saturated tail must be exercised: {saturated} expansions"
         );
+    }
+
+    #[test]
+    fn level_order_prefix_grows_into_the_full_sort() {
+        // The on-demand level order against the full sort, over all four
+        // task orders, batches of up to ~600 tasks (far past the first
+        // chunk) and random viable masks. Narrow criterion ranges make
+        // many keys tie, so the batch index must break them as the full
+        // sort does.
+        use paragon_des::SimRng;
+
+        let orders = [
+            TaskOrder::EarliestDeadline,
+            TaskOrder::MinSlack,
+            TaskOrder::Arrival,
+            TaskOrder::ShortestProcessing,
+        ];
+        let mut rng = SimRng::seed_from(1998);
+        let mut level = LevelOrder::default();
+        let mut full = Vec::new();
+        for case in 0..160 {
+            let n = rng.uniform_usize(0..600);
+            let tasks: Vec<Task> = (0..n as u64)
+                .map(|i| mk_task(i, rng.uniform_u64(1..40), rng.uniform_u64(0..400), &[]))
+                .collect();
+            let density = *rng.choose(&[0.0, 0.05, 0.5, 0.95, 1.0]);
+            let viable: Vec<bool> = (0..n).map(|_| rng.bernoulli(density)).collect();
+            let now = Time::from_micros(rng.uniform_u64(0..300));
+            let order = orders[case % orders.len()];
+            order.order_into(&tasks, now, &mut full);
+            full.retain(|&t| viable[t]);
+
+            // Random growth requests: every prefix equals the full sort's.
+            level.reset(&viable);
+            assert_eq!(level.sorted, 0);
+            while level.sorted < full.len() {
+                for _ in 0..rng.uniform_usize(1..4) {
+                    level.grow(order, &tasks, now);
+                }
+                assert_eq!(level.idx[..level.sorted], full[..level.sorted]);
+            }
+            assert!(!level.grow(order, &tasks, now));
+            assert_eq!(level.idx, full, "case {case}: {order:?}");
+
+            // The expansion scan grows the prefix itself. With a random
+            // set of tasks assigned, it yields exactly the unassigned
+            // ones in full-sort order, resuming from its cursor.
+            let mut state = PathState::new(vec![Time::ZERO; 2], n);
+            let comm = CommModel::free();
+            for &t in &full {
+                if rng.bernoulli(0.3) {
+                    state.apply(&tasks, &comm, t, ProcessorId::new(0));
+                }
+            }
+            level.reset(&viable);
+            let mut cursor = 0;
+            let mut scanned = Vec::new();
+            while let Some(t) = level.next_unassigned(&mut cursor, &state, order, &tasks, now) {
+                scanned.push(t);
+            }
+            let want: Vec<usize> = full
+                .iter()
+                .copied()
+                .filter(|&t| !state.is_assigned(t))
+                .collect();
+            assert_eq!(scanned, want, "case {case}: {order:?}");
+        }
     }
 }

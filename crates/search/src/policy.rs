@@ -36,22 +36,28 @@ impl TaskOrder {
     ///
     /// Every sort key ends with the batch index `i`, so keys are unique and
     /// the unstable sort is deterministic — identical output to a stable
-    /// sort, without the stable sort's temporary buffer.
+    /// sort, without the stable sort's temporary buffer. The search engine
+    /// sorts its level order by the same keys, a prefix at a time.
     pub fn order_into(&self, tasks: &[Task], now: Time, out: &mut Vec<usize>) {
         out.clear();
         out.extend(0..tasks.len());
-        match self {
-            TaskOrder::EarliestDeadline => {
-                out.sort_unstable_by_key(|&i| (tasks[i].deadline(), i));
-            }
-            TaskOrder::MinSlack => {
-                out.sort_unstable_by_key(|&i| (tasks[i].slack(now), i));
-            }
-            TaskOrder::Arrival => {}
-            TaskOrder::ShortestProcessing => {
-                out.sort_unstable_by_key(|&i| (tasks[i].processing_time(), i));
-            }
-        }
+        out.sort_unstable_by_key(|&i| self.key(tasks, now, i));
+    }
+
+    /// The sort key of batch task `i` at reference instant `now`: the
+    /// order's criterion in microseconds (zero for [`TaskOrder::Arrival`]),
+    /// then `i` itself. The keys of a batch are unique, so any sort by them
+    /// — or any sorted prefix of one — is the same order.
+    #[inline]
+    pub(crate) fn key(&self, tasks: &[Task], now: Time, i: usize) -> (u64, usize) {
+        let t = &tasks[i];
+        let criterion = match self {
+            TaskOrder::EarliestDeadline => t.deadline().as_micros(),
+            TaskOrder::MinSlack => t.slack(now).as_micros(),
+            TaskOrder::Arrival => 0,
+            TaskOrder::ShortestProcessing => t.processing_time().as_micros(),
+        };
+        (criterion, i)
     }
 }
 

@@ -38,7 +38,10 @@ impl DropOutcome {
 /// The set of tasks a scheduling phase works on.
 ///
 /// A batch preserves insertion order (which downstream heuristics may
-/// re-sort) and enforces id uniqueness.
+/// re-sort) and enforces id uniqueness. The driver keeps one batch for the
+/// whole run: each phase removes its scheduled and expired tasks in place,
+/// [`Batch::advance_phase`] bumps the phase, and arrivals are pushed onto
+/// the survivors.
 ///
 /// # Example
 ///
@@ -100,13 +103,6 @@ impl Batch {
         self.tasks.push(task);
     }
 
-    /// Adds many tasks (same duplicate rule as [`Batch::push`]).
-    pub fn extend_tasks<I: IntoIterator<Item = Task>>(&mut self, tasks: I) {
-        for t in tasks {
-            self.push(t);
-        }
-    }
-
     /// Number of tasks in the batch.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -130,52 +126,47 @@ impl Batch {
         self.tasks.iter()
     }
 
-    /// Whether the batch contains a task with the given id.
-    #[must_use]
-    pub fn contains(&self, id: TaskId) -> bool {
-        self.ids.contains(&id)
-    }
-
     /// Removes every task whose deadline can no longer be met at `now`
     /// (the paper's `p_i + t_c > d_i` filter), returning the dropped tasks.
     pub fn drop_expired(&mut self, now: Time) -> DropOutcome {
-        let mut dropped = Vec::new();
-        self.tasks.retain(|t| {
-            if t.is_expired(now) {
-                dropped.push(t.clone());
-                false
-            } else {
-                true
-            }
-        });
+        let dropped: Vec<Task> = self.tasks.extract_if(.., |t| t.is_expired(now)).collect();
         for t in &dropped {
             self.ids.remove(&t.id());
         }
         DropOutcome { dropped }
     }
 
-    /// Removes the tasks with the given ids (the tasks scheduled during this
-    /// phase), returning how many were actually present.
-    pub fn remove_scheduled(&mut self, scheduled: &HashSet<TaskId>) -> usize {
-        let before = self.tasks.len();
-        self.tasks.retain(|t| !scheduled.contains(&t.id()));
-        for id in scheduled {
-            self.ids.remove(id);
-        }
-        before - self.tasks.len()
+    /// Removes the tasks at `positions` (the tasks scheduled during this
+    /// phase) in one pass, keeping the survivors in batch order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `positions` is strictly increasing and every position
+    /// lies inside the batch.
+    pub fn remove_sorted(&mut self, positions: &[usize]) {
+        let mut next = positions.iter().copied().peekable();
+        let mut i = 0;
+        self.tasks.retain(|t| {
+            let hit = next.next_if_eq(&i).is_some();
+            if hit {
+                self.ids.remove(&t.id());
+            }
+            i += 1;
+            !hit
+        });
+        assert!(
+            next.next().is_none(),
+            "positions {positions:?} are not strictly increasing batch positions"
+        );
     }
 
-    /// Builds the next batch `Batch(j+1)`: this batch's unscheduled survivors
-    /// plus the tasks that arrived during the phase. Consumes `self`.
+    /// Turns this batch into `Batch(j+1)` in place: the survivors stay in
+    /// order, and arrivals and orphans are pushed onto it afterwards.
     ///
-    /// Expired-task filtering is the caller's job (it needs the drop list for
-    /// metrics); see [`Batch::drop_expired`].
-    #[must_use]
-    pub fn into_next(self, arrivals: Vec<Task>) -> Batch {
-        let mut next = Batch::new(self.phase + 1);
-        next.extend_tasks(self.tasks);
-        next.extend_tasks(arrivals);
-        next
+    /// Scheduled and expired tasks leave through [`Batch::remove_sorted`]
+    /// and [`Batch::drop_expired`].
+    pub fn advance_phase(&mut self) {
+        self.phase += 1;
     }
 
     /// The minimum slack over tasks in the batch at `now` — the `Min_Slack`
@@ -184,15 +175,6 @@ impl Batch {
     #[must_use]
     pub fn min_slack(&self, now: Time) -> Option<Duration> {
         self.tasks.iter().map(|t| t.slack(now)).min()
-    }
-}
-
-impl IntoIterator for Batch {
-    type Item = Task;
-    type IntoIter = std::vec::IntoIter<Task>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.tasks.into_iter()
     }
 }
 
@@ -217,6 +199,10 @@ mod tests {
             .build()
     }
 
+    fn ids(b: &Batch) -> Vec<u64> {
+        b.iter().map(|t| t.id().as_u64()).collect()
+    }
+
     #[test]
     fn push_and_query() {
         let mut b = Batch::new(0);
@@ -224,8 +210,7 @@ mod tests {
         b.push(mk(0, 1, 10));
         b.push(mk(1, 2, 20));
         assert_eq!(b.len(), 2);
-        assert!(b.contains(TaskId::new(0)));
-        assert!(!b.contains(TaskId::new(5)));
+        assert_eq!(ids(&b), vec![0, 1]);
         assert_eq!(b.phase(), 0);
         assert_eq!(b.iter().count(), 2);
     }
@@ -248,7 +233,7 @@ mod tests {
         assert_eq!(out.dropped[0].id(), TaskId::new(0));
         assert!(!out.is_empty());
         assert_eq!(b.len(), 1);
-        assert!(!b.contains(TaskId::new(0)));
+        assert_eq!(ids(&b), vec![1]);
         // dropped id can be reused afterwards (it is gone from the id set)
         b.push(mk(0, 1, 200));
         assert_eq!(b.len(), 2);
@@ -264,37 +249,54 @@ mod tests {
     }
 
     #[test]
-    fn remove_scheduled_takes_out_ids() {
+    fn remove_sorted_takes_out_positions() {
         let mut b = Batch::new(0);
         for i in 0..5 {
             b.push(mk(i, 1, 100));
         }
-        let scheduled: HashSet<TaskId> = [0u64, 2, 4].into_iter().map(TaskId::new).collect();
-        let removed = b.remove_scheduled(&scheduled);
-        assert_eq!(removed, 3);
+        b.remove_sorted(&[0, 2, 4]);
         assert_eq!(b.len(), 2);
-        assert!(b.contains(TaskId::new(1)));
-        assert!(b.contains(TaskId::new(3)));
+        assert_eq!(ids(&b), vec![1, 3]);
+        // removed ids can be reused afterwards (they are gone from the id set)
+        b.push(mk(2, 1, 100));
+        assert_eq!(ids(&b), vec![1, 3, 2]);
     }
 
     #[test]
-    fn remove_scheduled_ignores_absent_ids() {
+    fn remove_sorted_of_nothing_is_a_no_op() {
         let mut b = Batch::new(0);
         b.push(mk(0, 1, 100));
-        let scheduled: HashSet<TaskId> = [9u64].into_iter().map(TaskId::new).collect();
-        assert_eq!(b.remove_scheduled(&scheduled), 0);
-        assert_eq!(b.len(), 1);
+        b.remove_sorted(&[]);
+        assert_eq!(ids(&b), vec![0]);
     }
 
     #[test]
-    fn into_next_merges_survivors_and_arrivals() {
+    #[should_panic(expected = "not strictly increasing")]
+    fn remove_sorted_rejects_positions_outside_the_batch() {
+        let mut b = Batch::new(0);
+        b.push(mk(0, 1, 100));
+        b.remove_sorted(&[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly increasing")]
+    fn remove_sorted_rejects_unsorted_positions() {
+        let mut b = Batch::new(0);
+        for i in 0..3 {
+            b.push(mk(i, 1, 100));
+        }
+        b.remove_sorted(&[2, 0]);
+    }
+
+    #[test]
+    fn advance_phase_keeps_survivors_for_the_arrivals() {
         let mut b = Batch::new(7);
         b.push(mk(0, 1, 100));
-        let next = b.into_next(vec![mk(1, 1, 50)]);
-        assert_eq!(next.phase(), 8);
-        assert_eq!(next.len(), 2);
-        assert!(next.contains(TaskId::new(0)));
-        assert!(next.contains(TaskId::new(1)));
+        b.advance_phase();
+        b.push(mk(1, 1, 50));
+        assert_eq!(b.phase(), 8);
+        assert_eq!(b.len(), 2);
+        assert_eq!(ids(&b), vec![0, 1]);
     }
 
     #[test]
@@ -314,7 +316,5 @@ mod tests {
         b.push(mk(1, 1, 10));
         let ids: Vec<u64> = (&b).into_iter().map(|t| t.id().as_u64()).collect();
         assert_eq!(ids, vec![0, 1]);
-        let owned: Vec<Task> = b.into_iter().collect();
-        assert_eq!(owned.len(), 2);
     }
 }

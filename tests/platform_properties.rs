@@ -82,7 +82,7 @@ proptest! {
         prop_assert_eq!(machine.load(ProcessorId::new(0), probe), expect);
     }
 
-    /// Batch algebra: drop_expired + remove_scheduled + into_next conserve
+    /// Batch algebra: drop_expired + remove_sorted + advance_phase conserve
     /// tasks (no loss, no duplication).
     #[test]
     fn batch_operations_conserve_tasks(
@@ -97,20 +97,17 @@ proptest! {
         }
         let n = batch.len();
         let dropped = batch.drop_expired(Time::from_micros(now_us));
-        let scheduled: std::collections::HashSet<TaskId> = batch
-            .iter()
-            .take(take)
-            .map(Task::id)
-            .collect();
-        let removed = batch.remove_scheduled(&scheduled);
-        let next = batch.into_next(Vec::new());
-        prop_assert_eq!(dropped.len() + removed + next.len(), n);
-        prop_assert_eq!(next.phase(), 1);
+        let scheduled: Vec<usize> = (0..batch.len().min(take)).collect();
+        let removed = scheduled.len();
+        batch.remove_sorted(&scheduled);
+        batch.advance_phase();
+        prop_assert_eq!(dropped.len() + removed + batch.len(), n);
+        prop_assert_eq!(batch.phase(), 1);
         // dropped tasks really were expired, survivors really were not
         for t in &dropped.dropped {
             prop_assert!(t.is_expired(Time::from_micros(now_us)));
         }
-        for t in &next {
+        for t in &batch {
             prop_assert!(!t.is_expired(Time::from_micros(now_us)));
         }
     }
