@@ -3,9 +3,10 @@
 //! heap allocations — every buffer the search touches lives in the reused
 //! [`SearchScratch`]/[`PhaseScratch`] at its high-water capacity.
 //!
-//! It also fences a whole warm `Driver::run` at the paper's P=10 point: the
-//! driver allocates per phase (dispatch lists, delivery records), but the
-//! count and the bytes must stay under fixed bounds.
+//! It also fences a whole warm `Driver::run` at the paper's P=10 point and
+//! at the P=1024 cluster point: the driver allocates per phase (dispatch
+//! lists, delivery records), but the count and the bytes must stay under
+//! fixed bounds.
 //!
 //! The counting allocator wraps [`System`] and counts `alloc`/`realloc`/
 //! `alloc_zeroed` calls, and the bytes they request, only while armed. All
@@ -230,26 +231,34 @@ fn steady_state_phases_do_not_allocate() {
     }
 
     // A whole warm, untraced run at the paper's P=10 point (Figure 5's
-    // scenario, C = 2 ms, 1 µs per generated vertex). Each run builds its
-    // own scratch, so "warm" means a second run in the same process. The
-    // bounds fence the per-run allocation traffic: one batch kept for the
-    // whole run, scheduled tasks removed by position and arrivals moved
-    // rather than cloned. A zero-allocation warm driver phase is still
-    // open.
+    // scenario, C = 2 ms, 1 µs per generated vertex), and one at the P=1024
+    // cluster point (16 nodes × 4 racks; intra-node free, inter-node 2 ms,
+    // inter-rack 4 ms). Each run builds its own scratch, so "warm" means a
+    // second run in the same process. The bounds fence the per-run
+    // allocation traffic: one batch kept for the whole run, scheduled tasks
+    // removed by position, arrivals moved rather than cloned, and candidate
+    // columns held only for the segments a phase syncs. A zero-allocation
+    // warm driver phase is still open.
     {
         use paragon_platform::HostParams;
+        use rt_task::TopologySpec;
         use rtsads::{Driver, DriverConfig};
 
-        let tasks = rt_workload::Scenario::paper_defaults()
-            .workers(10)
-            .replication_rate(0.3)
-            .sf(1.0)
-            .build(1998)
-            .tasks;
-        for (algorithm, max_allocs) in [(Algorithm::rt_sads(), 2_500), (Algorithm::d_cols(), 400)] {
+        let cluster = CommModel::hierarchical(TopologySpec::new(1_024, 16, 4, 0, 2_000, 4_000));
+        for (algorithm, workers, run_comm, max_allocs, max_bytes) in [
+            (Algorithm::rt_sads(), 10, comm, 1_000, 1 << 20),
+            (Algorithm::d_cols(), 10, comm, 400, 1 << 20),
+            (Algorithm::rt_sads(), 1_024, cluster, 2_000, 8 << 20),
+        ] {
+            let tasks = rt_workload::Scenario::paper_defaults()
+                .workers(workers)
+                .replication_rate(0.3)
+                .sf(1.0)
+                .build(1998)
+                .tasks;
             let driver = Driver::new(
-                DriverConfig::new(10, algorithm.clone())
-                    .comm(comm)
+                DriverConfig::new(workers, algorithm.clone())
+                    .comm(run_comm)
                     .host(HostParams::new(Duration::from_micros(1)))
                     .seed(1998),
             );
@@ -262,11 +271,11 @@ fn steady_state_phases_do_not_allocate() {
             let name = algorithm.name();
             assert!(
                 allocs < max_allocs,
-                "a warm {name} run allocated {allocs} times (bound {max_allocs})"
+                "a warm {name} run at P={workers} allocated {allocs} times (bound {max_allocs})"
             );
             assert!(
-                bytes < 1 << 20,
-                "a warm {name} run allocated {bytes} bytes (bound 1 MiB)"
+                bytes < max_bytes,
+                "a warm {name} run at P={workers} allocated {bytes} bytes (bound {max_bytes})"
             );
         }
     }

@@ -577,8 +577,13 @@ impl Driver {
                 }
             }
             let scheduled = delivered.len();
-            let processing_times: Vec<Duration> =
-                delivered.iter().map(|d| d.task.processing_time()).collect();
+            // Only the traced dispatch events read these (to split a
+            // record's service into processing and communication).
+            let processing_times: Vec<Duration> = if tracer.enabled() {
+                delivered.iter().map(|d| d.task.processing_time()).collect()
+            } else {
+                Vec::new()
+            };
             let records = machine.deliver(delivered, delivery_at);
             delivered_at.sort_unstable();
             batch.remove_sorted(&delivered_at);

@@ -68,10 +68,13 @@ pub struct PlacementProbe {
 pub struct PhaseProfile {
     /// Phase-level feasibility screen (`screen_batch`).
     pub screen_ns: u64,
-    /// SoA completion-column fill (`completions_into`).
+    /// Candidate-column sync (`PathState::ensure_candidate_segment`) of
+    /// assignment-oriented expansions. Sequence-oriented phases record no
+    /// fill time: they evaluate each candidate inside the cost fold.
     pub fill_ns: u64,
     /// Cost fold: per-candidate `ce_k` accounting and feasibility
-    /// classification.
+    /// classification, plus, under the sequence-oriented layout, each
+    /// candidate's completion.
     pub cost_ns: u64,
     /// Shard gate and shard-first candidate ranking (hierarchical runs).
     pub shard_ns: u64,

@@ -18,7 +18,7 @@ use paragon_platform::SchedulingMeter;
 use rt_telemetry::{Stage, StageProfiler};
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{ChildOrder, TaskOrder};
+use crate::policy::{ChildOrder, ProcessorOrder, TaskOrder};
 use crate::repr::Representation;
 use crate::state::{Assignment, PathState};
 
@@ -253,14 +253,45 @@ pub struct SearchParams<'a> {
 
 /// Arena node: enough to reconstruct the partial schedule by walking
 /// parents, plus its depth so the incremental engine can find the common
-/// ancestor of two vertices in O(branch distance).
+/// ancestor of two vertices in O(branch distance). Packed into four `u32`s,
+/// 16 bytes: a P=1024 run's arenas hold tens of thousands of nodes.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    parent: Option<usize>,
+    /// The parent's arena id plus one; 0 for a child of the root.
+    parent: u32,
     /// 1-based: the number of assignments on the root-to-here path.
-    depth: usize,
-    task: usize,
-    processor: ProcessorId,
+    depth: u32,
+    task: u32,
+    processor: u32,
+}
+
+impl Node {
+    fn new(parent: Option<usize>, depth: usize, task: usize, processor: usize) -> Self {
+        let word = |v: usize| u32::try_from(v).expect("arena ids and batch sizes fit in u32");
+        Node {
+            parent: parent.map_or(0, |id| word(id + 1)),
+            depth: word(depth),
+            task: word(task),
+            processor: word(processor),
+        }
+    }
+
+    /// The parent's arena id; `None` for a child of the root.
+    fn parent(self) -> Option<usize> {
+        (self.parent as usize).checked_sub(1)
+    }
+
+    fn depth(self) -> usize {
+        self.depth as usize
+    }
+
+    fn task(self) -> usize {
+        self.task as usize
+    }
+
+    fn processor(self) -> ProcessorId {
+        ProcessorId::new(self.processor as usize)
+    }
 }
 
 /// Every per-phase buffer the search engine needs, owned in one place so a
@@ -357,11 +388,6 @@ struct Work {
     /// Feasible successors of one expansion as packed ordering keys (see
     /// [`successor_key`]).
     ckeys: Vec<u128>,
-    /// Raw (task, processor) candidates of one sequence-oriented skip round.
-    raw: Vec<(usize, ProcessorId)>,
-    /// Completions of `raw`, index-aligned (one batched evaluation pass
-    /// before the accounting loop consumes them).
-    comp: Vec<Time>,
     /// Cumulative shard end indices under a hierarchical topology (the
     /// node partition handed to [`PathState::configure_shards`]).
     shard_ends: Vec<usize>,
@@ -388,8 +414,6 @@ impl Work {
         self.path.clear();
         self.chain.clear();
         self.ckeys.clear();
-        self.raw.clear();
-        self.comp.clear();
         self.shard_rank.clear();
         let n = params.tasks.len();
         let state = self
@@ -406,15 +430,18 @@ impl Work {
 }
 
 /// The viable tasks of an assignment-oriented phase in level order, sorted
-/// on demand: the prologue fills `idx` with the viable batch indices,
-/// unsorted, and the expansion scan sorts more of it only when its cursor
-/// reaches the end of the sorted prefix `idx[..sorted]`. A walk reads a few
-/// dozen levels of a batch of hundreds, so most of the order is never
-/// sorted. Keys end in the batch index ([`TaskOrder::key`]), so they are
-/// unique and every prefix equals the full sort's prefix.
+/// on demand: the prologue fills `keys` with one packed key per viable
+/// task, unsorted, and the expansion scan sorts more of it only when its
+/// cursor reaches the end of the sorted prefix `keys[..sorted]`. A walk
+/// reads a few dozen levels of a batch of hundreds, so most of the order is
+/// never sorted. A key is `(criterion << 64) | batch index`, the
+/// [`TaskOrder::key`] pair taken once per phase, so selecting and sorting
+/// compare integers instead of re-reading the batch. Keys end in the batch
+/// index, so they are unique and every prefix equals the full sort's
+/// prefix.
 #[derive(Debug, Default)]
 struct LevelOrder {
-    idx: Vec<usize>,
+    keys: Vec<u128>,
     sorted: usize,
 }
 
@@ -422,30 +449,40 @@ impl LevelOrder {
     /// Entries the first growth sorts; each later one doubles the prefix.
     const FIRST_CHUNK: usize = 32;
 
-    /// Refills the order with the viable batch indices, none sorted yet.
-    fn reset(&mut self, viable: &[bool]) {
-        self.idx.clear();
-        self.idx.extend((0..viable.len()).filter(|&t| viable[t]));
+    /// Refills the order with the packed keys of the viable tasks, none
+    /// sorted yet.
+    fn reset(&mut self, viable: &[bool], order: TaskOrder, tasks: &[Task], now: Time) {
+        self.keys.clear();
+        self.keys
+            .extend((0..viable.len()).filter(|&t| viable[t]).map(|t| {
+                let (criterion, index) = order.key(tasks, now, t);
+                (u128::from(criterion) << 64) | index as u128
+            }));
         self.sorted = 0;
+    }
+
+    /// The batch index a level key carries.
+    #[inline]
+    fn task(key: u128) -> usize {
+        key as u64 as usize
     }
 
     /// Extends the sorted prefix by the next-smallest keys of the unsorted
     /// tail — to [`LevelOrder::FIRST_CHUNK`] entries at first, then double
     /// the prefix — sorting only those. Returns `false` when the whole
     /// order is sorted already.
-    fn grow(&mut self, order: TaskOrder, tasks: &[Task], now: Time) -> bool {
-        let len = self.idx.len();
+    fn grow(&mut self) -> bool {
+        let len = self.keys.len();
         if self.sorted == len {
             return false;
         }
         let end = (2 * self.sorted).max(Self::FIRST_CHUNK).min(len);
         let take = end - self.sorted;
-        let key = |&i: &usize| order.key(tasks, now, i);
-        let tail = &mut self.idx[self.sorted..];
+        let tail = &mut self.keys[self.sorted..];
         if take < tail.len() {
-            tail.select_nth_unstable_by_key(take, key);
+            tail.select_nth_unstable(take);
         }
-        tail[..take].sort_unstable_by_key(key);
+        tail[..take].sort_unstable();
         self.sorted = end;
         true
     }
@@ -454,25 +491,18 @@ impl LevelOrder {
     /// has not assigned, growing the sorted prefix as the scan reaches its
     /// end; `*cursor` moves past the task. `None` when every remaining
     /// task is assigned.
-    fn next_unassigned(
-        &mut self,
-        cursor: &mut usize,
-        state: &PathState,
-        order: TaskOrder,
-        tasks: &[Task],
-        now: Time,
-    ) -> Option<usize> {
+    fn next_unassigned(&mut self, cursor: &mut usize, state: &PathState) -> Option<usize> {
         loop {
-            if let Some(off) = self.idx[*cursor..self.sorted]
+            if let Some(off) = self.keys[*cursor..self.sorted]
                 .iter()
-                .position(|&t| !state.is_assigned(t))
+                .position(|&k| !state.is_assigned(Self::task(k)))
             {
-                let task = self.idx[*cursor + off];
+                let task = Self::task(self.keys[*cursor + off]);
                 *cursor += off + 1;
                 return Some(task);
             }
             *cursor = self.sorted;
-            if !self.grow(order, tasks, now) {
+            if !self.grow() {
                 return None;
             }
         }
@@ -527,14 +557,14 @@ pub fn search_schedule_replay(
 type Best = (usize, Time, Option<usize>);
 
 /// The read-only context of one candidate-list walk: the caller's
-/// parameters plus the phase-level screen verdicts, task order and key
-/// rank, fixed once per phase.
+/// parameters plus the phase-level screen verdicts, processor order and
+/// key rank, fixed once per phase.
 struct Ctx<'a, 'b> {
     params: &'b SearchParams<'a>,
     viable: &'b [bool],
-    /// The level order of the assignment-oriented layout; `None` under the
-    /// sequence-oriented one, whose levels fix a processor.
-    task_order: Option<TaskOrder>,
+    /// The processor order of the sequence-oriented layout; `None` under
+    /// the assignment-oriented one, whose levels fix a task.
+    processor_order: Option<ProcessorOrder>,
     n_viable: usize,
     use_replay: bool,
     /// `Some` when the shard-first candidate generator is active (multi-node
@@ -665,7 +695,7 @@ impl Ctx<'_, '_> {
         let mut cursor = id;
         while let Some(i) = cursor {
             chain.push(i);
-            cursor = arena[i].parent;
+            cursor = arena[i].parent();
         }
         let mut state = PathState::with_resources(
             params.initial_finish.to_vec(),
@@ -673,8 +703,8 @@ impl Ctx<'_, '_> {
             params.resources.clone(),
         );
         for &i in chain.iter().rev() {
-            let node = &arena[i];
-            state.apply(params.tasks, params.comm, node.task, node.processor);
+            let node = arena[i];
+            state.apply(params.tasks, params.comm, node.task(), node.processor());
         }
         state
     }
@@ -695,12 +725,12 @@ impl Ctx<'_, '_> {
         let mut cursor = Some(cv);
         let common_depth = loop {
             let Some(i) = cursor else { break 0 };
-            let node = &work.arena[i];
-            if work.path.get(node.depth - 1) == Some(&i) {
-                break node.depth;
+            let node = work.arena[i];
+            if work.path.get(node.depth() - 1) == Some(&i) {
+                break node.depth();
             }
             work.chain.push(i);
-            cursor = node.parent;
+            cursor = node.parent();
         };
         if track {
             stats.undos += (work.path.len() - common_depth) as u64;
@@ -726,8 +756,8 @@ impl Ctx<'_, '_> {
                 state.apply(
                     self.params.tasks,
                     self.params.comm,
-                    node.task,
-                    node.processor,
+                    node.task(),
+                    node.processor(),
                 );
                 work.path.push(i);
             }
@@ -774,20 +804,48 @@ impl Ctx<'_, '_> {
         // rounds resume one forward scan — O(n) over all rounds, not O(n²).
         let mut cursor = 0;
         for skip in 0..=max_skips {
-            let in_budget = if let Some(order) = self.task_order {
-                let Some(task) =
-                    work.level
-                        .next_unassigned(&mut cursor, state, order, params.tasks, params.now)
-                else {
+            let in_budget = if let Some(order) = self.processor_order {
+                // Sequence-oriented levels fix a processor and branch over
+                // tasks: the round's candidates are the unassigned viable
+                // tasks in index order, each evaluated only when the
+                // classify loop pulls it, so a round that a budget cuts
+                // evaluates one candidate past the last it charged, not
+                // the whole round. Screened (phase-infeasible) tasks are
+                // invisible to the search and cost no quantum; once no
+                // viable task is left unassigned (every assigned task is
+                // viable), skipping further cannot help.
+                if state.depth() == self.n_viable {
+                    break;
+                }
+                let m = state.processors();
+                let p = (order.processor_at(state.depth(), m, state.n_tasks()) + skip) % m;
+                fixed = p;
+                let state = &*state;
+                let candidates = state.unassigned().filter(|&t| self.viable[t]).map(|t| {
+                    let completion =
+                        state.completion_if(params.tasks, params.comm, t, ProcessorId::new(p));
+                    (t, completion)
+                });
+                self.classify(
+                    candidates,
+                    |t| params.tasks[t].deadline(),
+                    &mut work.ckeys,
+                    &mut work.prof,
+                    meter,
+                    stats,
+                )
+            } else {
+                let Some(task) = work.level.next_unassigned(&mut cursor, state) else {
                     break; // no unassigned task remains at all
                 };
                 fixed = task;
                 // The task is fixed for the round, so its deadline is too.
                 let deadline = params.tasks[task].deadline();
                 // The round's candidates are one row of the task's
-                // persistent candidate column, synced in O(Δ) from the
-                // journal: under shard-first generation only the winning
-                // shards' segments, otherwise the whole row.
+                // candidate column, synced in O(Δ) from the journal: under
+                // shard-first generation only the winning shards'
+                // segments, otherwise the one segment spanning every
+                // processor.
                 if let Some(topo) = self.shards {
                     // Like the batch screen, the per-shard bounds cost no
                     // quantum — the saving the sharded bench point measures.
@@ -808,11 +866,11 @@ impl Ctx<'_, '_> {
                         state.ensure_candidate_segment(params.tasks, params.comm, task, s);
                     }
                     work.prof.stop(Stage::Fill, t_fill);
-                    let col = state.comp_column(task);
-                    let segments = work.shard_rank.iter().flat_map(|&(_, s)| {
-                        let (lo, hi) = topo.node_range(s);
-                        (lo..hi).zip(&col[lo..hi])
-                    });
+                    let state = &*state;
+                    let segments = work
+                        .shard_rank
+                        .iter()
+                        .flat_map(|&(_, s)| state.candidate_segment(task, s));
                     self.classify(
                         segments,
                         |_| deadline,
@@ -823,10 +881,10 @@ impl Ctx<'_, '_> {
                     )
                 } else {
                     let t_fill = work.prof.start();
-                    let col = state.candidate_column(params.tasks, params.comm, task);
+                    state.ensure_candidate_segment(params.tasks, params.comm, task, 0);
                     work.prof.stop(Stage::Fill, t_fill);
                     self.classify(
-                        col.iter().enumerate(),
+                        state.candidate_segment(task, 0),
                         |_| deadline,
                         &mut work.ckeys,
                         &mut work.prof,
@@ -834,34 +892,6 @@ impl Ctx<'_, '_> {
                         stats,
                     )
                 }
-            } else {
-                // Sequence-oriented levels fix a processor and branch over
-                // tasks, so the per-task column does not apply: the round
-                // evaluates its raw candidates in one batched pass.
-                // Screened (phase-infeasible) tasks are invisible to the
-                // search and cost no quantum; an empty round means no viable
-                // task is left at all — skipping further cannot help.
-                params
-                    .representation
-                    .raw_candidates_into(state, &[], skip, &mut work.raw);
-                work.raw.retain(|&(t, _)| self.viable[t]);
-                let Some(&(_, p)) = work.raw.first() else {
-                    break;
-                };
-                fixed = p.index();
-                let t_fill = work.prof.start();
-                state.completions_into(params.tasks, params.comm, &work.raw, &mut work.comp);
-                work.prof.stop(Stage::Fill, t_fill);
-                let tasks = work.raw.iter().map(|&(t, _)| t);
-                let deadline = |t: usize| params.tasks[t].deadline();
-                self.classify(
-                    tasks.zip(&work.comp),
-                    deadline,
-                    &mut work.ckeys,
-                    &mut work.prof,
-                    meter,
-                    stats,
-                )
             };
             if !in_budget || !work.ckeys.is_empty() {
                 break;
@@ -887,12 +917,7 @@ impl Ctx<'_, '_> {
             } else {
                 (member, fixed)
             };
-            work.arena.push(Node {
-                parent: cv,
-                depth,
-                task,
-                processor: ProcessorId::new(processor),
-            });
+            work.arena.push(Node::new(cv, depth, task, processor));
             work.cl.push(id);
             let makespan = base_makespan.max(completion);
             if params.provenance {
@@ -919,7 +944,7 @@ impl Ctx<'_, '_> {
     }
 
     /// The one cap/charge/classify loop behind every candidate source — the
-    /// flat column, the shard segments and the sequence-oriented batch —
+    /// flat column, the shard segments and the sequence-oriented round —
     /// fed `(member, completion)` pairs in generation order. Each feasible
     /// candidate becomes a [`successor_key`]. Returns `false` when a budget
     /// broke the round off.
@@ -935,9 +960,9 @@ impl Ctx<'_, '_> {
     ///      break leaves exactly one counted, unclassified vertex.
     ///   3. feasibility classification — only for charged vertices.
     #[inline]
-    fn classify<'c>(
+    fn classify(
         &self,
-        source: impl IntoIterator<Item = (usize, &'c Time)>,
+        source: impl IntoIterator<Item = (usize, Time)>,
         deadline: impl Fn(usize) -> Time,
         ckeys: &mut Vec<u128>,
         prof: &mut StageProfiler,
@@ -949,7 +974,7 @@ impl Ctx<'_, '_> {
         // when uncapped (`vertices_generated` cannot reach `u64::MAX`).
         let cap = self.params.vertex_cap.unwrap_or(u64::MAX);
         let mut in_budget = true;
-        for (member, &completion) in source {
+        for (member, completion) in source {
             if stats.vertices_generated >= cap {
                 in_budget = false;
                 break;
@@ -1041,7 +1066,7 @@ impl Ctx<'_, '_> {
             let Some(cv) = work.cl.pop() else {
                 return Termination::DeadEnd;
             };
-            if work.arena[cv].parent != last_expanded {
+            if work.arena[cv].parent() != last_expanded {
                 stats.backtracks += 1;
                 if params
                     .pruning
@@ -1118,14 +1143,17 @@ impl<'a, 'b> Phase<'a, 'b> {
             ..SearchStats::default()
         };
 
-        let task_order = match params.representation {
-            Representation::AssignmentOriented { task_order } => Some(*task_order),
-            Representation::SequenceOriented { .. } => None,
+        let processor_order = match params.representation {
+            Representation::AssignmentOriented { .. } => None,
+            Representation::SequenceOriented {
+                processor_order, ..
+            } => Some(*processor_order),
         };
         let mut shards = None;
         if n_viable > 0 {
-            if task_order.is_some() {
-                work.level.reset(viable);
+            if let Representation::AssignmentOriented { task_order } = params.representation {
+                work.level
+                    .reset(viable, *task_order, params.tasks, params.now);
             }
             // Shard-first gate: active only under a multi-node hierarchical
             // topology with the assignment-oriented layout. Everything else
@@ -1147,7 +1175,7 @@ impl<'a, 'b> Phase<'a, 'b> {
             ctx: Ctx {
                 params,
                 viable,
-                task_order,
+                processor_order,
                 n_viable,
                 use_replay,
                 shards,
@@ -1359,7 +1387,7 @@ fn rejected_siblings(
     (lo..hi)
         .filter(|&sid| sid != id && arena[sid].task == task)
         .map(|sid| PlacementAlternative {
-            processor: arena[sid].processor,
+            processor: arena[sid].processor(),
             completion: node_costs[sid].0,
             cost: node_costs[sid].1,
         })
@@ -1381,13 +1409,13 @@ fn phase_provenance(
         let node = work.arena[id];
         let (completion, cost) = work.node_costs[id];
         decisions.push(PlacementEvidence {
-            task: node.task,
-            processor: node.processor,
+            task: node.task(),
+            processor: node.processor(),
             completion,
             cost,
             rejected: rejected_siblings(&work.arena, &work.node_costs, id),
         });
-        cursor = node.parent;
+        cursor = node.parent();
     }
     decisions.reverse();
     PhaseProvenance {
@@ -2088,7 +2116,7 @@ mod tests {
             .enumerate()
             .filter(|&(sid, sib)| sid != id && sib.parent == node.parent && sib.task == node.task)
             .map(|(sid, sib)| PlacementAlternative {
-                processor: sib.processor,
+                processor: sib.processor(),
                 completion: node_costs[sid].0,
                 cost: node_costs[sid].1,
             })
@@ -2422,11 +2450,11 @@ mod tests {
 
     #[test]
     fn level_order_prefix_grows_into_the_full_sort() {
-        // The on-demand level order against the full sort, over all four
-        // task orders, batches of up to ~600 tasks (far past the first
-        // chunk) and random viable masks. Narrow criterion ranges make
-        // many keys tie, so the batch index must break them as the full
-        // sort does.
+        // The on-demand level order of packed keys against the full sort,
+        // over all four task orders, batches of up to ~600 tasks (far past
+        // the first chunk) and random viable masks. Narrow criterion
+        // ranges make many criteria tie, so the batch index in the key's
+        // low word must break them as the full sort does.
         use paragon_des::SimRng;
 
         let orders = [
@@ -2449,18 +2477,29 @@ mod tests {
             let order = orders[case % orders.len()];
             order.order_into(&tasks, now, &mut full);
             full.retain(|&t| viable[t]);
+            let tasks_of = |keys: &[u128]| -> Vec<usize> {
+                keys.iter().map(|&k| LevelOrder::task(k)).collect()
+            };
 
             // Random growth requests: every prefix equals the full sort's.
-            level.reset(&viable);
+            level.reset(&viable, order, &tasks, now);
             assert_eq!(level.sorted, 0);
             while level.sorted < full.len() {
                 for _ in 0..rng.uniform_usize(1..4) {
-                    level.grow(order, &tasks, now);
+                    level.grow();
                 }
-                assert_eq!(level.idx[..level.sorted], full[..level.sorted]);
+                assert_eq!(tasks_of(&level.keys[..level.sorted]), full[..level.sorted]);
             }
-            assert!(!level.grow(order, &tasks, now));
-            assert_eq!(level.idx, full, "case {case}: {order:?}");
+            assert!(!level.grow());
+            assert_eq!(tasks_of(&level.keys), full, "case {case}: {order:?}");
+            for &k in &level.keys {
+                let t = LevelOrder::task(k);
+                assert_eq!(
+                    (k >> 64) as u64,
+                    order.key(&tasks, now, t).0,
+                    "criterion word"
+                );
+            }
 
             // The expansion scan grows the prefix itself. With a random
             // set of tasks assigned, it yields exactly the unassigned
@@ -2472,10 +2511,10 @@ mod tests {
                     state.apply(&tasks, &comm, t, ProcessorId::new(0));
                 }
             }
-            level.reset(&viable);
+            level.reset(&viable, order, &tasks, now);
             let mut cursor = 0;
             let mut scanned = Vec::new();
-            while let Some(t) = level.next_unassigned(&mut cursor, &state, order, &tasks, now) {
+            while let Some(t) = level.next_unassigned(&mut cursor, &state) {
                 scanned.push(t);
             }
             let want: Vec<usize> = full
@@ -2485,5 +2524,90 @@ mod tests {
                 .collect();
             assert_eq!(scanned, want, "case {case}: {order:?}");
         }
+    }
+
+    #[test]
+    fn quantum_cut_long_sequence_oriented_rounds_are_pinned() {
+        // A sequence-oriented root round over a batch of hundreds of viable
+        // tasks, cut by the quantum after 1 charge, after 50, and one short
+        // of the full round, under the EDF and generation child orders and
+        // both processor-skip variants. The differential instances hold at
+        // most 24 tasks, so only this case stops a round with hundreds of
+        // candidates still unevaluated. The digest was recorded from the
+        // engine that evaluated a round's every candidate before charging
+        // the first; evaluating them as the quantum pays for them must
+        // leave stats, termination and assignments unchanged.
+        use paragon_des::SimRng;
+
+        fn fold(digest: &mut u64, w: u64) {
+            for b in w.to_le_bytes() {
+                *digest ^= u64::from(b);
+                *digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        let workers = 4;
+        let mut rng = SimRng::seed_from(1998);
+        let tasks: Vec<Task> = (0..400)
+            .map(|i| {
+                let p = rng.uniform_u64(50..500);
+                let d = if rng.bernoulli(0.3) {
+                    p + rng.uniform_u64(0..600)
+                } else {
+                    rng.uniform_u64(1_000..50_000)
+                };
+                let affinity: Vec<usize> = (0..workers).filter(|_| rng.bernoulli(0.4)).collect();
+                mk_task(i, p, d, &affinity)
+            })
+            .collect();
+        let comm = CommModel::constant(Duration::from_micros(300));
+        let initial = [400, 0, 150, 900].map(Time::from_micros);
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for skip_processors in [false, true] {
+            let repr = Representation::SequenceOriented {
+                processor_order: ProcessorOrder::RoundRobin,
+                skip_processors,
+            };
+            for order in [ChildOrder::EarliestDeadline, ChildOrder::None] {
+                let p = params(&tasks, &comm, &initial, &repr, order);
+                let n_viable = search_schedule(&p, &mut free_meter()).n_viable as u64;
+                assert!(n_viable >= 300, "the round must be long: {n_viable}");
+                for quantum in [1, 50, n_viable - 1] {
+                    let mut meter = SchedulingMeter::new(
+                        HostParams::new(Duration::from_micros(1)),
+                        Duration::from_micros(quantum),
+                    );
+                    let out = search_schedule(&p, &mut meter);
+                    assert_eq!(out.termination, Termination::QuantumExhausted);
+                    assert_eq!(out.stats.expansions, 1, "the first round is cut");
+                    assert_eq!(out.stats.vertices_generated, quantum + 1);
+                    fold(&mut digest, out.assignments.len() as u64);
+                    for a in &out.assignments {
+                        fold(&mut digest, a.task as u64);
+                        fold(&mut digest, a.processor.index() as u64);
+                        fold(&mut digest, a.completion.as_micros());
+                    }
+                    let s = out.stats;
+                    for w in [
+                        s.vertices_generated,
+                        s.expansions,
+                        s.backtracks,
+                        s.infeasible_children,
+                        s.feasible_children,
+                        s.deepest as u64,
+                        s.level_skips,
+                        s.depth_prunes,
+                        s.screened_tasks,
+                        s.undos,
+                        s.replay_avoided,
+                        s.shard_screens,
+                        s.shards_pruned,
+                    ] {
+                        fold(&mut digest, w);
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0xc2d3_f121_9f91_92b1, "digest {digest:#018x}");
     }
 }

@@ -1,6 +1,5 @@
 //! The two search representations of Section 3.
 
-use rt_task::ProcessorId;
 use serde::{Deserialize, Serialize};
 
 use crate::policy::{ProcessorOrder, TaskOrder};
@@ -85,155 +84,12 @@ impl Representation {
             }
         }
     }
-
-    /// Enumerates the raw (task, processor) successor candidates of a vertex
-    /// whose partial schedule is `state`, **before** feasibility filtering
-    /// and heuristic ordering.
-    ///
-    /// `level_task` is the per-level task ordering precomputed by
-    /// [`TaskOrder::order`] for the assignment-oriented case (ignored
-    /// otherwise). `skip` selects the skip round (0 = the level's canonical
-    /// choice; see [`Representation::max_skips`]).
-    #[must_use]
-    pub fn raw_candidates(
-        &self,
-        state: &PathState,
-        level_task: &[usize],
-        skip: usize,
-    ) -> Vec<(usize, ProcessorId)> {
-        let mut out = Vec::new();
-        self.raw_candidates_into(state, level_task, skip, &mut out);
-        out
-    }
-
-    /// Like [`Representation::raw_candidates`], but writes into a
-    /// caller-provided buffer (cleared first) so the expansion loop can
-    /// reuse one allocation across every skip round of every expansion.
-    pub fn raw_candidates_into(
-        &self,
-        state: &PathState,
-        level_task: &[usize],
-        skip: usize,
-        out: &mut Vec<(usize, ProcessorId)>,
-    ) {
-        out.clear();
-        let level = state.depth();
-        match self {
-            Representation::AssignmentOriented { .. } => {
-                // The level's task is the (skip+1)-th *unassigned* task in
-                // the precomputed order: backtracking may have unassigned a
-                // task that an earlier level on another branch consumed.
-                let Some(&task) = level_task
-                    .iter()
-                    .filter(|&&t| !state.is_assigned(t))
-                    .nth(skip)
-                else {
-                    return;
-                };
-                out.extend(ProcessorId::all(state.processors()).map(|p| (task, p)));
-            }
-            Representation::SequenceOriented {
-                processor_order, ..
-            } => {
-                let m = state.processors();
-                let base = processor_order.processor_at(level, m, state.n_tasks());
-                let p = ProcessorId::new((base + skip) % m);
-                out.extend(state.unassigned().map(|t| (t, p)));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paragon_des::{Duration, Time};
-    use rt_task::{CommModel, Task, TaskId};
-
-    fn tasks(n: usize) -> Vec<Task> {
-        (0..n)
-            .map(|i| {
-                Task::builder(TaskId::new(i as u64))
-                    .processing_time(Duration::from_micros(100))
-                    // deadlines descending so EDF order is reversed
-                    .deadline(Time::from_micros(10_000 - i as u64 * 100))
-                    .build()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn assignment_oriented_branches_over_processors() {
-        let ts = tasks(3);
-        let repr = Representation::assignment_oriented();
-        let order = TaskOrder::EarliestDeadline.order(&ts, Time::ZERO);
-        assert_eq!(order, vec![2, 1, 0]);
-        let state = PathState::new(vec![Time::ZERO; 4], ts.len());
-        let cands = repr.raw_candidates(&state, &order, 0);
-        assert_eq!(cands.len(), 4, "one branch per processor");
-        assert!(cands.iter().all(|&(t, _)| t == 2), "level 0 fixes task 2");
-        let procs: Vec<usize> = cands.iter().map(|&(_, p)| p.index()).collect();
-        assert_eq!(procs, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn assignment_oriented_skips_assigned_tasks() {
-        let ts = tasks(3);
-        let repr = Representation::assignment_oriented();
-        let order = vec![2, 1, 0];
-        let comm = CommModel::free();
-        let mut state = PathState::new(vec![Time::ZERO; 2], ts.len());
-        state.apply(&ts, &comm, 2, ProcessorId::new(0));
-        let cands = repr.raw_candidates(&state, &order, 0);
-        assert!(
-            cands.iter().all(|&(t, _)| t == 1),
-            "next unassigned in order"
-        );
-    }
-
-    #[test]
-    fn assignment_oriented_empty_when_complete() {
-        let ts = tasks(1);
-        let repr = Representation::assignment_oriented();
-        let comm = CommModel::free();
-        let mut state = PathState::new(vec![Time::ZERO; 2], 1);
-        state.apply(&ts, &comm, 0, ProcessorId::new(1));
-        assert!(repr.raw_candidates(&state, &[0], 0).is_empty());
-    }
-
-    #[test]
-    fn sequence_oriented_branches_over_tasks() {
-        let ts = tasks(3);
-        let repr = Representation::sequence_oriented();
-        let state = PathState::new(vec![Time::ZERO; 2], ts.len());
-        let cands = repr.raw_candidates(&state, &[], 0);
-        assert_eq!(cands.len(), 3, "one branch per remaining task");
-        assert!(
-            cands.iter().all(|&(_, p)| p.index() == 0),
-            "level 0 serves P0"
-        );
-    }
-
-    #[test]
-    fn sequence_oriented_round_robins_processors() {
-        let ts = tasks(4);
-        let repr = Representation::sequence_oriented();
-        let comm = CommModel::free();
-        let mut state = PathState::new(vec![Time::ZERO; 2], ts.len());
-        state.apply(&ts, &comm, 0, ProcessorId::new(0));
-        let cands = repr.raw_candidates(&state, &[], 0);
-        assert!(
-            cands.iter().all(|&(_, p)| p.index() == 1),
-            "level 1 serves P1"
-        );
-        assert_eq!(cands.len(), 3);
-        state.apply(&ts, &comm, 1, ProcessorId::new(1));
-        let cands = repr.raw_candidates(&state, &[], 0);
-        assert!(
-            cands.iter().all(|&(_, p)| p.index() == 0),
-            "level 2 wraps to P0"
-        );
-    }
+    use paragon_des::Time;
 
     #[test]
     fn constructors_and_predicates() {
@@ -242,31 +98,16 @@ mod tests {
     }
 
     #[test]
-    fn assignment_oriented_skip_rounds_walk_the_task_order() {
-        let ts = tasks(3);
-        let repr = Representation::assignment_oriented();
-        let order = vec![2, 1, 0];
-        let state = PathState::new(vec![Time::ZERO; 2], ts.len());
-        for (skip, expect) in [(0usize, 2usize), (1, 1), (2, 0)] {
-            let cands = repr.raw_candidates(&state, &order, skip);
-            assert!(cands.iter().all(|&(t, _)| t == expect), "skip {skip}");
-        }
-        assert!(repr.raw_candidates(&state, &order, 3).is_empty());
-        assert_eq!(repr.max_skips(&state), 2);
-    }
-
-    #[test]
-    fn sequence_oriented_skip_rounds_advance_the_processor() {
-        let ts = tasks(2);
+    fn max_skips_bound_each_layouts_skip_rounds() {
+        // Assignment-oriented: every unassigned task after the first.
+        let state = PathState::new(vec![Time::ZERO; 2], 3);
+        assert_eq!(Representation::assignment_oriented().max_skips(&state), 2);
+        // The skipping sequence-oriented variant: every other processor.
+        let state = PathState::new(vec![Time::ZERO; 3], 2);
         let repr = Representation::SequenceOriented {
             processor_order: ProcessorOrder::RoundRobin,
             skip_processors: true,
         };
-        let state = PathState::new(vec![Time::ZERO; 3], ts.len());
-        for skip in 0..3 {
-            let cands = repr.raw_candidates(&state, &[], skip);
-            assert!(cands.iter().all(|&(_, p)| p.index() == skip));
-        }
         assert_eq!(repr.max_skips(&state), 2);
         // the canonical (non-skipping) D-COLS never skips
         assert_eq!(Representation::sequence_oriented().max_skips(&state), 0);

@@ -70,16 +70,25 @@ pub struct PathState {
     /// suffix on reuse — the O(Δ) dirty-tracking that replaces the O(P)
     /// per-vertex refill.
     journal: Vec<u32>,
-    /// Phase generation; bumped by `reset` so columns filled in an earlier
-    /// phase are recognised as stale without being dropped.
+    /// Phase generation; bumped by `reset` and `configure_shards` so column
+    /// segments synced earlier are recognised as stale without being
+    /// cleared.
     col_gen: u64,
     /// Bumped whenever the resource EATs change (`apply`/`undo` of a
     /// resource-holding task). Columns cache the task's resource
     /// earliest-start and revalidate it lazily against this epoch.
     res_epoch: u64,
-    /// Per-task persistent candidate columns (`comp`/`ce_k`), indexed by
-    /// batch task index. Grows monotonically; never dropped between phases.
-    columns: Vec<TaskColumn>,
+    /// Per-task candidate-column heads, indexed by batch task index. Grows
+    /// to the largest batch seen; never shrinks.
+    heads: Vec<ColumnHead>,
+    /// Per-(task, segment) sync states, at `task * column_segments() +
+    /// seg`. Grows like `heads`.
+    segs: Vec<SegState>,
+    /// This phase's candidate-column cells: a segment's first cold fill in
+    /// a phase appends its range, and later resyncs rewrite that run in
+    /// place. `reset` clears it and keeps its capacity, so a phase holds
+    /// only the segments it touched, not a `P`-long column per task.
+    slab: Vec<Cell>,
     /// Iterative segment min-tree over `finish`, maintained only when
     /// sharded: leaves `[len/2, len/2 + P)` mirror `finish`, padded to a
     /// power of two with `Time::MAX`. An `apply`/`undo` updates one
@@ -88,39 +97,60 @@ pub struct PathState {
     tree: Vec<Time>,
 }
 
-/// One task's persistent candidate column: the completion instant the task
-/// would have on every processor (`max(finish_k, earliest) + demand_k`),
-/// maintained incrementally across vertices of the same phase.
+/// What all segments of one task's candidate column share. The column is
+/// the completion instant the task would have on every processor
+/// (`max(finish_k, earliest) + demand_k`), maintained incrementally across
+/// vertices of the same phase.
 ///
 /// Validity is tracked per *segment* (the shard partition when sharded, one
 /// segment covering all processors otherwise): each segment remembers the
-/// phase generation and journal position it was last synchronised at, so the
-/// shard-first screen only ever pays for the segments it actually
-/// enumerates.
-#[derive(Debug, Clone, Default)]
-struct TaskColumn {
-    /// State-independent demand `p_l + c_lk` per processor — valid wherever
-    /// the owning segment's `gen` is current.
-    demand: Vec<Duration>,
-    /// Completion instants, index-aligned with `finish`.
-    comp: Vec<Time>,
-    /// The task's resource earliest-start the `comp` entries were computed
-    /// against.
+/// phase generation it was cold-filled in, the journal position it was last
+/// synchronised at and where its cells sit in the slab, so the shard-first
+/// screen only ever pays for the segments it actually enumerates.
+#[derive(Debug, Clone, Copy)]
+struct ColumnHead {
+    /// The task's resource earliest-start the column's completions were
+    /// computed against.
     earliest: Time,
     /// Resource epoch `earliest` was taken at.
     res_epoch: u64,
     /// Phase generation `earliest` was taken at.
-    head_gen: u64,
-    /// Per-segment sync state.
-    segs: Vec<SegState>,
+    gen: u64,
+}
+
+impl ColumnHead {
+    /// A head no phase has taken (`col_gen` starts at 1).
+    const STALE: ColumnHead = ColumnHead {
+        earliest: Time::ZERO,
+        res_epoch: 0,
+        gen: 0,
+    };
 }
 
 /// Synchronisation point of one column segment: the phase generation it was
-/// cold-filled in and the journal length it has replayed up to.
+/// cold-filled in, the journal length it has replayed up to, and the offset
+/// of its cells in the slab.
 #[derive(Debug, Clone, Copy, Default)]
 struct SegState {
     gen: u64,
+    /// Past the journal's end ([`SegState::REFILL`]) once the task's
+    /// resource earliest-start changed, which forces a refill.
     journal_pos: usize,
+    slot: usize,
+}
+
+impl SegState {
+    /// The journal position that forces the next sync to refill the whole
+    /// segment from its cached demands.
+    const REFILL: usize = usize::MAX;
+}
+
+/// One candidate-column entry: the state-independent demand `p_l + c_lk`
+/// and the completion it yields against the current state.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    demand: Duration,
+    completion: Time,
 }
 
 /// Semantic equality: two states are equal when they represent the same
@@ -191,7 +221,7 @@ impl PathState {
     ) -> Self {
         assert!(!initial_finish.is_empty(), "PathState needs processors");
         let makespan = *initial_finish.iter().max().expect("non-empty");
-        PathState {
+        let mut state = PathState {
             assigned: vec![false; n_tasks],
             n_assigned: 0,
             finish: initial_finish,
@@ -202,11 +232,15 @@ impl PathState {
             shard_min: Vec::new(),
             makespan,
             journal: Vec::new(),
-            col_gen: 1,
+            col_gen: 0,
             res_epoch: 0,
-            columns: Vec::new(),
+            heads: Vec::new(),
+            segs: Vec::new(),
+            slab: Vec::new(),
             tree: Vec::new(),
-        }
+        };
+        state.renew_columns();
+        state
     }
 
     /// Rewinds this state to a fresh root, reusing every backing buffer.
@@ -233,12 +267,27 @@ impl PathState {
         self.shard_min.clear();
         self.makespan = *initial_finish.iter().max().expect("non-empty");
         self.journal.clear();
-        // Stale columns from the previous phase stay allocated (their
-        // buffers are the cache) but their generation no longer matches, so
-        // the next use cold-fills in place.
-        self.col_gen += 1;
         self.res_epoch = 0;
         self.tree.clear();
+        self.renew_columns();
+    }
+
+    /// Starts a new column generation: every segment synced so far reads as
+    /// stale, the slab is emptied (capacity kept), and the heads and
+    /// segment states grow to cover this phase's tasks at the current
+    /// segment count. They never shrink, so a warmed state allocates
+    /// nothing here.
+    fn renew_columns(&mut self) {
+        self.col_gen += 1;
+        self.slab.clear();
+        let n = self.assigned.len();
+        if self.heads.len() < n {
+            self.heads.resize(n, ColumnHead::STALE);
+        }
+        let segs = n * self.column_segments();
+        if self.segs.len() < segs {
+            self.segs.resize(segs, SegState::default());
+        }
     }
 
     /// Partitions the processors into shards for shard-first candidate
@@ -281,6 +330,8 @@ impl PathState {
         for i in (1..size).rev() {
             self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
         }
+        // The segment layout changed, so no synced segment stays valid.
+        self.renew_columns();
     }
 
     /// Re-anchors leaf `p` of the min-tree at `finish[p]` and recomputes its
@@ -408,39 +459,10 @@ impl PathState {
         start + comm.demand(t, p)
     }
 
-    /// Computes the completion instant of every `(task, processor)` candidate
-    /// in `raw` against this state in one pass, writing the dense column into
-    /// `out` (index-aligned with `raw`). Each entry equals
-    /// [`PathState::completion_if`] for the same pair; batching the evaluation
-    /// keeps the finish-time loads contiguous and looks the resource
-    /// earliest-start up once per run of consecutive same-task candidates
-    /// (the assignment-oriented layout emits one task × all processors).
-    pub fn completions_into(
-        &self,
-        tasks: &[Task],
-        comm: &CommModel,
-        raw: &[(usize, ProcessorId)],
-        out: &mut Vec<Time>,
-    ) {
-        out.clear();
-        let mut cached: Option<(usize, Time)> = None;
-        for &(task, p) in raw {
-            let t = &tasks[task];
-            let earliest = match cached {
-                Some((ct, v)) if ct == task => v,
-                _ => {
-                    let v = self.resources.earliest_start(t.resources());
-                    cached = Some((task, v));
-                    v
-                }
-            };
-            out.push(self.finish[p.index()].max(earliest) + comm.demand(t, p));
-        }
-    }
-
-    /// Number of column segments: the shard partition when sharded, one
-    /// segment covering every processor otherwise.
-    fn n_segments(&self) -> usize {
+    /// Number of candidate-column segments: the shard partition when
+    /// sharded, one segment covering every processor otherwise.
+    #[must_use]
+    pub fn column_segments(&self) -> usize {
         self.shard_ends.len().max(1)
     }
 
@@ -458,10 +480,17 @@ impl PathState {
         }
     }
 
+    /// Whether segment `seg` of `task`'s column was cold-filled in this
+    /// phase (its cells are in the slab).
+    fn synced(&self, task: usize, seg: usize) -> bool {
+        self.segs[task * self.column_segments() + seg].gen == self.col_gen
+    }
+
     /// Brings segment `seg` of `task`'s candidate column up to date with the
     /// current state, in O(Δ) where Δ is the number of journal entries since
     /// the segment last synchronised (O(segment size) on the first touch per
-    /// phase, or when Δ would exceed a straight refill).
+    /// phase, which appends the segment to the slab, or when Δ would exceed
+    /// a straight refill).
     ///
     /// Each entry of the synchronised range equals
     /// [`PathState::completion_if`] for the same `(task, processor)` pair —
@@ -474,98 +503,99 @@ impl PathState {
         task: usize,
         seg: usize,
     ) {
-        let n_segs = self.n_segments();
+        let n_segs = self.column_segments();
         let (lo, hi) = self.seg_range(seg);
-        let p_count = self.finish.len();
-        if self.columns.len() <= task {
-            self.columns.resize_with(task + 1, TaskColumn::default);
-        }
         let t = &tasks[task];
-        let col = &mut self.columns[task];
-        // Reshape for this phase's geometry if it changed (no-op — and no
-        // allocation — once capacities reach their steady state).
-        if col.comp.len() != p_count || col.segs.len() != n_segs {
-            col.comp.clear();
-            col.comp.resize(p_count, Time::ZERO);
-            col.demand.clear();
-            col.demand.resize(p_count, Duration::ZERO);
-            col.segs.clear();
-            col.segs.resize(n_segs, SegState::default());
-            col.head_gen = 0;
-        }
         // Revalidate the cached resource earliest-start. A changed value
-        // shifts every completion of the column, so it invalidates all
-        // segments; an unchanged one costs a single epoch compare on the
+        // shifts every completion of the column, so each segment synced
+        // this phase must refill (in place: its cells and demands stay);
+        // an unchanged one costs a single epoch compare on the
         // (overwhelmingly common) resource-free path.
-        if col.head_gen != self.col_gen {
-            col.earliest = self.resources.earliest_start(t.resources());
-            col.res_epoch = self.res_epoch;
-            col.head_gen = self.col_gen;
-        } else if col.res_epoch != self.res_epoch {
+        let head = &mut self.heads[task];
+        if head.gen != self.col_gen {
+            head.earliest = self.resources.earliest_start(t.resources());
+            head.res_epoch = self.res_epoch;
+            head.gen = self.col_gen;
+        } else if head.res_epoch != self.res_epoch {
             let e = self.resources.earliest_start(t.resources());
-            col.res_epoch = self.res_epoch;
-            if e != col.earliest {
-                col.earliest = e;
-                for s in &mut col.segs {
-                    s.gen = 0; // col_gen starts at 1, so 0 is always stale
+            head.res_epoch = self.res_epoch;
+            if e != head.earliest {
+                head.earliest = e;
+                for s in &mut self.segs[task * n_segs..(task + 1) * n_segs] {
+                    s.journal_pos = SegState::REFILL;
                 }
             }
         }
-        let sstate = col.segs[seg];
-        if sstate.gen != self.col_gen {
-            // Cold fill: compute demand and completion for the whole range.
-            for p in lo..hi {
-                let d = comm.demand(t, ProcessorId::new(p));
-                col.demand[p] = d;
-                col.comp[p] = self.finish[p].max(col.earliest) + d;
-            }
-            col.segs[seg] = SegState {
+        let earliest = head.earliest;
+        let journal_len = self.journal.len();
+        let sync = &mut self.segs[task * n_segs + seg];
+        if sync.gen != self.col_gen {
+            // Cold fill: append demand and completion for the whole range.
+            *sync = SegState {
                 gen: self.col_gen,
-                journal_pos: self.journal.len(),
+                journal_pos: journal_len,
+                slot: self.slab.len(),
             };
-        } else {
-            let delta = &self.journal[sstate.journal_pos..];
-            if delta.len() >= hi - lo {
-                // The journal suffix outweighs a straight refill; demand is
-                // already cached, so recompute the range directly.
-                for p in lo..hi {
-                    col.comp[p] = self.finish[p].max(col.earliest) + col.demand[p];
+            let finish = &self.finish;
+            self.slab.extend((lo..hi).map(|p| {
+                let demand = comm.demand(t, ProcessorId::new(p));
+                Cell {
+                    demand,
+                    completion: finish[p].max(earliest) + demand,
                 }
-            } else {
+            }));
+            return;
+        }
+        let cells = &mut self.slab[sync.slot..sync.slot + (hi - lo)];
+        match journal_len.checked_sub(sync.journal_pos) {
+            Some(delta) if delta < hi - lo => {
                 // O(Δ) replay: patch only the processors touched since the
                 // segment last synchronised.
-                for &p in delta {
+                for &p in &self.journal[sync.journal_pos..] {
                     let p = p as usize;
-                    if p >= lo && p < hi {
-                        col.comp[p] = self.finish[p].max(col.earliest) + col.demand[p];
+                    if (lo..hi).contains(&p) {
+                        let cell = &mut cells[p - lo];
+                        cell.completion = self.finish[p].max(earliest) + cell.demand;
                     }
                 }
             }
-            col.segs[seg].journal_pos = self.journal.len();
+            _ => {
+                // A changed earliest-start, or a journal suffix that
+                // outweighs a straight refill: demand is cached, so
+                // recompute the range directly.
+                for (cell, &f) in cells.iter_mut().zip(&self.finish[lo..hi]) {
+                    cell.completion = f.max(earliest) + cell.demand;
+                }
+            }
         }
+        sync.journal_pos = journal_len;
     }
 
-    /// Brings every segment of `task`'s candidate column up to date and
-    /// returns it: `column[k]` is the completion instant the task would have
-    /// on processor `k` (equals [`PathState::completion_if`] entry-wise).
-    pub fn candidate_column(&mut self, tasks: &[Task], comm: &CommModel, task: usize) -> &[Time] {
-        for seg in 0..self.n_segments() {
-            self.ensure_candidate_segment(tasks, comm, task, seg);
-        }
-        &self.columns[task].comp
-    }
-
-    /// Read-only view of `task`'s candidate column. Only the segments
-    /// brought up to date by [`PathState::ensure_candidate_segment`] (or
-    /// [`PathState::candidate_column`]) since the last `apply`/`undo` are
-    /// meaningful.
+    /// Segment `seg` of `task`'s candidate column, as `(processor index,
+    /// completion)` pairs in processor order. The completions equal
+    /// [`PathState::completion_if`] for the same pairs while no
+    /// `apply`/`undo` has followed the segment's last
+    /// [`PathState::ensure_candidate_segment`].
     ///
     /// # Panics
     ///
-    /// Panics if the column was never filled.
-    #[must_use]
-    pub fn comp_column(&self, task: usize) -> &[Time] {
-        &self.columns[task].comp
+    /// Panics if the segment was not synced in this phase.
+    pub fn candidate_segment(
+        &self,
+        task: usize,
+        seg: usize,
+    ) -> impl Iterator<Item = (usize, Time)> + '_ {
+        assert!(
+            self.synced(task, seg),
+            "segment {seg} of task {task}'s column was not synced this phase"
+        );
+        let slot = self.segs[task * self.column_segments() + seg].slot;
+        let (lo, hi) = self.seg_range(seg);
+        (lo..hi).zip(
+            self.slab[slot..slot + (hi - lo)]
+                .iter()
+                .map(|c| c.completion),
+        )
     }
 
     /// Commits assignment `(task → p)` and returns its completion instant.
@@ -899,12 +929,18 @@ mod tests {
     }
 
     /// The incremental column must match `completion_if` entry-wise no
-    /// matter what interleaving of applies and undos preceded the read.
+    /// matter what interleaving of applies and undos preceded the read:
+    /// every segment is synced and read through its view, and together the
+    /// segments cover the processors in order.
     fn assert_column_fresh(tasks: &[Task], comm: &CommModel, s: &mut PathState, task: usize) {
-        let expected: Vec<Time> = (0..s.processors())
-            .map(|p| s.completion_if(tasks, comm, task, ProcessorId::new(p)))
+        let expected: Vec<(usize, Time)> = (0..s.processors())
+            .map(|p| (p, s.completion_if(tasks, comm, task, ProcessorId::new(p))))
             .collect();
-        let got = s.candidate_column(tasks, comm, task).to_vec();
+        let mut got = Vec::new();
+        for seg in 0..s.column_segments() {
+            s.ensure_candidate_segment(tasks, comm, task, seg);
+            got.extend(s.candidate_segment(task, seg));
+        }
         assert_eq!(got, expected, "column for task {task} diverged");
     }
 
@@ -980,12 +1016,126 @@ mod tests {
         s.apply(&tasks, &comm, 1, ProcessorId::new(0));
         s.ensure_candidate_segment(&tasks, &comm, 0, 0);
         s.ensure_candidate_segment(&tasks, &comm, 0, 1);
-        let expected: Vec<Time> = (0..4)
-            .map(|p| s.completion_if(&tasks, &comm, 0, ProcessorId::new(p)))
+        let expected: Vec<(usize, Time)> = (0..4)
+            .map(|p| (p, s.completion_if(&tasks, &comm, 0, ProcessorId::new(p))))
             .collect();
-        assert_eq!(s.comp_column(0), &expected[..]);
+        let got: Vec<(usize, Time)> = (0..2).flat_map(|seg| s.candidate_segment(0, seg)).collect();
+        assert_eq!(got, expected);
         s.undo();
         assert_column_fresh(&tasks, &comm, &mut s, 0);
+    }
+
+    /// A state on 1,024 processors in 16 segments of 64, the shard layout
+    /// of the P=1024 cluster.
+    fn wide_state(tasks: &[Task]) -> PathState {
+        let mut s = PathState::new(vec![Time::ZERO; 1_024], tasks.len());
+        let ends: Vec<usize> = (1..=16).map(|i| i * 64).collect();
+        s.configure_shards(&ends);
+        assert_eq!(s.column_segments(), 16);
+        s
+    }
+
+    #[test]
+    fn slab_grows_by_the_segments_a_phase_syncs() {
+        let tasks = mk_tasks(&[(100, 10_000, &[3]), (150, 10_000, &[700])]);
+        let comm = CommModel::constant(Duration::from_micros(10));
+        let mut s = wide_state(&tasks);
+        assert!(s.slab.is_empty());
+        for (k, seg) in [3, 0, 15, 7].into_iter().enumerate() {
+            s.ensure_candidate_segment(&tasks, &comm, 0, seg);
+            assert_eq!(s.slab.len(), (k + 1) * 64, "{} segments synced", k + 1);
+        }
+        // Re-syncing a synced segment, replay or refill, appends nothing.
+        s.apply(&tasks, &comm, 1, ProcessorId::new(200));
+        for seg in [3, 0, 15, 7] {
+            s.ensure_candidate_segment(&tasks, &comm, 0, seg);
+        }
+        assert_eq!(s.slab.len(), 4 * 64);
+        // Another task's segments take their own cells.
+        s.undo();
+        s.ensure_candidate_segment(&tasks, &comm, 1, 3);
+        assert_eq!(s.slab.len(), 5 * 64);
+        for seg in [3, 0, 15, 7] {
+            s.ensure_candidate_segment(&tasks, &comm, 0, seg);
+            for (p, got) in s.candidate_segment(0, seg) {
+                assert_eq!(got, s.completion_if(&tasks, &comm, 0, ProcessorId::new(p)));
+            }
+        }
+    }
+
+    #[test]
+    fn resource_epoch_resync_refills_in_place() {
+        use rt_task::ResourceRequest;
+        let tasks = vec![
+            Task::builder(TaskId::new(0))
+                .processing_time(Duration::from_micros(100))
+                .deadline(Time::from_micros(10_000))
+                .resources(vec![ResourceRequest::exclusive(0)])
+                .build(),
+            Task::builder(TaskId::new(1))
+                .processing_time(Duration::from_micros(100))
+                .deadline(Time::from_micros(10_000))
+                .resources(vec![ResourceRequest::shared(0)])
+                .build(),
+        ];
+        let comm = CommModel::constant(Duration::from_micros(10));
+        let mut s = wide_state(&tasks);
+        for seg in [2, 9] {
+            s.ensure_candidate_segment(&tasks, &comm, 1, seg);
+        }
+        let before = s.heads[1].earliest;
+        // Committing the exclusive holder moves task 1's earliest start,
+        // which invalidates its whole column.
+        s.apply(&tasks, &comm, 0, ProcessorId::new(500));
+        for seg in [2, 9] {
+            s.ensure_candidate_segment(&tasks, &comm, 1, seg);
+        }
+        assert_ne!(
+            s.heads[1].earliest, before,
+            "the epoch moved the earliest start"
+        );
+        assert_eq!(
+            s.slab.len(),
+            2 * 64,
+            "the refill reused the segments' cells"
+        );
+        for seg in [2, 9] {
+            for (p, got) in s.candidate_segment(1, seg) {
+                assert_eq!(got, s.completion_if(&tasks, &comm, 1, ProcessorId::new(p)));
+            }
+        }
+    }
+
+    #[test]
+    fn reset_leaves_no_segment_synced() {
+        let tasks = mk_tasks(&[(100, 10_000, &[]), (150, 10_000, &[5])]);
+        let comm = CommModel::constant(Duration::from_micros(10));
+        let mut s = wide_state(&tasks);
+        for task in 0..2 {
+            for seg in 0..16 {
+                s.ensure_candidate_segment(&tasks, &comm, task, seg);
+            }
+        }
+        assert_eq!(s.slab.len(), 2 * 1_024);
+        let capacity = s.slab.capacity();
+        s.reset(&[Time::from_micros(40); 1_024], 2, &ResourceEats::new());
+        let ends: Vec<usize> = (1..=16).map(|i| i * 64).collect();
+        s.configure_shards(&ends);
+        assert!(s.slab.is_empty());
+        assert_eq!(
+            s.slab.capacity(),
+            capacity,
+            "reset keeps the slab's capacity"
+        );
+        for task in 0..2 {
+            for seg in 0..16 {
+                assert!(
+                    !s.synced(task, seg),
+                    "task {task} segment {seg} read as synced"
+                );
+            }
+        }
+        assert_column_fresh(&tasks, &comm, &mut s, 1);
     }
 
     #[test]

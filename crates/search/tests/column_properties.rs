@@ -77,8 +77,9 @@ fn tasks_from(specs: &[TaskSpec]) -> Vec<Task> {
 }
 
 /// Checks every incremental structure of `state` against its from-scratch
-/// definition. `candidate_column` synchronises the column as a side effect,
-/// which is exactly the production read path.
+/// definition. Each column segment is synchronised with
+/// `ensure_candidate_segment` and read through `candidate_segment`, exactly
+/// the production read path.
 fn check_state(
     tasks: &[Task],
     comm: &CommModel,
@@ -102,11 +103,17 @@ fn check_state(
             prop_assert_eq!(state.shard_min(s), min_finish, "shard_min({}) stale", s);
         }
     }
-    // Every column entry == the from-scratch completion for that pair.
+    // Every entry of every column segment == the from-scratch completion
+    // for that pair, and the segments cover the processors in order.
     for t in 0..tasks.len() {
-        let col = state.candidate_column(tasks, comm, t).to_vec();
+        let mut col = Vec::with_capacity(procs);
+        for seg in 0..state.column_segments() {
+            state.ensure_candidate_segment(tasks, comm, t, seg);
+            col.extend(state.candidate_segment(t, seg));
+        }
         prop_assert_eq!(col.len(), procs);
-        for (p, &got) in col.iter().enumerate() {
+        for (i, &(p, got)) in col.iter().enumerate() {
+            prop_assert_eq!(p, i, "segments out of processor order");
             let want = state.completion_if(tasks, comm, t, ProcessorId::new(p));
             prop_assert_eq!(
                 got,

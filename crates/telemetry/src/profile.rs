@@ -1,7 +1,7 @@
 //! Sampling-free, stage-scoped micro-profiler for the search hot path.
 //!
 //! The search engine owns one [`StageProfiler`] per scratch and brackets
-//! each pipeline stage — feasibility screen, SoA completion fill, cost
+//! each pipeline stage — feasibility screen, candidate-column fill, cost
 //! fold, child selection, shard ranking, apply/undo branch walks — with a
 //! [`StageProfiler::start`]/[`StageProfiler::stop`] pair. Disabled (the
 //! default) the pair costs two predictable branches and touches no clock,
@@ -9,9 +9,11 @@
 //! enabled, each span reads the shared monotonic clock
 //! ([`crate::clock::MonotonicInstant`]) and accumulates nanoseconds into a
 //! fixed per-stage array. Timers sit at stage granularity — around a whole
-//! `completions_into` call or a whole cost fold — never inside the
-//! per-candidate inner loops, so the enabled profiler perturbs the thing
-//! it measures as little as possible.
+//! column sync or a whole cost fold — never inside the per-candidate inner
+//! loops, so the enabled profiler perturbs the thing it measures as little
+//! as possible. Sequence-oriented phases record no `fill` time: their
+//! rounds compute each candidate's completion inside the cost fold, as
+//! the fold pulls it.
 //!
 //! One phase's accumulation drains into a
 //! [`PhaseProfile`] via
@@ -33,7 +35,9 @@ use crate::clock::MonotonicInstant;
 pub enum Stage {
     /// Phase-level feasibility screen over the batch.
     Screen = 0,
-    /// SoA completion-column fill across all candidate processors.
+    /// Candidate-column sync of an assignment-oriented expansion: the
+    /// winning shards' segments, or the one segment spanning every
+    /// processor.
     Fill = 1,
     /// Per-candidate `ce_k` cost fold and feasibility classification.
     Cost = 2,
