@@ -64,7 +64,7 @@ fn representations(c: &mut Criterion) {
             println!(
                 "# {label} n={n}: scheduled {} of {n} on {} processors ({:?})",
                 out.assignments.len(),
-                out.processors_used(),
+                out.processors_used(&mut Vec::new()),
                 out.termination
             );
             group.bench_with_input(BenchmarkId::new(*label, n), &tasks, |b, tasks| {

@@ -4,9 +4,10 @@
 //! [`SearchScratch`]/[`PhaseScratch`] at its high-water capacity.
 //!
 //! It also fences a whole warm `Driver::run` at the paper's P=10 point and
-//! at the P=1024 cluster point: the driver allocates per phase (dispatch
-//! lists, delivery records), but the count and the bytes must stay under
-//! fixed bounds.
+//! at the P=1024 cluster point, and a traced P=10 run: a run still
+//! allocates (each delivered task's one copy into its worker's slot, each
+//! run's fresh scratch, and under a sink the events' probe lists), but the
+//! count and the bytes must stay under fixed bounds.
 //!
 //! The counting allocator wraps [`System`] and counts `alloc`/`realloc`/
 //! `alloc_zeroed` calls, and the bytes they request, only while armed. All
@@ -236,19 +237,34 @@ fn steady_state_phases_do_not_allocate() {
     // inter-rack 4 ms). Each run builds its own scratch, so "warm" means a
     // second run in the same process. The bounds fence the per-run
     // allocation traffic: one batch kept for the whole run, scheduled tasks
-    // removed by position, arrivals moved rather than cloned, and candidate
-    // columns held only for the segments a phase syncs. A zero-allocation
-    // warm driver phase is still open.
+    // removed by position, arrivals moved rather than cloned, candidate
+    // columns held only for the segments a phase syncs, and each delivered
+    // task cloned once, into its worker's slot, with no per-phase dispatch
+    // list, record list or processor count buffer. The traced run repeats
+    // the P=10 RT-SADS run into a sink that asks for every event (so the
+    // search collects provenance) and drops each one; the probe lists the
+    // search builds are the ones the events carry. A zero-allocation warm
+    // driver phase is still open.
     {
+        use paragon_des::trace::{TraceEvent, TraceSink};
         use paragon_platform::HostParams;
         use rt_task::TopologySpec;
         use rtsads::{Driver, DriverConfig};
 
+        /// Enabled, so the driver builds every event, and drops each one.
+        struct DropSink;
+
+        impl TraceSink for DropSink {
+            fn emit(&mut self, _now: Time, _event: TraceEvent) {}
+        }
+
         let cluster = CommModel::hierarchical(TopologySpec::new(1_024, 16, 4, 0, 2_000, 4_000));
-        for (algorithm, workers, run_comm, max_allocs, max_bytes) in [
-            (Algorithm::rt_sads(), 10, comm, 1_000, 1 << 20),
-            (Algorithm::d_cols(), 10, comm, 400, 1 << 20),
-            (Algorithm::rt_sads(), 1_024, cluster, 2_000, 8 << 20),
+        for (algorithm, workers, run_comm, traced, max_allocs, max_bytes) in [
+            (Algorithm::rt_sads(), 10, comm, false, 400, 1 << 20),
+            (Algorithm::d_cols(), 10, comm, false, 190, 1 << 20),
+            (Algorithm::rt_sads(), 1_024, cluster, false, 1_300, 8 << 20),
+            // 1.25 MiB.
+            (Algorithm::rt_sads(), 10, comm, true, 2_000, 5 << 18),
         ] {
             let tasks = rt_workload::Scenario::paper_defaults()
                 .workers(workers)
@@ -265,17 +281,24 @@ fn steady_state_phases_do_not_allocate() {
             // The input copies are made before the counter is armed.
             let mut inputs = vec![tasks.clone(), tasks.clone()];
             let (allocs, bytes) = count_allocs(1, 1, || {
-                let report = driver.run(inputs.pop().expect("one input per run"));
+                let input = inputs.pop().expect("one input per run");
+                let report = if traced {
+                    driver.run_traced(input, &mut DropSink)
+                } else {
+                    driver.run(input)
+                };
                 assert_eq!(report.total_tasks, tasks.len());
             });
             let name = algorithm.name();
             assert!(
                 allocs < max_allocs,
-                "a warm {name} run at P={workers} allocated {allocs} times (bound {max_allocs})"
+                "a warm {name} run at P={workers} (traced: {traced}) allocated {allocs} times \
+                 (bound {max_allocs})"
             );
             assert!(
                 bytes < max_bytes,
-                "a warm {name} run at P={workers} allocated {bytes} bytes (bound {max_bytes})"
+                "a warm {name} run at P={workers} (traced: {traced}) allocated {bytes} bytes \
+                 (bound {max_bytes})"
             );
         }
     }

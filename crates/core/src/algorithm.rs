@@ -4,7 +4,7 @@ use paragon_des::{SimRng, Time};
 use paragon_platform::SchedulingMeter;
 use rt_task::{CommModel, ProcessorId, ResourceEats, Task};
 use sched_search::{
-    search_schedule_with, Assignment, ChildOrder, PathState, PhaseProvenance, PlacementAlternative,
+    placement_probe, search_schedule_with, Assignment, ChildOrder, PathState, PhaseProvenance,
     PlacementEvidence, ProcessorOrder, Pruning, Representation, SearchOutcome, SearchParams,
     SearchScratch, SearchStats, TaskOrder, Termination,
 };
@@ -388,19 +388,16 @@ fn one_pass(
                 // Record-only: cost ce_k is the makespan had the candidate
                 // been chosen, computed against the pre-apply state for the
                 // chosen and rejected placements alike.
+                let probe = |q, c: Time| {
+                    placement_probe(comm, ProcessorId::new(q), c, state.makespan().max(c))
+                };
                 decisions.push(PlacementEvidence {
                     task: t,
-                    processor: ProcessorId::new(p),
-                    completion,
-                    cost: state.makespan().max(completion),
+                    chosen: probe(p, completion),
                     rejected: feasible
                         .iter()
                         .filter(|&&(q, _)| q != p)
-                        .map(|&(q, c)| PlacementAlternative {
-                            processor: ProcessorId::new(q),
-                            completion: c,
-                            cost: state.makespan().max(c),
-                        })
+                        .map(|&(q, c)| probe(q, c))
                         .collect(),
                 });
             }
@@ -495,7 +492,7 @@ mod tests {
             &mut PhaseScratch::new(),
         );
         assert_eq!(out.termination, Termination::Leaf);
-        assert_eq!(out.processors_used(), 2);
+        assert_eq!(out.processors_used(&mut Vec::new()), 2);
         // perfectly balanced: two tasks per processor, makespan 200
         let makespan = out.assignments.iter().map(|a| a.completion).max().unwrap();
         assert_eq!(makespan, Time::from_micros(200));
@@ -691,6 +688,10 @@ mod tests {
             &mut PhaseScratch::new(),
         );
         assert_eq!(out.termination, Termination::Leaf);
-        assert_eq!(out.processors_used(), 2, "round-robin spreads the tasks");
+        assert_eq!(
+            out.processors_used(&mut Vec::new()),
+            2,
+            "round-robin spreads the tasks"
+        );
     }
 }

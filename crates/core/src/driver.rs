@@ -8,7 +8,7 @@
 //! which is exact because worker queues are FIFO, non-preemptive and
 //! append-only.
 
-use paragon_des::trace::{PlacementProbe, ScreenProbe, TraceEvent, TraceSink, Tracer};
+use paragon_des::trace::{TraceEvent, TraceSink, Tracer};
 use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{Dispatch, HostParams, Machine, MachineConfig, SchedulingMeter};
 use rt_task::{Batch, CommModel, Task};
@@ -261,8 +261,10 @@ impl Driver {
             .search
             .set_profiling(cfg.profile && tracer.enabled());
         let mut initial_finish: Vec<Time> = Vec::new();
-        // Batch positions of each phase's delivered tasks.
+        // Batch positions of each phase's delivered tasks, sorted.
         let mut delivered_at: Vec<usize> = Vec::new();
+        // Marks for counting each phase's distinct processors.
+        let mut processors_seen: Vec<bool> = Vec::new();
 
         loop {
             // Apply fault events that have come due. The host observes the
@@ -454,10 +456,12 @@ impl Driver {
             let ended = started + consumed;
 
             // Decision provenance, emitted while the batch indices in the
-            // outcome still resolve against this phase's batch.
+            // outcome still resolve against this phase's batch. The search
+            // wrote its evidence as the trace's own probe records, so they
+            // move into the events as they are.
             if tracer.enabled() {
-                if let Some(prov) = &outcome.provenance {
-                    for s in &prov.screened {
+                if let Some(prov) = outcome.provenance.take() {
+                    for s in prov.screened {
                         let t = &batch.tasks()[s.task];
                         tracer.emit(
                             ended,
@@ -465,49 +469,27 @@ impl Driver {
                                 task: t.id().as_u64(),
                                 phase: phase_no,
                                 deadline_us: t.deadline().as_micros(),
-                                probes: s
-                                    .probes
-                                    .iter()
-                                    .map(|p| ScreenProbe {
-                                        processor: p.processor.index(),
-                                        available_us: p.available.as_micros(),
-                                        demand_us: p.demand.as_micros(),
-                                        completion_us: p.completion.as_micros(),
-                                    })
-                                    .collect(),
+                                probes: s.probes,
                             },
                         );
                     }
-                    for d in &prov.decisions {
+                    for d in prov.decisions {
                         tracer.emit(
                             ended,
                             TraceEvent::PlacementDecided {
                                 task: batch.tasks()[d.task].id().as_u64(),
                                 phase: phase_no,
-                                processor: d.processor.index(),
-                                completion_us: d.completion.as_micros(),
-                                cost_us: d.cost.as_micros(),
-                                // Chosen shard: only meaningful on genuinely
-                                // sharded platforms (a 1-node topology is
-                                // the flat machine, as for shard_busy).
+                                processor: d.chosen.processor,
+                                completion_us: d.chosen.completion_us,
+                                cost_us: d.chosen.cost_us,
+                                // Only a topology of two or more nodes has
+                                // shards to name (1 node is the flat machine).
                                 shard: cfg
                                     .comm
                                     .topology()
                                     .filter(|t| t.nodes() >= 2)
-                                    .map(|t| t.node_of(d.processor)),
-                                rejected: d
-                                    .rejected
-                                    .iter()
-                                    .map(|r| PlacementProbe {
-                                        processor: r.processor.index(),
-                                        completion_us: r.completion.as_micros(),
-                                        cost_us: r.cost.as_micros(),
-                                        shard: cfg
-                                            .comm
-                                            .topology()
-                                            .map_or(0, |t| t.node_of(r.processor)),
-                                    })
-                                    .collect(),
+                                    .map(|_| d.chosen.shard),
+                                rejected: d.rejected,
                             },
                         );
                     }
@@ -540,6 +522,7 @@ impl Driver {
             }
 
             let planned = outcome.assignments.len();
+            let processors_used = outcome.processors_used(&mut processors_seen);
 
             // Communication spikes: while a window covers the delivery
             // instant, the schedule message pays `spike_delay` extra latency
@@ -552,46 +535,44 @@ impl Driver {
             } else {
                 ended
             };
-            let mut delivered: Vec<Dispatch> = Vec::with_capacity(planned);
-            delivered_at.clear();
-            for a in &outcome.assignments {
-                let task = &batch.tasks()[a.task];
-                if in_spike && plan.spike_loss > 0.0 && loss_rng.bernoulli(plan.spike_loss) {
+            outcome.assignments.retain(|a| {
+                let lost = in_spike && plan.spike_loss > 0.0 && loss_rng.bernoulli(plan.spike_loss);
+                if lost {
                     orphaned_total += 1;
                     pending_orphaned += 1;
                     if tracer.enabled() {
                         tracer.emit(
                             ended,
                             TraceEvent::TaskOrphaned {
-                                task: task.id().as_u64(),
+                                task: batch.tasks()[a.task].id().as_u64(),
                                 processor: a.processor.index(),
                             },
                         );
                     }
-                } else {
-                    delivered.push(Dispatch {
-                        task: task.clone(),
-                        processor: a.processor,
-                    });
-                    delivered_at.push(a.task);
                 }
-            }
-            let scheduled = delivered.len();
-            // Only the traced dispatch events read these (to split a
-            // record's service into processing and communication).
-            let processing_times: Vec<Duration> = if tracer.enabled() {
-                delivered.iter().map(|d| d.task.processing_time()).collect()
-            } else {
-                Vec::new()
-            };
-            let records = machine.deliver(delivered, delivery_at);
+                !lost
+            });
+            let scheduled = outcome.assignments.len();
+            // Each delivered task is cloned once, into its worker's slot.
+            let records = machine.deliver(
+                outcome.assignments.iter().map(|a| Dispatch {
+                    task: batch.tasks()[a.task].clone(),
+                    processor: a.processor,
+                }),
+                delivery_at,
+            );
+            delivered_at.clear();
+            delivered_at.extend(outcome.assignments.iter().map(|a| a.task));
             delivered_at.sort_unstable();
-            batch.remove_sorted(&delivered_at);
             // Tasks whose deadline lapsed *while* the phase was computing:
             // they stay in the batch (and are dropped — and counted — at the
             // next phase start), but the telemetry layer wants to see the
-            // expiry at the instant it became unavoidable.
-            let expired_mid_phase = batch.iter().filter(|t| t.is_expired(ended)).count();
+            // expiry at the instant it became unavoidable. The delivered
+            // tasks leave the batch last: their dispatch events read it.
+            let lapsed = |&(i, t): &(usize, &Task)| {
+                t.is_expired(ended) && delivered_at.binary_search(&i).is_err()
+            };
+            let expired_mid_phase = batch.iter().enumerate().filter(lapsed).count();
             if tracer.enabled() {
                 tracer.emit(
                     ended,
@@ -605,7 +586,7 @@ impl Driver {
                         replay_avoided: outcome.stats.replay_avoided,
                     },
                 );
-                for t in batch.iter().filter(|t| t.is_expired(ended)) {
+                for (_, t) in batch.iter().enumerate().filter(lapsed) {
                     tracer.emit(
                         ended,
                         TraceEvent::TaskExpiredMidPhase {
@@ -614,7 +595,7 @@ impl Driver {
                         },
                     );
                 }
-                for (r, p) in records.iter().zip(&processing_times) {
+                for (r, a) in records.iter().zip(&outcome.assignments) {
                     let slack_us = r.deadline.as_micros() as i64 - r.start.as_micros() as i64;
                     tracer.emit(
                         ended,
@@ -624,7 +605,9 @@ impl Driver {
                             slack_us,
                         },
                     );
-                    let comm_delay = r.service.saturating_sub(*p);
+                    let comm_delay = r
+                        .service
+                        .saturating_sub(batch.tasks()[a.task].processing_time());
                     if !comm_delay.is_zero() {
                         tracer.emit(
                             r.start,
@@ -655,6 +638,7 @@ impl Driver {
                     );
                 }
             }
+            batch.remove_sorted(&delivered_at);
 
             phases.push(PhaseRecord {
                 phase: phase_no,
@@ -670,7 +654,7 @@ impl Driver {
                 replay_avoided: outcome.stats.replay_avoided,
                 deepest: outcome.stats.deepest,
                 scheduled,
-                processors_used: outcome.processors_used(),
+                processors_used,
                 termination: outcome.termination,
                 orphaned: pending_orphaned,
                 lost_in_flight: pending_lost,
@@ -1247,6 +1231,54 @@ mod tests {
         )
         .run((0..24).map(|i| mk_task(i, 4, i % 7, 400, 8)).collect());
         assert!(flat.shard_busy.is_empty());
+    }
+
+    #[test]
+    fn placement_shards_name_the_processors_nodes() {
+        use paragon_des::trace::{RecordingTracer, TraceEvent};
+        use rt_task::TopologySpec;
+        // Traces 48 tasks on 16 processors under `comm`, checks each
+        // decision's shard against `chosen` and each rejected probe's
+        // against `node`, and returns the chosen shards seen.
+        let check =
+            |comm, chosen: &dyn Fn(usize) -> Option<usize>, node: &dyn Fn(usize) -> usize| {
+                let tasks: Vec<Task> = (0..48).map(|i| mk_task(i, 4, i % 7, 90, 16)).collect();
+                let mut tracer = RecordingTracer::new();
+                let config = DriverConfig::new(16, Algorithm::rt_sads()).comm(comm);
+                let _ = Driver::new(config).run_traced(tasks, &mut tracer);
+                let (mut shards, mut alternatives) = (std::collections::BTreeSet::new(), 0);
+                for (_, e) in tracer.events() {
+                    if let TraceEvent::PlacementDecided {
+                        processor,
+                        shard,
+                        rejected,
+                        ..
+                    } = e
+                    {
+                        assert_eq!(*shard, chosen(*processor), "P{processor}'s shard");
+                        for r in rejected {
+                            assert_eq!(r.shard, node(r.processor), "rejected P{}", r.processor);
+                        }
+                        shards.insert(*shard);
+                        alternatives += rejected.len();
+                    }
+                }
+                assert!(alternatives > 0, "no decision had alternatives");
+                shards
+            };
+        // P=16 on 4 nodes: every label is the processor's node.
+        let topo = TopologySpec::new(16, 4, 2, 0, 500, 1_000);
+        let node = |p| topo.node_of(ProcessorId::new(p));
+        let shards = check(CommModel::hierarchical(topo), &|p| Some(node(p)), &node);
+        assert!(shards.len() > 1, "every placement went to one node");
+        // The flat machine and a 1-node topology have no shards to name.
+        let c = Duration::from_micros(500);
+        for comm in [
+            CommModel::constant(c),
+            CommModel::hierarchical(TopologySpec::flat(16, c)),
+        ] {
+            check(comm, &|_| None, &|_| 0);
+        }
     }
 
     #[test]

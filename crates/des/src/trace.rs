@@ -1,16 +1,16 @@
 //! Lightweight tracing of simulation activity.
 //!
 //! The scheduler driver emits [`TraceEvent`]s at interesting points
-//! (scheduling-phase boundaries, task dispatch, completions); a [`Tracer`]
-//! decides what to do with them. The default is [`Tracer::disabled`], which
-//! costs one branch per emission; [`RecordingTracer`] collects events for
-//! assertions in tests and for the experiment harness's overhead reports.
+//! (scheduling-phase boundaries, task dispatch, completions); a
+//! [`TraceSink`] decides what to do with them. The default, [`Tracer`],
+//! drops every event and reports itself disabled, so producers skip
+//! building events at the cost of one branch per emission;
+//! [`RecordingTracer`] collects events for assertions in tests and for the
+//! experiment harness's overhead reports.
 //!
 //! Every event derives `Serialize`/`Deserialize`, so structured sinks (the
 //! telemetry crate's JSONL writer, the Perfetto exporter) can stream them
 //! without a parallel schema.
-
-use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -372,137 +372,6 @@ impl TraceEvent {
     }
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::TaskAdmitted {
-                task,
-                arrival_us,
-                deadline_us,
-                processing_us,
-            } => write!(
-                f,
-                "task {task} admitted (arrival={arrival_us}us deadline={deadline_us}us \
-                 p={processing_us}us)"
-            ),
-            TraceEvent::TaskScreened {
-                task,
-                phase,
-                deadline_us,
-                probes,
-            } => write!(
-                f,
-                "task {task} screened out in phase {phase}: deadline={deadline_us}us \
-                 infeasible on all {} processors",
-                probes.len()
-            ),
-            TraceEvent::PlacementDecided {
-                task,
-                phase,
-                processor,
-                completion_us,
-                cost_us,
-                shard,
-                rejected,
-            } => {
-                write!(f, "task {task} placed on P{processor}")?;
-                if let Some(s) = shard {
-                    write!(f, " (node {s})")?;
-                }
-                write!(
-                    f,
-                    " in phase {phase} (completion={completion_us}us \
-                     cost={cost_us}us, {} rejected)",
-                    rejected.len()
-                )
-            }
-            TraceEvent::SchedulerOverhead {
-                phase,
-                allocated_us,
-                wall_ns,
-            } => write!(
-                f,
-                "phase {phase} scheduling wall time {wall_ns}ns vs allocated Q_s={allocated_us}us"
-            ),
-            TraceEvent::PhaseProfiled { phase, profile } => {
-                write!(f, "phase {phase} profile: total={}ns", profile.total_ns())
-            }
-            TraceEvent::PhaseStarted {
-                phase,
-                batch_len,
-                quantum,
-            } => write!(
-                f,
-                "phase {phase} start: batch={batch_len} quantum={quantum}"
-            ),
-            TraceEvent::PhaseEnded {
-                phase,
-                scheduled,
-                consumed,
-                vertices,
-                backtracks,
-                undos,
-                replay_avoided,
-            } => write!(
-                f,
-                "phase {phase} end: scheduled={scheduled} consumed={consumed} \
-                 vertices={vertices} backtracks={backtracks} undos={undos} \
-                 replay_avoided={replay_avoided}"
-            ),
-            TraceEvent::TaskDispatched {
-                task,
-                processor,
-                slack_us,
-            } => write!(
-                f,
-                "task {task} dispatched to P{processor} slack={slack_us}us"
-            ),
-            TraceEvent::CommDelay {
-                task,
-                processor,
-                delay_us,
-            } => write!(f, "task {task} comm delay {delay_us}us to P{processor}"),
-            TraceEvent::TaskStarted { task, processor } => {
-                write!(f, "task {task} started on P{processor}")
-            }
-            TraceEvent::TaskCompleted {
-                task,
-                processor,
-                met_deadline,
-                lateness_us,
-            } => write!(
-                f,
-                "task {task} completed on P{processor} ({}, lateness={lateness_us}us)",
-                if *met_deadline { "hit" } else { "miss" }
-            ),
-            TraceEvent::TaskDropped { task } => write!(f, "task {task} dropped (deadline passed)"),
-            TraceEvent::TaskExpiredMidPhase { task, phase } => {
-                write!(f, "task {task} expired during phase {phase}")
-            }
-            TraceEvent::ProcessorFailed {
-                processor,
-                fail_stop,
-                orphaned,
-                lost,
-            } => write!(
-                f,
-                "P{processor} failed ({}, orphaned={orphaned} lost={lost})",
-                if *fail_stop { "fail-stop" } else { "transient" }
-            ),
-            TraceEvent::ProcessorRecovered { processor } => {
-                write!(f, "P{processor} recovered")
-            }
-            TraceEvent::TaskOrphaned { task, processor } => {
-                write!(f, "task {task} orphaned back to host from P{processor}")
-            }
-            TraceEvent::TaskLost { task, processor } => {
-                write!(f, "task {task} lost in flight on P{processor}")
-            }
-            TraceEvent::Note(s) => write!(f, "note: {s}"),
-        }
-    }
-}
-
 /// Destination for trace events.
 ///
 /// # Example
@@ -526,38 +395,26 @@ pub trait TraceSink {
     }
 }
 
-/// The default sink: either disabled (drop everything) or printing to stderr.
+/// The default sink: drops every event.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Tracer {
-    print: bool,
-}
+pub struct Tracer;
 
 impl Tracer {
     /// A tracer that drops every event.
     #[inline]
     #[must_use]
     pub fn disabled() -> Self {
-        Tracer { print: false }
-    }
-
-    /// A tracer that prints each event to stderr (for debugging runs).
-    #[must_use]
-    pub fn stderr() -> Self {
-        Tracer { print: true }
+        Tracer
     }
 }
 
 impl TraceSink for Tracer {
     #[inline]
-    fn emit(&mut self, now: Time, event: TraceEvent) {
-        if self.print {
-            eprintln!("[{now}] {event}");
-        }
-    }
+    fn emit(&mut self, _now: Time, _event: TraceEvent) {}
 
     #[inline]
     fn enabled(&self) -> bool {
-        self.print
+        false
     }
 }
 
@@ -750,17 +607,10 @@ mod tests {
         t.emit(Time::ZERO, TraceEvent::Note("x".into()));
     }
 
-    #[test]
-    fn display_covers_all_variants() {
-        for s in all_variants() {
-            assert!(!s.to_string().is_empty());
-        }
-    }
-
     /// `all_variants` must produce at least one instance of every variant:
     /// the `kind()` match is compile-time exhaustive, so together these
-    /// guarantee a new variant cannot ship without a `Display` arm (the
-    /// display test above walks the same samples).
+    /// guarantee a new variant cannot ship without a pinned JSON line (the
+    /// serde test below walks the same samples).
     #[test]
     fn sample_set_covers_every_kind() {
         let seen: std::collections::BTreeSet<&'static str> =

@@ -93,12 +93,6 @@ impl Machine {
         &self.config.comm
     }
 
-    /// The cluster topology, when the interconnect is hierarchical.
-    #[must_use]
-    pub fn topology(&self) -> Option<&rt_task::TopologySpec> {
-        self.config.comm.topology()
-    }
-
     /// Read access to one worker.
     ///
     /// # Panics
@@ -117,20 +111,25 @@ impl Machine {
     /// Delivers a (partial) schedule at instant `at`: each dispatch is
     /// appended to its worker's FIFO queue in order, and exact start and
     /// completion times are computed immediately (valid because execution is
-    /// non-preemptive FIFO and deliveries only append).
+    /// non-preemptive FIFO and deliveries only append). Each task moves into
+    /// its worker's slot.
     ///
-    /// Returns the completion records for exactly this delivery, in dispatch
-    /// order. All records are also retained in [`Machine::completions`].
-    pub fn deliver(&mut self, dispatches: Vec<Dispatch>, at: Time) -> Vec<CompletionRecord> {
-        let mut new_records = Vec::with_capacity(dispatches.len());
+    /// Returns the completion records of exactly this delivery, in dispatch
+    /// order: the tail of [`Machine::completions`] it appended.
+    pub fn deliver(
+        &mut self,
+        dispatches: impl IntoIterator<Item = Dispatch>,
+        at: Time,
+    ) -> &[CompletionRecord] {
+        let first = self.completions.len();
         for Dispatch { task, processor } in dispatches {
             let service = self.config.comm.demand(&task, processor);
             // a task may not start before its resources are available
             let ready = at.max(self.resources.earliest_start(task.resources()));
-            let start = self.workers[processor.index()].admit(&task, ready, service);
+            let (start, task) = self.workers[processor.index()].admit(task, ready, service);
             let completion = start + service;
             self.resources.commit(task.resources(), completion);
-            let record = CompletionRecord {
+            self.completions.push(CompletionRecord {
                 task: task.id(),
                 processor,
                 delivered: at,
@@ -139,11 +138,9 @@ impl Machine {
                 deadline: task.deadline(),
                 met_deadline: task.meets_deadline(completion),
                 service,
-            };
-            self.completions.push(record.clone());
-            new_records.push(record);
+            });
         }
-        new_records
+        &self.completions[first..]
     }
 
     /// Marks processor `p` down at instant `at`. Queued-but-unstarted work
@@ -179,30 +176,6 @@ impl Machine {
                 .retain(|r| !(r.processor == p && retract.contains(&(r.task, r.start))));
         }
         failed
-    }
-
-    /// Fails an entire node (shard fault domain) at instant `at`: every
-    /// processor of node `n` that is still up goes down as if by
-    /// [`Machine::fail`], and the collected failed work is returned in
-    /// processor order. Processors already down are skipped — a node crash
-    /// subsumes any prior per-processor failure inside it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interconnect has no topology or `n` is not one of its
-    /// nodes.
-    pub fn fail_node(&mut self, n: usize, at: Time, keep_in_flight: bool) -> Vec<FailedWork> {
-        let topo = *self
-            .topology()
-            .expect("fail_node requires a hierarchical topology");
-        let (lo, hi) = topo.node_range(n);
-        (lo..hi)
-            .map(ProcessorId::new)
-            .filter(|&p| !self.is_down(p))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|p| self.fail(p, at, keep_in_flight))
-            .collect()
     }
 
     /// Brings a down processor back up at instant `at` (see
@@ -557,36 +530,6 @@ mod tests {
         assert_eq!(failed.orphaned.len(), 1);
         assert_eq!(m.completions().len(), 1);
         assert_eq!(m.completions()[0].task, TaskId::new(0));
-    }
-
-    #[test]
-    fn fail_node_downs_every_member_once() {
-        use rt_task::TopologySpec;
-        let mut m = Machine::new(MachineConfig {
-            workers: 6,
-            comm: CommModel::hierarchical(TopologySpec::new(6, 3, 1, 0, 100, 100)),
-        });
-        assert_eq!(m.topology().unwrap().nodes(), 3);
-        m.deliver(
-            vec![
-                Dispatch {
-                    task: task(0, 2_000, 100_000, &[2]),
-                    processor: ProcessorId::new(2),
-                },
-                Dispatch {
-                    task: task(1, 2_000, 100_000, &[3]),
-                    processor: ProcessorId::new(3),
-                },
-            ],
-            Time::ZERO,
-        );
-        // P2 dies alone first; the node-1 crash then subsumes it.
-        let _ = m.fail(ProcessorId::new(2), Time::from_micros(500), false);
-        let failed = m.fail_node(1, Time::from_micros(1_000), false);
-        assert_eq!(failed.len(), 1, "only the still-up P3 fails");
-        assert!(m.is_down(ProcessorId::new(2)) && m.is_down(ProcessorId::new(3)));
-        assert!(!m.is_down(ProcessorId::new(0)) && !m.is_down(ProcessorId::new(4)));
-        assert_eq!(m.completions().len(), 0, "both records retracted");
     }
 
     #[test]

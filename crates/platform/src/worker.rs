@@ -60,7 +60,7 @@ pub struct FailedWork {
 ///     .deadline(Time::from_millis(10))
 ///     .build();
 /// let mut w = Worker::new(ProcessorId::new(0));
-/// let start = w.admit(&task, Time::from_millis(1), Duration::from_millis(3));
+/// let (start, _) = w.admit(task, Time::from_millis(1), Duration::from_millis(3));
 /// assert_eq!(start, Time::from_millis(1));
 /// assert_eq!(w.busy_until(), Time::from_millis(4));
 /// assert_eq!(w.load(Time::from_millis(1)), Duration::from_millis(3));
@@ -98,14 +98,14 @@ impl Worker {
 
     /// Appends `task` as a work item of length `service` delivered at `at`,
     /// returning the instant execution will start (after all previously
-    /// queued work).
+    /// queued work) and the task, which the new slot now owns.
     ///
     /// # Panics
     ///
     /// Panics if `service` is zero or the worker is down — the driver
     /// excludes down processors from placement, so an admission to one is a
     /// scheduling bug, not a recoverable condition.
-    pub fn admit(&mut self, task: &Task, at: Time, service: Duration) -> Time {
+    pub fn admit(&mut self, task: Task, at: Time, service: Duration) -> (Time, &Task) {
         assert!(
             !service.is_zero(),
             "zero-length work admitted to {}",
@@ -117,11 +117,11 @@ impl Worker {
         self.busy_time += service;
         self.executed += 1;
         self.queue.push(Slot {
-            task: task.clone(),
+            task,
             start,
             service,
         });
-        start
+        (start, &self.queue.last().expect("just pushed").task)
     }
 
     /// Marks the processor down at instant `at` and partitions its queue
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn admit_when_idle_starts_immediately() {
         let mut w = Worker::new(ProcessorId::new(2));
-        let start = w.admit(&task(0), Time::from_millis(5), Duration::from_millis(2));
+        let (start, _) = w.admit(task(0), Time::from_millis(5), Duration::from_millis(2));
         assert_eq!(start, Time::from_millis(5));
         assert_eq!(w.busy_until(), Time::from_millis(7));
         assert_eq!(w.executed(), 1);
@@ -289,8 +289,8 @@ mod tests {
     #[test]
     fn admit_when_busy_queues_fifo() {
         let mut w = Worker::new(ProcessorId::new(0));
-        w.admit(&task(0), Time::ZERO, Duration::from_millis(10));
-        let start = w.admit(&task(1), Time::from_millis(1), Duration::from_millis(5));
+        w.admit(task(0), Time::ZERO, Duration::from_millis(10));
+        let (start, _) = w.admit(task(1), Time::from_millis(1), Duration::from_millis(5));
         assert_eq!(
             start,
             Time::from_millis(10),
@@ -303,15 +303,15 @@ mod tests {
     fn load_reflects_backlog() {
         let mut w = Worker::new(ProcessorId::new(0));
         assert_eq!(w.load(Time::ZERO), Duration::ZERO);
-        w.admit(&task(0), Time::ZERO, Duration::from_millis(4));
+        w.admit(task(0), Time::ZERO, Duration::from_millis(4));
         assert_eq!(w.load(Time::from_millis(1)), Duration::from_millis(3));
     }
 
     #[test]
     fn busy_time_accumulates_across_gaps() {
         let mut w = Worker::new(ProcessorId::new(0));
-        w.admit(&task(0), Time::ZERO, Duration::from_millis(1));
-        w.admit(&task(1), Time::from_millis(100), Duration::from_millis(1));
+        w.admit(task(0), Time::ZERO, Duration::from_millis(1));
+        w.admit(task(1), Time::from_millis(100), Duration::from_millis(1));
         assert_eq!(w.busy_time(), Duration::from_millis(2));
         let u = w.utilization(Time::from_millis(200));
         assert!((u - 0.01).abs() < 1e-9, "utilization {u}");
@@ -324,7 +324,7 @@ mod tests {
             w.idle_time(Time::from_millis(10)),
             Duration::from_millis(10)
         );
-        w.admit(&task(0), Time::ZERO, Duration::from_millis(4));
+        w.admit(task(0), Time::ZERO, Duration::from_millis(4));
         assert_eq!(w.idle_time(Time::from_millis(10)), Duration::from_millis(6));
         // busy beyond the horizon saturates at zero idle
         assert_eq!(w.idle_time(Time::from_millis(2)), Duration::ZERO);
@@ -334,7 +334,7 @@ mod tests {
     #[should_panic(expected = "zero-length work")]
     fn zero_service_rejected() {
         let mut w = Worker::new(ProcessorId::new(0));
-        w.admit(&task(0), Time::ZERO, Duration::ZERO);
+        w.admit(task(0), Time::ZERO, Duration::ZERO);
     }
 
     #[test]
@@ -348,10 +348,10 @@ mod tests {
     fn fail_partitions_done_in_flight_and_unstarted() {
         let mut w = Worker::new(ProcessorId::new(0));
         // done: [0,2ms); in flight at 3ms: [2,5ms); unstarted: [5,6ms), [6,7ms)
-        w.admit(&task(0), Time::ZERO, Duration::from_millis(2));
-        w.admit(&task(1), Time::ZERO, Duration::from_millis(3));
-        w.admit(&task(2), Time::ZERO, Duration::from_millis(1));
-        w.admit(&task(3), Time::ZERO, Duration::from_millis(1));
+        w.admit(task(0), Time::ZERO, Duration::from_millis(2));
+        w.admit(task(1), Time::ZERO, Duration::from_millis(3));
+        w.admit(task(2), Time::ZERO, Duration::from_millis(1));
+        w.admit(task(3), Time::ZERO, Duration::from_millis(1));
         assert_eq!(w.busy_time(), Duration::from_millis(7));
 
         let failed = w.fail(Time::from_millis(3), false);
@@ -371,8 +371,8 @@ mod tests {
     #[test]
     fn fail_keeping_in_flight_lets_it_finish() {
         let mut w = Worker::new(ProcessorId::new(0));
-        w.admit(&task(0), Time::ZERO, Duration::from_millis(4));
-        w.admit(&task(1), Time::ZERO, Duration::from_millis(4));
+        w.admit(task(0), Time::ZERO, Duration::from_millis(4));
+        w.admit(task(1), Time::ZERO, Duration::from_millis(4));
         let failed = w.fail(Time::from_millis(1), true);
         assert!(failed.lost.is_none());
         assert_eq!(failed.orphaned.len(), 1);
@@ -394,7 +394,7 @@ mod tests {
             w.available_from(Time::from_millis(2)),
             Time::from_millis(10)
         );
-        let start = w.admit(&task(5), Time::from_millis(3), Duration::from_millis(1));
+        let (start, _) = w.admit(task(5), Time::from_millis(3), Duration::from_millis(1));
         assert_eq!(start, Time::from_millis(10), "no work before recovery");
     }
 
@@ -403,7 +403,7 @@ mod tests {
     fn admit_to_down_worker_panics() {
         let mut w = Worker::new(ProcessorId::new(0));
         let _ = w.fail(Time::ZERO, false);
-        let _ = w.admit(&task(0), Time::from_millis(1), Duration::from_millis(1));
+        let _ = w.admit(task(0), Time::from_millis(1), Duration::from_millis(1));
     }
 
     #[test]
@@ -419,8 +419,8 @@ mod tests {
         // The host discovers the failure late: work admitted after the
         // failure instant is still orphaned exactly.
         let mut w = Worker::new(ProcessorId::new(0));
-        w.admit(&task(0), Time::ZERO, Duration::from_millis(1)); // done by 1ms
-        w.admit(&task(1), Time::from_millis(5), Duration::from_millis(1)); // starts 5ms
+        w.admit(task(0), Time::ZERO, Duration::from_millis(1)); // done by 1ms
+        w.admit(task(1), Time::from_millis(5), Duration::from_millis(1)); // starts 5ms
         let failed = w.fail(Time::from_millis(2), false);
         assert!(failed.lost.is_none());
         assert_eq!(failed.orphaned.len(), 1);

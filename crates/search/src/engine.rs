@@ -10,7 +10,7 @@
 //! quantum is exhausted — in the latter two cases the best (deepest, then
 //! lowest-makespan) feasible partial schedule found so far is returned.
 
-use paragon_des::trace::PhaseProfile;
+use paragon_des::trace::{PhaseProfile, PlacementProbe, ScreenProbe};
 use paragon_des::{Duration, Time};
 use rt_task::{CommModel, ProcessorId, ResourceEats, Task, TopologySpec};
 
@@ -95,23 +95,8 @@ pub struct SearchStats {
     pub shards_pruned: u64,
 }
 
-/// One feasibility probe from the phase-level viability screen: the
-/// operands of the paper's test for one candidate processor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScreenProbe {
-    /// The candidate processor.
-    pub processor: ProcessorId,
-    /// The processor's initial finish time `max(busy_k, t_s + Q_s(j))`.
-    pub available: Time,
-    /// The demand `p_l + c_lk` the assignment would add.
-    pub demand: Duration,
-    /// The resulting completion `se_lk`; the probe fails when it exceeds the
-    /// task's deadline.
-    pub completion: Time,
-}
-
 /// Why one batch task failed the phase-level viability screen: one failed
-/// probe per candidate processor.
+/// probe per candidate processor, in the trace's own record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScreenEvidence {
     /// Batch index of the screened task.
@@ -120,42 +105,46 @@ pub struct ScreenEvidence {
     pub probes: Vec<ScreenProbe>,
 }
 
-/// A candidate placement the search evaluated at the same expansion as a
-/// delivered assignment but ranked lower.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlacementAlternative {
-    /// The rejected processor.
-    pub processor: ProcessorId,
-    /// Predicted completion on it.
-    pub completion: Time,
-    /// Its cost-function value `ce_k` (the partial schedule's makespan had
-    /// it been chosen).
-    pub cost: Time,
-}
-
 /// Why a delivered assignment picked the processor it did: the chosen
 /// placement's cost next to every sibling alternative for the same task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementEvidence {
     /// Batch index of the placed task.
     pub task: usize,
-    /// The chosen processor.
-    pub processor: ProcessorId,
-    /// Predicted completion on the chosen processor.
-    pub completion: Time,
-    /// The chosen placement's cost `ce_k`.
-    pub cost: Time,
+    /// The chosen placement.
+    pub chosen: PlacementProbe,
     /// Same-task alternatives evaluated at the same expansion and ranked
     /// lower (empty under sequence-oriented layouts, where siblings differ
     /// by task rather than processor).
-    pub rejected: Vec<PlacementAlternative>,
+    pub rejected: Vec<PlacementProbe>,
+}
+
+/// A candidate placement of a task on `processor`, completing at
+/// `completion` at cost `cost`, as the trace records it: labelled with the
+/// node `comm`'s topology puts the processor on, or node 0 without one.
+#[must_use]
+pub fn placement_probe(
+    comm: &CommModel,
+    processor: ProcessorId,
+    completion: Time,
+    cost: Time,
+) -> PlacementProbe {
+    PlacementProbe {
+        processor: processor.index(),
+        completion_us: completion.as_micros(),
+        cost_us: cost.as_micros(),
+        shard: comm.topology().map_or(0, |t| t.node_of(processor)),
+    }
 }
 
 /// Decision evidence for one scheduling phase, collected only when
 /// [`SearchParams::provenance`] is set: which tasks the viability screen
 /// rejected (with the actual test operands) and why each delivered
-/// assignment chose its processor. Collection is record-only — it never
-/// alters the search order, the delivered schedule, or the stats.
+/// assignment chose its processor. The probes are the trace's own
+/// [`ScreenProbe`] and [`PlacementProbe`] records, so the driver moves them
+/// into its `TaskScreened` and `PlacementDecided` events without copying.
+/// Collection is record-only — it never alters the search order, the
+/// delivered schedule, or the stats.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PhaseProvenance {
     /// Screen rejections, in batch order.
@@ -210,13 +199,18 @@ impl SearchOutcome {
         self.stats.screened_tasks
     }
 
-    /// Number of distinct processors the schedule uses.
+    /// Number of distinct processors the schedule uses, marked off in
+    /// `seen`: scratch space a caller keeps across calls so that counting
+    /// allocates nothing once it has grown.
     #[must_use]
-    pub fn processors_used(&self) -> usize {
-        let mut procs: Vec<ProcessorId> = self.assignments.iter().map(|a| a.processor).collect();
-        procs.sort();
-        procs.dedup();
-        procs.len()
+    pub fn processors_used(&self, seen: &mut Vec<bool>) -> usize {
+        let width = self.assignments.iter().map(|a| a.processor.index() + 1);
+        seen.clear();
+        seen.resize(width.max().unwrap_or(0), false);
+        self.assignments
+            .iter()
+            .filter(|a| !std::mem::replace(&mut seen[a.processor.index()], true))
+            .count()
     }
 }
 
@@ -1227,11 +1221,10 @@ impl<'a, 'b> Phase<'a, 'b> {
             }
             None => Vec::new(),
         };
-        let provenance = self
-            .ctx
-            .params
-            .provenance
-            .then(|| phase_provenance(self.work, self.best.2, self.screened));
+        let provenance =
+            self.ctx.params.provenance.then(|| {
+                phase_provenance(self.ctx.params.comm, self.work, self.best.2, self.screened)
+            });
         SearchOutcome {
             assignments,
             termination,
@@ -1324,10 +1317,10 @@ fn screen_batch(
                     let available = finish[p.index()];
                     let demand = params.comm.demand(t, p);
                     ScreenProbe {
-                        processor: p,
-                        available,
-                        demand,
-                        completion: available + demand,
+                        processor: p.index(),
+                        available_us: available.as_micros(),
+                        demand_us: demand.as_micros(),
+                        completion_us: (available + demand).as_micros(),
                     }
                 })
                 .collect();
@@ -1367,14 +1360,16 @@ fn node_viable(
 }
 
 /// Same-expansion alternatives for arena node `id`: its siblings with the
-/// same task, in generation order. An expansion pushes all its children as
-/// one contiguous arena block and no vertex is expanded twice, so the
-/// siblings are exactly the run of equal-parent nodes around `id`.
+/// same task, in generation order, as trace probes labelled with their node
+/// under `comm`. An expansion pushes all its children as one contiguous
+/// arena block and no vertex is expanded twice, so the siblings are exactly
+/// the run of equal-parent nodes around `id`.
 fn rejected_siblings(
+    comm: &CommModel,
     arena: &[Node],
     node_costs: &[(Time, Time)],
     id: usize,
-) -> Vec<PlacementAlternative> {
+) -> Vec<PlacementProbe> {
     let Node { parent, task, .. } = arena[id];
     let lo = arena[..id]
         .iter()
@@ -1386,19 +1381,20 @@ fn rejected_siblings(
         .map_or(arena.len(), |i| id + i);
     (lo..hi)
         .filter(|&sid| sid != id && arena[sid].task == task)
-        .map(|sid| PlacementAlternative {
-            processor: arena[sid].processor(),
-            completion: node_costs[sid].0,
-            cost: node_costs[sid].1,
+        .map(|sid| {
+            let (completion, cost) = node_costs[sid];
+            placement_probe(comm, arena[sid].processor(), completion, cost)
         })
         .collect()
 }
 
 /// Decision evidence for the delivered path of `work`'s arena: each
 /// assignment's chosen cost next to its same-task siblings (the rejected
-/// alternatives of the same expansion). Reconstructed after the fact so
-/// collection cannot perturb the search.
+/// alternatives of the same expansion), with shards read off `comm`'s
+/// topology. Reconstructed after the fact so collection cannot perturb the
+/// search.
 fn phase_provenance(
+    comm: &CommModel,
     work: &Work,
     best_id: Option<usize>,
     screened: Vec<ScreenEvidence>,
@@ -1410,10 +1406,8 @@ fn phase_provenance(
         let (completion, cost) = work.node_costs[id];
         decisions.push(PlacementEvidence {
             task: node.task(),
-            processor: node.processor(),
-            completion,
-            cost,
-            rejected: rejected_siblings(&work.arena, &work.node_costs, id),
+            chosen: placement_probe(comm, node.processor(), completion, cost),
+            rejected: rejected_siblings(comm, &work.arena, &work.node_costs, id),
         });
         cursor = node.parent();
     }
@@ -1491,7 +1485,7 @@ mod tests {
         assert_eq!(out.termination, Termination::Leaf);
         assert!(out.is_complete(6));
         // load balancing spreads 6 equal tasks over 3 processors, 2 each
-        assert_eq!(out.processors_used(), 3);
+        assert_eq!(out.processors_used(&mut Vec::new()), 3);
         let max_done = out.assignments.iter().map(|a| a.completion).max().unwrap();
         assert_eq!(max_done, Time::from_micros(200));
     }
@@ -1701,7 +1695,7 @@ mod tests {
         assert_eq!(out.termination, Termination::Leaf);
         assert!(out.is_complete(4));
         // round-robin: levels 0,2 on P0 and 1,3 on P1
-        assert_eq!(out.processors_used(), 2);
+        assert_eq!(out.processors_used(&mut Vec::new()), 2);
     }
 
     #[test]
@@ -1983,16 +1977,18 @@ mod tests {
         assert_eq!(prov.screened[0].task, 1);
         assert_eq!(prov.screened[0].probes.len(), 2);
         for probe in &prov.screened[0].probes {
-            assert_eq!(probe.completion, probe.available + probe.demand);
-            assert!(!tasks[1].meets_deadline(probe.completion));
+            assert_eq!(probe.completion_us, probe.available_us + probe.demand_us);
+            assert!(!tasks[1].meets_deadline(Time::from_micros(probe.completion_us)));
         }
         assert_eq!(prov.decisions.len(), out.assignments.len());
         for (d, a) in prov.decisions.iter().zip(&out.assignments) {
             assert_eq!(d.task, a.task);
-            assert_eq!(d.processor, a.processor);
-            assert_eq!(d.completion, a.completion);
+            assert_eq!(d.chosen.processor, a.processor.index());
+            assert_eq!(d.chosen.completion_us, a.completion.as_micros());
+            assert_eq!(d.chosen.shard, 0, "the flat machine is node 0");
             for r in &d.rejected {
-                assert_ne!(r.processor, d.processor);
+                assert_ne!(r.processor, d.chosen.processor);
+                assert_eq!(r.shard, 0);
             }
         }
 
@@ -2106,31 +2102,30 @@ mod tests {
     /// The full-arena formulation of the sibling lookup: every other node
     /// with the same parent and task, in arena order.
     fn siblings_full_scan(
+        comm: &CommModel,
         arena: &[Node],
         node_costs: &[(Time, Time)],
         id: usize,
-    ) -> Vec<PlacementAlternative> {
+    ) -> Vec<PlacementProbe> {
         let node = arena[id];
         arena
             .iter()
             .enumerate()
             .filter(|&(sid, sib)| sid != id && sib.parent == node.parent && sib.task == node.task)
-            .map(|(sid, sib)| PlacementAlternative {
-                processor: sib.processor(),
-                completion: node_costs[sid].0,
-                cost: node_costs[sid].1,
+            .map(|(sid, sib)| {
+                placement_probe(comm, sib.processor(), node_costs[sid].0, node_costs[sid].1)
             })
             .collect()
     }
 
     /// Every node of `arena` finds the same siblings in its block as the
     /// full-arena filter does.
-    fn assert_sibling_blocks(arena: &[Node], node_costs: &[(Time, Time)]) {
+    fn assert_sibling_blocks(comm: &CommModel, arena: &[Node], node_costs: &[(Time, Time)]) {
         assert_eq!(arena.len(), node_costs.len());
         for id in 0..arena.len() {
             assert_eq!(
-                rejected_siblings(arena, node_costs, id),
-                siblings_full_scan(arena, node_costs, id),
+                rejected_siblings(comm, arena, node_costs, id),
+                siblings_full_scan(comm, arena, node_costs, id),
                 "arena node {id}"
             );
         }
@@ -2182,6 +2177,7 @@ mod tests {
                             assert_eq!(
                                 d.rejected,
                                 siblings_full_scan(
+                                    comm,
                                     &scratch.work.arena,
                                     &scratch.work.node_costs,
                                     id
@@ -2195,7 +2191,7 @@ mod tests {
                         .iter()
                         .map(|d| d.rejected.len())
                         .sum::<usize>();
-                    assert_sibling_blocks(&scratch.work.arena, &scratch.work.node_costs);
+                    assert_sibling_blocks(comm, &scratch.work.arena, &scratch.work.node_costs);
                     scratch.recycle(out.assignments);
                 }
             }
@@ -2219,14 +2215,16 @@ mod tests {
                     let available = params.initial_finish[p.index()];
                     let demand = params.comm.demand(t, p);
                     ScreenProbe {
-                        processor: p,
-                        available,
-                        demand,
-                        completion: available + demand,
+                        processor: p.index(),
+                        available_us: available.as_micros(),
+                        demand_us: demand.as_micros(),
+                        completion_us: (available + demand).as_micros(),
                     }
                 })
                 .collect();
-            let ok = probes.iter().any(|pr| t.meets_deadline(pr.completion));
+            let ok = probes
+                .iter()
+                .any(|pr| t.meets_deadline(Time::from_micros(pr.completion_us)));
             if !ok {
                 evidence.push(ScreenEvidence { task: idx, probes });
             }

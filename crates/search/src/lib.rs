@@ -36,9 +36,8 @@ mod state;
 #[cfg(any(test, feature = "replay-oracle"))]
 pub use engine::search_schedule_replay;
 pub use engine::{
-    search_schedule, search_schedule_with, PhaseProvenance, PlacementAlternative,
-    PlacementEvidence, Pruning, ScreenEvidence, ScreenProbe, SearchOutcome, SearchParams,
-    SearchScratch, SearchStats, Termination,
+    placement_probe, search_schedule, search_schedule_with, PhaseProvenance, PlacementEvidence,
+    Pruning, ScreenEvidence, SearchOutcome, SearchParams, SearchScratch, SearchStats, Termination,
 };
 pub use policy::{ChildOrder, ProcessorOrder, TaskOrder};
 pub use repr::Representation;

@@ -415,23 +415,25 @@ impl Fnv {
             self.word(ev.task as u64);
             self.word(ev.probes.len() as u64);
             for pr in &ev.probes {
-                self.word(pr.processor.index() as u64);
-                self.time(pr.available);
-                self.word(pr.demand.as_micros());
-                self.time(pr.completion);
+                self.word(pr.processor as u64);
+                self.word(pr.available_us);
+                self.word(pr.demand_us);
+                self.word(pr.completion_us);
             }
         }
+        // The shard labels are not folded: the digests predate them, and
+        // they follow from the processors and the topology alone.
         self.word(prov.decisions.len() as u64);
         for d in &prov.decisions {
             self.word(d.task as u64);
-            self.word(d.processor.index() as u64);
-            self.time(d.completion);
-            self.time(d.cost);
+            self.word(d.chosen.processor as u64);
+            self.word(d.chosen.completion_us);
+            self.word(d.chosen.cost_us);
             self.word(d.rejected.len() as u64);
             for r in &d.rejected {
-                self.word(r.processor.index() as u64);
-                self.time(r.completion);
-                self.time(r.cost);
+                self.word(r.processor as u64);
+                self.word(r.completion_us);
+                self.word(r.cost_us);
             }
         }
     }

@@ -43,7 +43,7 @@ proptest! {
                 processor: ProcessorId::new(proc),
             })
             .collect();
-        let records = machine.deliver(dispatches, Time::ZERO);
+        let records = machine.deliver(dispatches, Time::ZERO).to_vec();
         for w in 0..workers {
             let per_worker: Vec<_> = records
                 .iter()
