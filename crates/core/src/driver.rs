@@ -397,10 +397,9 @@ impl Driver {
             // Phase j starts at t_s = now.
             let phase_no = batch.phase();
             let started = now;
-            let dropped = batch.drop_expired(started);
-            dropped_total += dropped.len();
-            if tracer.enabled() {
-                for t in &dropped.dropped {
+            let traced = tracer.enabled();
+            let dropped = batch.drop_expired(started, |t| {
+                if traced {
                     tracer.emit(
                         started,
                         TraceEvent::TaskDropped {
@@ -408,7 +407,8 @@ impl Driver {
                         },
                     );
                 }
-            }
+            });
+            dropped_total += dropped;
             if batch.is_empty() {
                 // Everything expired; loop back (arrivals or exit).
                 continue;
@@ -644,7 +644,7 @@ impl Driver {
                 phase: phase_no,
                 started,
                 batch_len: batch.len() + scheduled,
-                dropped: dropped.len(),
+                dropped,
                 expired_mid_phase,
                 quantum,
                 consumed,
@@ -725,9 +725,9 @@ impl Driver {
         }
 
         let hits = machine.deadline_hits();
-        let completions = machine.completions().to_vec();
-        let executed_misses = completions.len() - hits;
-        let finished_at = completions
+        let executed_misses = machine.completions().len() - hits;
+        let finished_at = machine
+            .completions()
             .iter()
             .map(|c| c.completion)
             .max()
@@ -738,7 +738,6 @@ impl Driver {
             hits,
             dropped: dropped_total,
             executed_misses,
-            completions,
             phases,
             workers_used: machine.workers_used(),
             worker_busy: machine.iter_workers().map(|w| w.busy_time()).collect(),
@@ -763,6 +762,9 @@ impl Driver {
                         })
                         .collect()
                 }),
+            // Moves the records out of the machine, after the per-worker
+            // totals above have read it.
+            completions: machine.into_completions(),
             finished_at,
             orphaned: orphaned_total,
             lost_in_flight: lost_total,

@@ -106,6 +106,38 @@ impl SchedulingMeter {
         }
     }
 
+    /// Charges up to `n` vertex generations in O(1): the same `consumed`,
+    /// `vertices` and `exhausted` as calling
+    /// [`SchedulingMeter::charge_vertex`] `n` times and stopping at the
+    /// first `false`. Returns how many charges fit; when that is fewer than
+    /// `n`, the one that did not fit is counted as well.
+    pub fn charge_vertices(&mut self, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let cost = self.params.vertex_eval_cost;
+        let fit = if self.exhausted {
+            0
+        } else if cost.is_zero() {
+            n
+        } else {
+            ((self.quantum - self.consumed).as_micros() / cost.as_micros()).min(n)
+        };
+        self.consumed += cost * fit;
+        if fit < n {
+            // The first charge past the fit fails and is still counted.
+            self.vertices += fit + 1;
+            self.exhausted = true;
+            self.consumed = self.quantum;
+        } else {
+            self.vertices += n;
+            if self.consumed == self.quantum && !cost.is_zero() {
+                self.exhausted = true;
+            }
+        }
+        fit
+    }
+
     /// The allocated quantum `Q_s(j)`.
     #[must_use]
     pub fn quantum(&self) -> Duration {
@@ -193,6 +225,44 @@ mod tests {
         let mut m = SchedulingMeter::new(HostParams::default(), Duration::ZERO);
         assert!(!m.charge_vertex());
         assert!(m.exhausted());
+    }
+
+    #[test]
+    fn charge_vertices_matches_a_charge_vertex_loop() {
+        let mut pre_exhausted = 0;
+        // Quanta up to 40 µs fill exactly at every multiple of the cost.
+        for cost in [0, 1, 3, 10] {
+            let params = HostParams::new(Duration::from_micros(cost));
+            for quantum in 0..=40 {
+                for prior in 0..=5 {
+                    let mut warm = SchedulingMeter::new(params, Duration::from_micros(quantum));
+                    for _ in 0..prior {
+                        warm.charge_vertex();
+                    }
+                    pre_exhausted += u32::from(warm.exhausted());
+                    for n in 0..=12 {
+                        let mut bulk = warm.clone();
+                        let charged = bulk.charge_vertices(n);
+                        let mut one_by_one = warm.clone();
+                        let fitted = (0..n).take_while(|_| one_by_one.charge_vertex()).count();
+                        assert_eq!(
+                            (charged, bulk.consumed(), bulk.vertices(), bulk.exhausted()),
+                            (
+                                fitted as u64,
+                                one_by_one.consumed(),
+                                one_by_one.vertices(),
+                                one_by_one.exhausted()
+                            ),
+                            "cost {cost}us, quantum {quantum}us, {prior} prior charges, n = {n}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            pre_exhausted > 0,
+            "the sweep never starts from a spent meter"
+        );
     }
 
     #[test]

@@ -13,28 +13,6 @@ use paragon_des::{Duration, Time};
 use crate::ids::TaskId;
 use crate::task::Task;
 
-/// Result of expiring tasks out of a batch: which tasks were dropped because
-/// their deadline could no longer be met.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DropOutcome {
-    /// Tasks removed by the filter, in batch order.
-    pub dropped: Vec<Task>,
-}
-
-impl DropOutcome {
-    /// Number of dropped tasks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.dropped.len()
-    }
-
-    /// Whether nothing was dropped.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.dropped.is_empty()
-    }
-}
-
 /// The set of tasks a scheduling phase works on.
 ///
 /// A batch preserves insertion order (which downstream heuristics may
@@ -59,8 +37,10 @@ impl DropOutcome {
 /// batch.push(mk(0, 2));
 /// batch.push(mk(1, 50));
 /// // at t=5ms task 0 can no longer meet its 2ms deadline
-/// let dropped = batch.drop_expired(Time::from_millis(5));
-/// assert_eq!(dropped.len(), 1);
+/// let mut dropped = Vec::new();
+/// let n = batch.drop_expired(Time::from_millis(5), |t| dropped.push(t.id()));
+/// assert_eq!(n, 1);
+/// assert_eq!(dropped, [TaskId::new(0)]);
 /// assert_eq!(batch.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -127,13 +107,20 @@ impl Batch {
     }
 
     /// Removes every task whose deadline can no longer be met at `now`
-    /// (the paper's `p_i + t_c > d_i` filter), returning the dropped tasks.
-    pub fn drop_expired(&mut self, now: Time) -> DropOutcome {
-        let dropped: Vec<Task> = self.tasks.extract_if(.., |t| t.is_expired(now)).collect();
-        for t in &dropped {
-            self.ids.remove(&t.id());
-        }
-        DropOutcome { dropped }
+    /// (the paper's `p_i + t_c > d_i` filter) in place, handing each one to
+    /// `on_drop` in batch order before it goes. Returns how many were
+    /// dropped.
+    pub fn drop_expired(&mut self, now: Time, mut on_drop: impl FnMut(&Task)) -> usize {
+        let before = self.tasks.len();
+        self.tasks.retain(|t| {
+            let expired = t.is_expired(now);
+            if expired {
+                self.ids.remove(&t.id());
+                on_drop(t);
+            }
+            !expired
+        });
+        before - self.tasks.len()
     }
 
     /// Removes the tasks at `positions` (the tasks scheduled during this
@@ -228,10 +215,10 @@ mod tests {
         let mut b = Batch::new(3);
         b.push(mk(0, 5, 6)); // expired at t>=1ms+eps: 5+t_c > 6
         b.push(mk(1, 1, 100));
-        let out = b.drop_expired(Time::from_millis(2));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.dropped[0].id(), TaskId::new(0));
-        assert!(!out.is_empty());
+        let mut dropped = Vec::new();
+        let n = b.drop_expired(Time::from_millis(2), |t| dropped.push(t.id()));
+        assert_eq!(n, 1);
+        assert_eq!(dropped, [TaskId::new(0)]);
         assert_eq!(b.len(), 1);
         assert_eq!(ids(&b), vec![1]);
         // dropped id can be reused afterwards (it is gone from the id set)
@@ -243,8 +230,8 @@ mod tests {
     fn drop_expired_none_when_all_feasible() {
         let mut b = Batch::new(0);
         b.push(mk(0, 1, 100));
-        let out = b.drop_expired(Time::ZERO);
-        assert!(out.is_empty());
+        let n = b.drop_expired(Time::ZERO, |t| panic!("{} is not expired", t.id()));
+        assert_eq!(n, 0);
         assert_eq!(b.len(), 1);
     }
 

@@ -48,7 +48,7 @@ mod task;
 mod topology;
 
 pub use affinity::AffinitySet;
-pub use batch::{Batch, DropOutcome};
+pub use batch::Batch;
 pub use ids::{ProcessorId, TaskId};
 pub use mesh::MeshSpec;
 pub use resources::{AccessMode, ResourceEats, ResourceId, ResourceRequest};

@@ -43,15 +43,22 @@
 //! come from the individual `TaskOrphaned`/`TaskLost` events, so nothing
 //! is double-counted.
 
+use std::fmt::Write;
+
 use paragon_des::trace::{TraceEvent, TraceSink};
 use paragon_des::Time;
 
 use crate::metrics::MetricsRegistry;
 
 /// A [`TraceSink`] that aggregates events into a [`MetricsRegistry`].
+///
+/// Once every metric a run emits exists, folding in further events
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
     registry: MetricsRegistry,
+    /// Reused buffer for the `profile.<stage>_ns` names.
+    name: String,
 }
 
 /// Clamps a `u64` into the histogram's signed sample domain.
@@ -99,7 +106,10 @@ impl TraceSink for MetricsCollector {
             }
             TraceEvent::PhaseProfiled { profile, .. } => {
                 for (stage, ns) in profile.stages() {
-                    r.record(&format!("profile.{stage}_ns"), as_sample(ns));
+                    self.name.clear();
+                    write!(self.name, "profile.{stage}_ns")
+                        .expect("writing to a String cannot fail");
+                    r.record(&self.name, as_sample(ns));
                 }
             }
             TraceEvent::PhaseStarted {

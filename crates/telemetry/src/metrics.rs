@@ -205,6 +205,16 @@ pub struct HistogramSummary {
     pub p99: Option<i64>,
 }
 
+/// Applies `f` to the entry of `map` under `name`, inserted at its default
+/// if absent. The name is copied into a `String` key on first insert only,
+/// so updating a metric that already exists allocates nothing.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// Named counters, gauges and histograms for one run.
 ///
 /// Names are free-form dotted strings (`"task.lateness_us"`); both
@@ -226,20 +236,17 @@ impl MetricsRegistry {
 
     /// Adds `by` to the named counter (creating it at zero).
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        update(&mut self.counters, name, |c| *c += by);
     }
 
     /// Sets the named gauge.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        update(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Records a sample into the named histogram (creating it if needed).
     pub fn record(&mut self, name: &str, value: i64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        update(&mut self.histograms, name, |h| h.record(value));
     }
 
     /// The named counter's value (zero if never incremented).

@@ -96,7 +96,9 @@ proptest! {
             batch.push(mk_task(i as u64, p_us, d_us, 2, 0xFF));
         }
         let n = batch.len();
-        let dropped = batch.drop_expired(Time::from_micros(now_us));
+        let mut dropped = Vec::new();
+        let n_dropped = batch.drop_expired(Time::from_micros(now_us), |t| dropped.push(t.clone()));
+        prop_assert_eq!(n_dropped, dropped.len());
         let scheduled: Vec<usize> = (0..batch.len().min(take)).collect();
         let removed = scheduled.len();
         batch.remove_sorted(&scheduled);
@@ -104,7 +106,7 @@ proptest! {
         prop_assert_eq!(dropped.len() + removed + batch.len(), n);
         prop_assert_eq!(batch.phase(), 1);
         // dropped tasks really were expired, survivors really were not
-        for t in &dropped.dropped {
+        for t in &dropped {
             prop_assert!(t.is_expired(Time::from_micros(now_us)));
         }
         for t in &batch {
