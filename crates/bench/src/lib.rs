@@ -1,54 +1,18 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! The search batches behind `BENCH_search.json` and the zero-allocation
+//! fence.
 //!
-//! Each bench target regenerates (a scaled slice of) one paper figure or
-//! profiles one scheduler component; the fixtures here keep the workload and
-//! platform parameters identical across targets so numbers are comparable.
+//! `rtsads-sim bench-snapshot` times its canonical points on these batches,
+//! and `tests/zero_alloc.rs` runs the same batches with a counting
+//! allocator, so the throughput baseline and the allocation fence measure
+//! one workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use paragon_des::{Duration, Time};
 use rt_task::Task;
-use rt_workload::{BuiltScenario, Scenario};
-use rtsads::{Algorithm, Driver, DriverConfig, RunReport};
 
-pub use experiments::config::{comm_model, host_params};
-
-/// Transactions per benchmark run — small enough for tight iteration, large
-/// enough that batches exercise real search depth.
-pub const BENCH_TRANSACTIONS: usize = 150;
-
-/// The benchmark scenario: the paper's configuration at bench scale.
-#[must_use]
-pub fn bench_scenario(workers: usize, replication: f64) -> Scenario {
-    Scenario::paper_defaults()
-        .workers(workers)
-        .transactions(BENCH_TRANSACTIONS)
-        .replication_rate(replication)
-}
-
-/// Builds the benchmark workload deterministically.
-#[must_use]
-pub fn bench_workload(workers: usize, replication: f64, seed: u64) -> BuiltScenario {
-    bench_scenario(workers, replication).build(seed)
-}
-
-/// A driver with the calibrated platform constants.
-#[must_use]
-pub fn bench_driver(workers: usize, algorithm: Algorithm) -> DriverConfig {
-    DriverConfig::new(workers, algorithm)
-        .comm(comm_model())
-        .host(host_params())
-}
-
-/// Runs one complete simulation (the unit of the figure benches).
-#[must_use]
-pub fn run_once(workers: usize, replication: f64, algorithm: Algorithm, seed: u64) -> RunReport {
-    let built = bench_workload(workers, replication, seed);
-    Driver::new(bench_driver(workers, algorithm).seed(seed)).run(built.tasks)
-}
-
-/// A synthetic independent task batch for the search microbenchmarks:
+/// A synthetic independent task batch for the search snapshot points:
 /// uniform processing times with deadlines `10x` cost, one-third of the
 /// tasks pinned to a single processor.
 #[must_use]
@@ -110,21 +74,6 @@ pub fn tight_batch(n: usize, workers: usize) -> Vec<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixtures_are_deterministic() {
-        let a = bench_workload(4, 0.3, 1);
-        let b = bench_workload(4, 0.3, 1);
-        assert_eq!(a.tasks, b.tasks);
-        assert_eq!(a.tasks.len(), BENCH_TRANSACTIONS);
-    }
-
-    #[test]
-    fn run_once_is_consistent() {
-        let report = run_once(4, 0.3, Algorithm::rt_sads(), 2);
-        assert!(report.is_consistent());
-        assert_eq!(report.executed_misses, 0);
-    }
 
     #[test]
     fn synthetic_batch_shape() {

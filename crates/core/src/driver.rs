@@ -981,12 +981,29 @@ mod tests {
 
     #[test]
     fn tracing_is_free_when_disabled() {
-        use paragon_des::trace::Tracer;
-        let tasks: Vec<Task> = (0..5).map(|i| mk_task(i, 1, 0, 50, 2)).collect();
-        let a = Driver::new(DriverConfig::new(2, Algorithm::rt_sads()))
-            .run_traced(tasks.clone(), &mut Tracer::disabled());
-        let b = Driver::new(DriverConfig::new(2, Algorithm::rt_sads())).run(tasks);
-        assert_eq!(a.completions, b.completions);
+        /// A sink that declines events and counts those emitted anyway.
+        struct Declining(usize);
+        impl TraceSink for Declining {
+            fn emit(&mut self, _now: Time, _event: TraceEvent) {
+                self.0 += 1;
+            }
+            fn enabled(&self) -> bool {
+                false
+            }
+        }
+        let tasks: Vec<Task> = (0..30).map(|i| mk_task(i, 2, i % 5, 80, 3)).collect();
+        let plain = Driver::new(DriverConfig::new(3, Algorithm::rt_sads())).run(tasks.clone());
+        // The profiler and the wall-clock overhead probe arm only under an
+        // enabled sink: a declining one is handed nothing and moves nothing.
+        let mut sink = Declining(0);
+        let armed = Driver::new(
+            DriverConfig::new(3, Algorithm::rt_sads())
+                .profile(true)
+                .measure_overhead(true),
+        )
+        .run_traced(tasks, &mut sink);
+        assert_eq!(sink.0, 0);
+        assert_eq!(armed, plain);
     }
 
     // ---- fault injection ----

@@ -535,8 +535,8 @@ pub fn search_schedule_with(
 /// The pre-incremental engine, kept as a differential oracle: identical
 /// search order and bookkeeping, but every pop rebuilds the vertex's
 /// [`PathState`] by replaying the whole root-to-vertex path (O(depth) per
-/// pop). Used by the differential property tests and the deep-dive
-/// benchmark; never by the production schedulers.
+/// pop). Used by the differential property tests; never by the production
+/// schedulers.
 #[cfg(any(test, feature = "replay-oracle"))]
 #[must_use]
 pub fn search_schedule_replay(
@@ -892,7 +892,7 @@ impl Ctx<'_, '_> {
                     // A blocked round: the task fits on no processor, so its
                     // P candidates are charged as infeasible without the
                     // column (DESIGN.md §8, "Candidate evaluation").
-                    self.charge_blocked(state.processors(), &mut work.prof, meter, stats)
+                    self.charge_blocked(state.processors(), meter, stats)
                 } else {
                     let t_fill = work.prof.start();
                     state.ensure_candidate_segment(params.tasks, params.comm, task, 0);
@@ -1018,15 +1018,15 @@ impl Ctx<'_, '_> {
     /// the meter charges those up to its first failure (counted, never
     /// classified), and each charged vertex is infeasible. Returns `false`
     /// when a budget broke the round off. Pinned against the loop by
-    /// `blocked_rounds_keep_the_classify_accounting`.
+    /// `blocked_rounds_keep_the_classify_accounting`. Untimed: a span
+    /// around an O(1) step would mostly time the clock (DESIGN.md §8), so
+    /// the round shows as unattributed search time.
     fn charge_blocked(
         &self,
         n: usize,
-        prof: &mut StageProfiler,
         meter: &mut SchedulingMeter,
         stats: &mut SearchStats,
     ) -> bool {
-        let t_cost = prof.start();
         let n = n as u64;
         let cap = self.params.vertex_cap.unwrap_or(u64::MAX);
         let attempts = n.min(cap.saturating_sub(stats.vertices_generated));
@@ -1034,7 +1034,6 @@ impl Ctx<'_, '_> {
         let failed = charged < attempts;
         stats.vertices_generated += charged + u64::from(failed);
         stats.infeasible_children += charged;
-        prof.stop(Stage::Cost, t_cost);
         attempts == n && !failed
     }
 

@@ -432,7 +432,8 @@ fn cmd_profile(argv: &[String]) -> Result<(), String> {
 /// points and writes the tracked baseline (`BENCH_search.json` by
 /// default). Refuses to overwrite the committed baseline from a dirty tree
 /// unless `--allow-dirty` is passed; either way the flag's value is
-/// recorded in the snapshot manifest.
+/// recorded in the snapshot manifest. An earlier regeneration of the output
+/// file, as the tree's only change, does not make it dirty.
 fn cmd_bench_snapshot(argv: &[String]) -> Result<(), String> {
     use rtsads_repro::snapshot;
     let mut out = PathBuf::from("BENCH_search.json");
@@ -452,11 +453,12 @@ fn cmd_bench_snapshot(argv: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown bench-snapshot flag '{other}'")),
         }
     }
+    let describe = snapshot::describe_for(&out);
     if out.file_name().is_some_and(|n| n == "BENCH_search.json") {
-        let describe = rtsads_repro::telemetry::manifest::git_describe();
         snapshot::dirty_guard(describe.as_deref(), allow_dirty)?;
     }
     let mut snap = snapshot::collect(phases);
+    snap.manifest.git_describe = describe;
     snap.manifest
         .extra
         .insert("allow_dirty".to_string(), allow_dirty.to_string());

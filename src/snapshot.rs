@@ -436,6 +436,40 @@ pub fn dirty_guard(git_describe: Option<&str>, allow_dirty: bool) -> Result<(), 
     }
 }
 
+/// Whether `porcelain`, the output of `git status --porcelain
+/// --untracked-files=no`, lists a tracked change other than `out` (a path
+/// relative to the repository root). A tree whose only change is an earlier
+/// regeneration of the snapshot file itself still measures the commit.
+#[must_use]
+fn dirty_besides(porcelain: &str, out: &str) -> bool {
+    porcelain.lines().any(|line| line.get(3..) != Some(out))
+}
+
+/// `git describe --always --dirty` for a snapshot written to `out`, without
+/// the `-dirty` suffix when `out` is the tree's only tracked change (see
+/// `dirty_besides`); `None` outside a checkout.
+#[must_use]
+pub fn describe_for(out: &std::path::Path) -> Option<String> {
+    let describe = rt_telemetry::manifest::git_describe()?;
+    let git = |args: &[&str]| {
+        let run = std::process::Command::new("git").args(args).output().ok()?;
+        if !run.status.success() {
+            return None;
+        }
+        String::from_utf8(run.stdout).ok()
+    };
+    let only_out_changed = || {
+        let own = git(&["ls-files", "--full-name", "--", out.to_str()?])?;
+        let status = git(&["status", "--porcelain", "--untracked-files=no"])?;
+        let own = own.trim_end();
+        Some(!own.is_empty() && !dirty_besides(&status, own))
+    };
+    match describe.strip_suffix("-dirty") {
+        Some(clean) if only_out_changed() == Some(true) => Some(clean.to_string()),
+        _ => Some(describe),
+    }
+}
+
 /// Measured passes per point; the fastest is kept. Throughput noise is
 /// one-sided — scheduler preemption and frequency scaling only ever slow a
 /// pass down — so the max over a few passes estimates the machine's actual
@@ -954,5 +988,20 @@ mod tests {
         assert!(dirty_guard(Some("v0-5-gabc123-dirty"), true).is_ok());
         assert!(dirty_guard(Some("v0-5-gabc123"), false).is_ok());
         assert!(dirty_guard(None, false).is_ok());
+    }
+
+    #[test]
+    fn only_the_snapshot_file_itself_may_differ() {
+        let out = "BENCH_search.json";
+        assert!(!dirty_besides("", out));
+        assert!(!dirty_besides(" M BENCH_search.json\n", out));
+        assert!(!dirty_besides("M  BENCH_search.json\n", out));
+        assert!(dirty_besides(
+            " M BENCH_search.json\n M src/snapshot.rs\n",
+            out
+        ));
+        assert!(dirty_besides("MM src/snapshot.rs\n", out));
+        assert!(dirty_besides(" M results/BENCH_search.json\n", out));
+        assert!(dirty_besides("R  BENCH_search.json -> old.json\n", out));
     }
 }
