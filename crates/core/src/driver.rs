@@ -143,8 +143,8 @@ impl DriverConfig {
 
     /// Enable the search engine's stage-scoped self-profiler and emit one
     /// [`TraceEvent::PhaseProfiled`] per search phase: wall nanoseconds
-    /// attributed to each pipeline stage (screen, fill, cost, select,
-    /// shard, apply, undo). Off by default for the same reason as
+    /// attributed to each pipeline stage (one per
+    /// [`paragon_des::trace::Stage`]). Off by default for the same reason as
     /// [`DriverConfig::measure_overhead`]: wall time is nondeterministic,
     /// so enabling it makes traces differ between repeat runs. The
     /// simulation outcome is bit-identical either way (pinned by the

@@ -16,7 +16,7 @@
 //! | `phase.replay_avoided` | histogram | replay applies avoided per phase |
 //! | `phase.scheduled` | histogram | tasks dispatched per phase |
 //! | `phase.sched_wall_ns` | histogram | measured scheduler wall time per phase |
-//! | `profile.<stage>_ns` | histogram | per-phase wall time of one search stage (`screen`, `fill`, `cost`, `select`, `shard`, `apply`, `undo`), from `PhaseProfiled` |
+//! | `profile.<stage>_ns` | histogram | per-phase wall time of one search stage, one per `paragon_des::trace::Stage`, from `PhaseProfiled` |
 //! | `task.admitted` | counter | tasks admitted into a batch |
 //! | `task.screened` | counter | viability-screen rejections recorded |
 //! | `task.placements` | counter | placement decisions recorded |
@@ -256,15 +256,7 @@ mod tests {
             Time::from_micros(100),
             TraceEvent::PhaseProfiled {
                 phase: 0,
-                profile: paragon_des::trace::PhaseProfile {
-                    screen_ns: 100,
-                    fill_ns: 2_000,
-                    cost_ns: 5_000,
-                    shard_ns: 0,
-                    apply_ns: 300,
-                    undo_ns: 200,
-                    select_ns: 50,
-                },
+                profile: paragon_des::trace::PhaseProfile([100, 2_000, 5_000, 50, 0, 300, 200]),
             },
         );
         c.emit(

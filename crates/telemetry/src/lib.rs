@@ -18,7 +18,9 @@
 //!   a causal chain on record.
 //! * [`profile`] — a [`StageProfiler`] the search engine embeds in its
 //!   scratch: zero-cost-when-disabled stage timers on the shared monotonic
-//!   clock ([`clock`]), drained per phase into `PhaseProfiled` events.
+//!   clock ([`clock`]), drained per phase into `PhaseProfiled` events. The
+//!   stage table, [`Stage`], lives in `paragon_des::trace` beside the
+//!   record it indexes and is re-exported here.
 //! * [`timeseries`] — a [`TimeSeriesRecorder`] folding the stream into
 //!   fixed virtual-time windows (rates, per-processor utilization and queue
 //!   depth, lateness/slack sketches, scheduler overhead), exportable as

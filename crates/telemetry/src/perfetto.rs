@@ -15,7 +15,7 @@
 //!   as instant events on the processor that held them.
 //! * when the run was profiled (`PhaseProfiled` events), the scheduler
 //!   track additionally nests per-stage sub-spans inside each phase span
-//!   (screen/fill/cost/select/shard/apply/undo, scaled by wall-ns share).
+//!   (one per `paragon_des::trace::Stage`, scaled by wall-ns share).
 //!
 //! When a windowed [`TimeSeries`] is attached via
 //! [`PerfettoTracer::set_counters`], the export additionally carries
@@ -676,15 +676,7 @@ mod tests {
             Time::from_micros(100),
             TraceEvent::PhaseProfiled {
                 phase: 0,
-                profile: PhaseProfile {
-                    screen_ns: 0,
-                    fill_ns: 250,
-                    cost_ns: 500,
-                    shard_ns: 0,
-                    apply_ns: 150,
-                    undo_ns: 100,
-                    select_ns: 0,
-                },
+                profile: PhaseProfile([0, 250, 500, 0, 0, 150, 100]),
             },
         );
         p.emit(
