@@ -1,11 +1,13 @@
 //! Telemetry must be a pure observer: attaching every sink at once to a run
-//! changes nothing about the simulation outcome, and the outputs themselves
-//! are well-formed (parseable JSONL, quantile-bearing metrics, a Perfetto
-//! trace with a scheduler track and one track per processor).
+//! changes nothing about the simulation outcome, profiling adds only its
+//! own events, and the outputs themselves are well-formed (parseable
+//! JSONL, quantile-bearing metrics, a Perfetto trace with a scheduler track
+//! and one track per processor).
 
+use rtsads_repro::des::trace::RecordingTracer;
 use rtsads_repro::des::Duration;
 use rtsads_repro::platform::HostParams;
-use rtsads_repro::sads::{Algorithm, Driver, DriverConfig, RunReport};
+use rtsads_repro::sads::{Algorithm, Driver, DriverConfig, FaultConfig, RunReport};
 use rtsads_repro::task::CommModel;
 use rtsads_repro::telemetry::{
     jsonl::parse_trace, JsonlTracer, MetricsCollector, MultiSink, PerfettoTracer,
@@ -219,4 +221,84 @@ fn traced_runs_are_reproducible_event_for_event() {
         boundaries.windows(2).all(|w| w[0] <= w[1]),
         "phase boundaries must be monotone in simulation time"
     );
+}
+
+/// Profiling and the overhead probe add their own events and nothing else.
+/// On the paper's P=10 workload, with and without faults, the profiled run
+/// has the plain run's report and, without its `SchedulerOverhead` and
+/// `PhaseProfiled` events, the plain run's trace; and each `PhaseProfiled`
+/// directly follows the same phase's `SchedulerOverhead`.
+#[test]
+fn profiling_adds_only_its_own_events() {
+    let paper = |algorithm| {
+        DriverConfig::new(10, algorithm)
+            .comm(CommModel::constant(Duration::from_millis(2)))
+            .host(HostParams::new(Duration::from_micros(1)))
+            .seed(SEED)
+    };
+    // Ext. K's fail-recover run with communication spikes, at SF = 2.
+    let recover = FaultConfig::fail_recover(8.0, Duration::from_millis(20)).spikes(
+        20.0,
+        Duration::from_millis(5),
+        Duration::from_millis(1),
+        0.2,
+    );
+    // (config, slack factor, whether the algorithm enters the search).
+    let cases = [
+        (paper(Algorithm::rt_sads()), 1.0, true),
+        (paper(Algorithm::d_cols()), 1.0, true),
+        (paper(Algorithm::GreedyEdf), 1.0, false),
+        (paper(Algorithm::d_cols()).faults(recover), 2.0, true),
+    ];
+    for (config, sf, searches) in cases {
+        let trace = |config: DriverConfig| {
+            let tasks = Scenario::paper_defaults()
+                .workers(10)
+                .replication_rate(0.3)
+                .sf(sf)
+                .build(SEED)
+                .tasks;
+            let mut recorder = RecordingTracer::new();
+            let report = Driver::new(config).run_traced(tasks, &mut recorder);
+            (report, recorder.into_events())
+        };
+        let (plain_report, plain) = trace(config.clone());
+        let (report, profiled) = trace(config.profile(true).measure_overhead(true));
+        assert_eq!(report, plain_report, "profiling moved the report");
+
+        let is_wall = |e: &TraceEvent| {
+            matches!(
+                e,
+                TraceEvent::SchedulerOverhead { .. } | TraceEvent::PhaseProfiled { .. }
+            )
+        };
+        let observed: Vec<_> = profiled
+            .iter()
+            .filter(|(_, e)| !is_wall(e))
+            .cloned()
+            .collect();
+        assert_eq!(observed, plain, "profiling moved the other events");
+
+        let (mut overheads, mut profiles) = (0, 0);
+        let mut previous: Option<&TraceEvent> = None;
+        for (_, e) in &profiled {
+            match e {
+                TraceEvent::SchedulerOverhead { .. } => overheads += 1,
+                TraceEvent::PhaseProfiled { phase, .. } => {
+                    profiles += 1;
+                    assert!(
+                        matches!(
+                            previous,
+                            Some(TraceEvent::SchedulerOverhead { phase: p, .. }) if p == phase
+                        ),
+                        "phase {phase}'s profile does not follow its overhead"
+                    );
+                }
+                _ => {}
+            }
+            previous = Some(e);
+        }
+        assert_eq!(overheads, report.phases.len(), "one overhead per phase");
+        assert_eq!(profiles > 0, searches, "profiles only where the search ran");
+    }
 }
