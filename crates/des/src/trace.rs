@@ -482,6 +482,10 @@ pub trait TraceSink {
 
     /// Whether emissions are observed at all. Producers may skip building
     /// expensive events when this returns `false`.
+    ///
+    /// A sink must give the same answer for the whole of a run: the driver
+    /// reads it step by step, so a sink that changed its answer mid-run
+    /// would see some of a phase's events and not the others.
     fn enabled(&self) -> bool {
         true
     }
