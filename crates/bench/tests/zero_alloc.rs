@@ -79,7 +79,7 @@ fn steady_state_phases_do_not_allocate() {
     use bench_support::{deep_dive_batch, synthetic_batch, tight_batch};
     use paragon_des::{Duration, SimRng, Time};
     use paragon_platform::{HostParams, SchedulingMeter};
-    use rt_task::{CommModel, ResourceEats};
+    use rt_task::{Batch, CommModel, ResourceEats};
     use rtsads::{Algorithm, PhaseScratch};
     use sched_search::{
         search_schedule_with, ChildOrder, Pruning, Representation, SearchParams, SearchScratch,
@@ -88,14 +88,17 @@ fn steady_state_phases_do_not_allocate() {
     const WARMUP: usize = 3;
     const MEASURED: usize = 32;
 
+    // Each per-phase fence builds its batch, with the batch's expiry and
+    // class columns, before the counter is armed, as the driver builds its
+    // batch once per run.
     // Canonical point 1: the raw engine on the depth-64 deep dive.
     {
-        let tasks = deep_dive_batch(64);
+        let batch: Batch = deep_dive_batch(64).into_iter().collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = vec![Time::ZERO; 2];
         let params = SearchParams {
-            tasks: &tasks,
+            batch: &batch,
             comm: &comm,
             initial_finish: &initial,
             representation: &repr,
@@ -129,6 +132,7 @@ fn steady_state_phases_do_not_allocate() {
         ("mixed", synthetic_batch(150, workers), Algorithm::d_cols()),
         ("tight", tight_batch(150, workers), Algorithm::d_cols()),
     ] {
+        let batch: Batch = tasks.into_iter().collect();
         let mut scratch = PhaseScratch::new();
         let (n, _) = count_allocs(WARMUP, MEASURED, || {
             let mut meter = SchedulingMeter::new(
@@ -137,7 +141,7 @@ fn steady_state_phases_do_not_allocate() {
             );
             let mut rng = SimRng::seed_from(7);
             let out = algorithm.schedule_phase(
-                &tasks,
+                &batch,
                 &comm,
                 &initial,
                 Time::ZERO,
@@ -166,7 +170,7 @@ fn steady_state_phases_do_not_allocate() {
     // the shard min-tree — all of which must reach a steady-state capacity
     // during warm-up and never allocate again.
     {
-        let tasks = synthetic_batch(150, 1_024);
+        let batch: Batch = synthetic_batch(150, 1_024).into_iter().collect();
         let topo = rt_task::TopologySpec::new(1_024, 16, 4, 0, 2_000, 4_000);
         let sharded_comm = CommModel::hierarchical(topo);
         let sharded_initial = vec![Time::ZERO; 1_024];
@@ -179,7 +183,7 @@ fn steady_state_phases_do_not_allocate() {
             );
             let mut rng = SimRng::seed_from(7);
             let out = algorithm.schedule_phase(
-                &tasks,
+                &batch,
                 &sharded_comm,
                 &sharded_initial,
                 Time::ZERO,
@@ -202,7 +206,7 @@ fn steady_state_phases_do_not_allocate() {
     // the split path), so a profiled steady-state phase still allocates
     // nothing.
     {
-        let tasks = synthetic_batch(150, workers);
+        let batch: Batch = synthetic_batch(150, workers).into_iter().collect();
         let algorithm = Algorithm::rt_sads();
         let mut scratch = PhaseScratch::new();
         scratch.search.set_profiling(true);
@@ -213,7 +217,7 @@ fn steady_state_phases_do_not_allocate() {
             );
             let mut rng = SimRng::seed_from(7);
             let out = algorithm.schedule_phase(
-                &tasks,
+                &batch,
                 &comm,
                 &initial,
                 Time::ZERO,
@@ -237,13 +241,15 @@ fn steady_state_phases_do_not_allocate() {
     // cluster point (16 nodes × 4 racks; intra-node free, inter-node 2 ms,
     // inter-rack 4 ms). Each run builds its own scratch, so "warm" means a
     // second run in the same process. The bounds fence the per-run
-    // allocation traffic: one batch kept for the whole run, scheduled tasks
-    // removed by position, expired tasks removed in place, arrivals moved
-    // rather than cloned, candidate columns held only for the segments a
-    // phase syncs (none for a round the blocked bound rules out), each
-    // delivered task cloned once, into its worker's slot, with no per-phase
-    // dispatch list, record list or processor count buffer, and the
-    // completion records moved into the report. The traced run repeats
+    // allocation traffic: one batch kept for the whole run and reserved
+    // once for all of its tasks, so it never doubles, with each distinct
+    // affinity set interned once; scheduled tasks removed by position,
+    // expired tasks removed in place, arrivals moved rather than cloned,
+    // candidate columns held only for the segments a phase syncs (none for
+    // a round the blocked bound rules out), each delivered task cloned
+    // once, into its worker's slot, with no per-phase dispatch list, record
+    // list or processor count buffer, and the completion records moved
+    // into the report. The traced run repeats
     // the P=10 RT-SADS run into a sink that asks for every event (so the
     // search collects provenance) and drops each one; the probe lists the
     // search builds are the ones the events carry. A zero-allocation warm
@@ -263,17 +269,17 @@ fn steady_state_phases_do_not_allocate() {
 
         let cluster = CommModel::hierarchical(TopologySpec::new(1_024, 16, 4, 0, 2_000, 4_000));
         for (algorithm, workers, run_comm, traced, max_allocs, max_bytes) in [
-            (Algorithm::rt_sads(), 10, comm, false, 260, 450 << 10),
-            (Algorithm::d_cols(), 10, comm, false, 90, 360 << 10),
+            (Algorithm::rt_sads(), 10, comm, false, 260, 400 << 10),
+            (Algorithm::d_cols(), 10, comm, false, 90, 310 << 10),
             (
                 Algorithm::rt_sads(),
                 1_024,
                 cluster,
                 false,
                 1_070,
-                6_600_000,
+                6_500_000,
             ),
-            (Algorithm::rt_sads(), 10, comm, true, 1_450, 864 << 10),
+            (Algorithm::rt_sads(), 10, comm, true, 1_450, 820 << 10),
         ] {
             let tasks = rt_workload::Scenario::paper_defaults()
                 .workers(workers)

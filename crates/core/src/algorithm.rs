@@ -2,7 +2,7 @@
 
 use paragon_des::{SimRng, Time};
 use paragon_platform::SchedulingMeter;
-use rt_task::{CommModel, ProcessorId, ResourceEats, Task};
+use rt_task::{Batch, CommModel, ProcessorId, ResourceEats, Task};
 use sched_search::{
     placement_probe, search_schedule_with, Assignment, ChildOrder, PathState, PhaseProvenance,
     PlacementEvidence, ProcessorOrder, Pruning, Representation, SearchOutcome, SearchParams,
@@ -154,8 +154,9 @@ impl Algorithm {
         }
     }
 
-    /// Runs one scheduling phase over `tasks` and returns the (partial)
-    /// schedule. `initial_finish[k]` is `max(busy_until_k, t_s + Q_s(j))`;
+    /// Runs one scheduling phase over `batch` and returns the (partial)
+    /// schedule, whose assignments name tasks by batch position.
+    /// `initial_finish[k]` is `max(busy_until_k, t_s + Q_s(j))`;
     /// `meter` charges and bounds the scheduling time; `pruning` applies the
     /// Section-3 bounds to the search-based algorithms (the one-pass
     /// baselines ignore it); `rng` is only used by
@@ -168,7 +169,7 @@ impl Algorithm {
     #[must_use]
     pub fn schedule_phase(
         &self,
-        tasks: &[Task],
+        batch: &Batch,
         comm: &CommModel,
         initial_finish: &[Time],
         now: Time,
@@ -182,6 +183,7 @@ impl Algorithm {
     ) -> SearchOutcome {
         // The two search algorithms differ only in their tree layout and
         // successor order; everything else is one engine call.
+        let tasks = batch.tasks();
         let (representation, child_order) = match self {
             Algorithm::RtSads {
                 task_order,
@@ -247,7 +249,7 @@ impl Algorithm {
             }
         };
         let params = SearchParams {
-            tasks,
+            batch,
             comm,
             initial_finish,
             representation: &representation,
@@ -474,12 +476,12 @@ mod tests {
 
     #[test]
     fn rt_sads_balances_equal_tasks() {
-        let tasks: Vec<Task> = (0..4).map(|i| mk_task(i, 100, 100_000, 2)).collect();
+        let batch: Batch = (0..4).map(|i| mk_task(i, 100, 100_000, 2)).collect();
         let comm = CommModel::free();
         let initial = [Time::ZERO; 2];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::rt_sads().schedule_phase(
-            &tasks,
+            &batch,
             &comm,
             &initial,
             Time::ZERO,
@@ -500,16 +502,16 @@ mod tests {
 
     #[test]
     fn greedy_edf_schedules_in_deadline_order() {
-        let tasks = vec![
+        let batch = Batch::from_iter([
             mk_task(0, 100, 100_000, 1),
             mk_task(1, 100, 50_000, 1),
             mk_task(2, 100, 200_000, 1),
-        ];
+        ]);
         let comm = CommModel::free();
         let initial = [Time::ZERO];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::GreedyEdf.schedule_phase(
-            &tasks,
+            &batch,
             &comm,
             &initial,
             Time::ZERO,
@@ -528,12 +530,12 @@ mod tests {
 
     #[test]
     fn greedy_edf_skips_infeasible_and_reports_dead_end() {
-        let tasks = vec![mk_task(0, 100, 50, 1), mk_task(1, 100, 100_000, 1)];
+        let batch = Batch::from_iter([mk_task(0, 100, 50, 1), mk_task(1, 100, 100_000, 1)]);
         let comm = CommModel::free();
         let initial = [Time::ZERO];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::GreedyEdf.schedule_phase(
-            &tasks,
+            &batch,
             &comm,
             &initial,
             Time::ZERO,
@@ -552,13 +554,13 @@ mod tests {
 
     #[test]
     fn random_assign_is_deterministic_per_seed_and_feasible() {
-        let tasks: Vec<Task> = (0..8).map(|i| mk_task(i, 100, 100_000, 3)).collect();
+        let batch: Batch = (0..8).map(|i| mk_task(i, 100, 100_000, 3)).collect();
         let comm = CommModel::free();
         let initial = [Time::ZERO; 3];
         let run = |seed: u64| {
             let mut rng = SimRng::seed_from(seed);
             Algorithm::RandomAssign.schedule_phase(
-                &tasks,
+                &batch,
                 &comm,
                 &initial,
                 Time::ZERO,
@@ -575,7 +577,7 @@ mod tests {
         let b = run(7);
         assert_eq!(a.assignments, b.assignments);
         for asg in &a.assignments {
-            assert!(tasks[asg.task].meets_deadline(asg.completion));
+            assert!(batch.tasks()[asg.task].meets_deadline(asg.completion));
         }
         assert_eq!(a.termination, Termination::Leaf);
         // different seeds usually differ
@@ -588,7 +590,7 @@ mod tests {
 
     #[test]
     fn baselines_respect_the_meter() {
-        let tasks: Vec<Task> = (0..100).map(|i| mk_task(i, 100, 1_000_000, 2)).collect();
+        let batch: Batch = (0..100).map(|i| mk_task(i, 100, 1_000_000, 2)).collect();
         let comm = CommModel::free();
         let initial = [Time::ZERO; 2];
         let mut meter = SchedulingMeter::new(
@@ -597,7 +599,7 @@ mod tests {
         );
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::GreedyEdf.schedule_phase(
-            &tasks,
+            &batch,
             &comm,
             &initial,
             Time::ZERO,
@@ -627,7 +629,7 @@ mod tests {
     fn reused_phase_scratch_matches_fresh_runs() {
         // One scratch carried across every algorithm must reproduce each
         // fresh-scratch outcome exactly, including stats and provenance.
-        let tasks: Vec<Task> = (0..8)
+        let batch: Batch = (0..8)
             .map(|i| mk_task(i, 100 + (i % 3) * 40, 100_000, 2))
             .collect();
         let comm = CommModel::constant(Duration::from_micros(20));
@@ -644,7 +646,7 @@ mod tests {
             let run = |scratch: &mut PhaseScratch| {
                 let mut rng = SimRng::seed_from(11);
                 algorithm.schedule_phase(
-                    &tasks,
+                    &batch,
                     &comm,
                     &initial,
                     Time::ZERO,
@@ -670,12 +672,12 @@ mod tests {
 
     #[test]
     fn d_cols_uses_sequence_representation() {
-        let tasks: Vec<Task> = (0..4).map(|i| mk_task(i, 100, 100_000, 2)).collect();
+        let batch: Batch = (0..4).map(|i| mk_task(i, 100, 100_000, 2)).collect();
         let comm = CommModel::free();
         let initial = [Time::ZERO; 2];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::d_cols().schedule_phase(
-            &tasks,
+            &batch,
             &comm,
             &initial,
             Time::ZERO,

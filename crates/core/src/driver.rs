@@ -252,8 +252,9 @@ struct Run<'a> {
     fallout: Fallout,
     total_tasks: usize,
     arrivals: Peekable<vec::IntoIter<Task>>,
-    /// One batch for the whole run: each phase removes its scheduled and
-    /// expired tasks in place and arrivals are pushed onto the survivors.
+    /// One batch for the whole run, reserved for all of its tasks: each
+    /// phase removes its scheduled and expired tasks in place and arrivals
+    /// are pushed onto the survivors.
     batch: Batch,
     /// The current instant; during a phase, its start `t_s`.
     now: Time,
@@ -308,8 +309,8 @@ impl<'a> Run<'a> {
             loss_rng: faults::loss_stream(cfg.workers, cfg.seed),
             fallout: Fallout::default(),
             total_tasks: tasks.len(),
+            batch: Batch::with_capacity(0, tasks.len()),
             arrivals: tasks.into_iter().peekable(),
-            batch: Batch::new(0),
             now: Time::ZERO,
             dropped: 0,
             phases: Vec::new(),
@@ -466,7 +467,7 @@ impl<'a> Run<'a> {
             .extend(workers.map(|w| w.available_from(exec_bound)));
         let wall_start = (cfg.measure_overhead && traced).then(rt_telemetry::MonotonicInstant::now);
         let outcome = cfg.algorithm.schedule_phase(
-            self.batch.tasks(),
+            &self.batch,
             &cfg.comm,
             &self.initial_finish,
             started,
@@ -587,14 +588,17 @@ impl<'a> Run<'a> {
         self.delivered_at.sort_unstable();
     }
 
-    /// The undelivered batch tasks, with their positions, whose deadlines
-    /// lapsed *while* the phase ending at `ended` computed: the next phase
-    /// start drops them, but telemetry sees the expiry when it became
-    /// unavoidable. A `Filter`, so that `count` is branch-free.
-    fn lapsed(&self, ended: Time) -> impl Iterator<Item = (usize, &Task)> {
+    /// The positions of the undelivered batch tasks whose deadlines lapsed
+    /// *while* the phase ending at `ended` computed, read off the expiry
+    /// column: the next phase start drops them, but telemetry sees the
+    /// expiry when it became unavoidable. A `Filter`, so that `count` is
+    /// branch-free.
+    fn lapsed(&self, ended: Time) -> impl Iterator<Item = usize> + '_ {
         let delivered = |i: &usize| self.delivered_at.binary_search(i).is_ok();
-        let tasks = self.batch.iter().enumerate();
-        tasks.filter(move |(i, t)| t.is_expired(ended) && !delivered(i))
+        let expiry = self.batch.expiry().iter().enumerate();
+        expiry
+            .filter(move |&(i, &e)| e <= ended && !delivered(&i))
+            .map(|(i, _)| i)
     }
 
     /// Emits the phase's end, its mid-phase expiries and each delivery, while
@@ -617,8 +621,8 @@ impl<'a> Run<'a> {
                 replay_avoided: outcome.stats.replay_avoided,
             },
         );
-        for (_, t) in self.lapsed(ended) {
-            let task = t.id().as_u64();
+        for i in self.lapsed(ended) {
+            let task = self.batch.tasks()[i].id().as_u64();
             tracer.emit(ended, TraceEvent::TaskExpiredMidPhase { task, phase: j });
         }
         let completions = self.machine.completions();
@@ -710,8 +714,8 @@ impl<'a> Run<'a> {
         }
         let now = self.now;
         let next_arrival = self.arrivals.peek().map(Task::arrival);
-        let expiry = |t: &Task| (t.deadline() - t.processing_time()) + Duration::from_micros(1);
-        let next_expiry = self.batch.iter().map(expiry).filter(|&e| e > now).min();
+        let expiry = self.batch.expiry().iter().copied();
+        let next_expiry = expiry.filter(|&e| e > now).min();
         let next_fault = self.fault_events.peek().map(|e| e.at);
         if let Some(target) = next_arrival.into_iter().chain(next_expiry).min() {
             self.now = now.max(next_fault.map_or(target, |f| target.min(f)));

@@ -63,7 +63,9 @@ pub struct PlacementProbe {
 /// that every consumer iterates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Phase-level feasibility screen over the batch (`screen_batch`).
+    /// Phase-level feasibility screen over the batch (`screen_batch`): one
+    /// threshold per affinity class, then one comparison per task, plus
+    /// the rejected tasks' probe lists under provenance.
     Screen,
     /// Candidate-column sync of an assignment-oriented expansion (none under
     /// the sequence-oriented layout, which evaluates in the cost fold).

@@ -12,7 +12,7 @@
 
 use paragon_des::trace::{PhaseProfile, PlacementProbe, ScreenProbe};
 use paragon_des::{Duration, Time};
-use rt_task::{CommModel, ProcessorId, ResourceEats, Task, TopologySpec};
+use rt_task::{AffinitySet, Batch, CommModel, ProcessorId, ResourceEats, Task, TopologySpec};
 
 use paragon_platform::SchedulingMeter;
 use rt_telemetry::{Stage, StageProfiler};
@@ -217,8 +217,9 @@ impl SearchOutcome {
 /// Inputs of one scheduling phase.
 #[derive(Debug, Clone)]
 pub struct SearchParams<'a> {
-    /// The batch being scheduled.
-    pub tasks: &'a [Task],
+    /// The batch being scheduled: its tasks, and the expiry and affinity
+    /// class columns the viability screen reads.
+    pub batch: &'a Batch,
     /// The interconnect cost model.
     pub comm: &'a CommModel,
     /// Per-processor earliest start for new work:
@@ -243,6 +244,15 @@ pub struct SearchParams<'a> {
     /// default: collection allocates per expansion, and the flight recorder
     /// must be free when tracing is disabled.
     pub provenance: bool,
+}
+
+impl<'a> SearchParams<'a> {
+    /// The batch's tasks, in batch order: the indices every assignment,
+    /// arena node and level key refers to.
+    #[inline]
+    fn tasks(&self) -> &'a [Task] {
+        self.batch.tasks()
+    }
 }
 
 /// Arena node: enough to reconstruct the partial schedule by walking
@@ -305,9 +315,12 @@ pub struct SearchScratch {
     work: Work,
     /// Per-task verdict of the phase-level viability screen.
     viable: Vec<bool>,
-    /// Earliest initial finish of each node under a hierarchical topology,
-    /// written once per phase by the viability screen.
+    /// Earliest initial finish of each node (one node under the constant
+    /// model), written once per phase by the viability screen.
     node_min: Vec<Time>,
+    /// Threshold of each affinity class, written once per phase by the
+    /// viability screen.
+    theta: Vec<Time>,
     /// Backing storage handed out as [`SearchOutcome::assignments`]; refill
     /// it via [`SearchScratch::recycle`] to keep the hot path allocation-free.
     out: Vec<Assignment>,
@@ -409,7 +422,7 @@ impl Work {
         self.chain.clear();
         self.ckeys.clear();
         self.shard_rank.clear();
-        let n = params.tasks.len();
+        let n = params.tasks().len();
         let state = self
             .state
             .get_or_insert_with(|| PathState::new(params.initial_finish.to_vec(), n));
@@ -701,12 +714,12 @@ impl Ctx<'_, '_> {
         }
         let mut state = PathState::with_resources(
             params.initial_finish.to_vec(),
-            params.tasks.len(),
+            params.tasks().len(),
             params.resources.clone(),
         );
         for &i in chain.iter().rev() {
             let node = arena[i];
-            state.apply(params.tasks, params.comm, node.task(), node.processor());
+            state.apply(params.tasks(), params.comm, node.task(), node.processor());
         }
         state
     }
@@ -756,7 +769,7 @@ impl Ctx<'_, '_> {
             for &i in work.chain.iter().rev() {
                 let node = work.arena[i];
                 state.apply(
-                    self.params.tasks,
+                    self.params.tasks(),
                     self.params.comm,
                     node.task(),
                     node.processor(),
@@ -832,12 +845,12 @@ impl Ctx<'_, '_> {
                 let state = &*state;
                 let candidates = state.unassigned().filter(|&t| self.viable[t]).map(|t| {
                     let completion =
-                        state.completion_if(params.tasks, params.comm, t, ProcessorId::new(p));
+                        state.completion_if(params.tasks(), params.comm, t, ProcessorId::new(p));
                     (t, completion)
                 });
                 self.classify(
                     candidates,
-                    |t| params.tasks[t].deadline(),
+                    |t| params.tasks()[t].deadline(),
                     &mut work.ckeys,
                     &mut work.prof,
                     meter,
@@ -849,7 +862,7 @@ impl Ctx<'_, '_> {
                 };
                 fixed = task;
                 // The task is fixed for the round, so its deadline is too.
-                let deadline = params.tasks[task].deadline();
+                let deadline = params.tasks()[task].deadline();
                 // The round's candidates are one row of the task's
                 // candidate column, synced in O(Δ) from the journal: under
                 // shard-first generation only the winning shards'
@@ -872,7 +885,7 @@ impl Ctx<'_, '_> {
                     // The losing shards' segments stay stale and unpaid-for.
                     let t_fill = work.prof.start();
                     for &(_, s) in &work.shard_rank {
-                        state.ensure_candidate_segment(params.tasks, params.comm, task, s);
+                        state.ensure_candidate_segment(params.tasks(), params.comm, task, s);
                     }
                     work.prof.stop(Stage::Fill, t_fill);
                     let state = &*state;
@@ -888,14 +901,14 @@ impl Ctx<'_, '_> {
                         meter,
                         stats,
                     )
-                } else if earliest_completion(&params.tasks[task], state, min_finish) > deadline {
+                } else if earliest_completion(&params.tasks()[task], state, min_finish) > deadline {
                     // A blocked round: the task fits on no processor, so its
                     // P candidates are charged as infeasible without the
                     // column (DESIGN.md §8, "Candidate evaluation").
                     self.charge_blocked(state.processors(), meter, stats)
                 } else {
                     let t_fill = work.prof.start();
-                    state.ensure_candidate_segment(params.tasks, params.comm, task, 0);
+                    state.ensure_candidate_segment(params.tasks(), params.comm, task, 0);
                     work.prof.stop(Stage::Fill, t_fill);
                     self.classify(
                         state.candidate_segment(task, 0),
@@ -916,7 +929,7 @@ impl Ctx<'_, '_> {
         // Select: order the keys and push the children lowest-priority
         // first, so the highest-priority child is popped next (CL front).
         let t_select = work.prof.start();
-        order_keys(&mut work.ckeys, self.rank, params.tasks);
+        order_keys(&mut work.ckeys, self.rank, params.tasks());
         let depth = state.depth() + 1;
         // The cost function ce compares each candidate's completion against
         // the partial schedule's makespan, which the state maintains
@@ -1062,7 +1075,7 @@ impl Ctx<'_, '_> {
         task: usize,
         stats: &mut SearchStats,
     ) {
-        let t = &self.params.tasks[task];
+        let t = &self.params.tasks()[task];
         stats.shard_screens += 1;
         shard_rank.clear();
         let earliest = state.earliest_resource_start(t);
@@ -1151,10 +1164,12 @@ impl<'a, 'b> Phase<'a, 'b> {
             work,
             viable,
             node_min,
+            theta,
             out,
         } = scratch;
         viable.clear();
         node_min.clear();
+        theta.clear();
         out.clear();
         work.prof.reset();
 
@@ -1166,12 +1181,12 @@ impl<'a, 'b> Phase<'a, 'b> {
         // expiry test, this screen is not charged against the quantum;
         // screened tasks stay in the batch.) Under provenance a screen
         // rejection also carries the test's operands.
-        let n = params.tasks.len();
+        let n = params.tasks().len();
         let screened = if n == 0 {
             Vec::new()
         } else {
             let t_screen = work.prof.start();
-            let screened = screen_batch(params, node_min, viable);
+            let screened = screen_batch(params, node_min, theta, viable);
             work.prof.stop(Stage::Screen, t_screen);
             screened
         };
@@ -1192,7 +1207,7 @@ impl<'a, 'b> Phase<'a, 'b> {
         if n_viable > 0 {
             if let Representation::AssignmentOriented { task_order } = params.representation {
                 work.level
-                    .reset(viable, *task_order, params.tasks, params.now);
+                    .reset(viable, *task_order, params.tasks(), params.now);
             }
             // Shard-first gate: active only under a multi-node hierarchical
             // topology with the assignment-oriented layout. Everything else
@@ -1233,7 +1248,7 @@ impl<'a, 'b> Phase<'a, 'b> {
         let termination = if self.ctx.n_viable == 0 {
             // Nothing to search: an empty batch is trivially a leaf, a fully
             // screened one a dead end; either delivers the empty root.
-            if self.ctx.params.tasks.is_empty() {
+            if self.ctx.params.batch.is_empty() {
                 Termination::Leaf
             } else {
                 Termination::DeadEnd
@@ -1285,34 +1300,29 @@ impl<'a, 'b> Phase<'a, 'b> {
 /// `viable` with one verdict per task and returns the evidence for rejected
 /// tasks. Every verdict comes from the same test; only under
 /// [`SearchParams::provenance`] are the rejected tasks' probes then built
-/// with the test's operands (viable tasks never need theirs).
+/// with the test's operands, one per processor (viable tasks never need
+/// theirs).
 ///
 /// The verdict is the paper's test on the initial finish times — some
-/// processor `k` with `finish_k + p + c_k <= d` — decided per node rather
-/// than per processor wherever the comm model allows (DESIGN.md §6,
-/// decision 2). Each node's earliest initial finish `m_n` is taken once per
-/// phase (into the empty `node_min` under a topology; the constant model
-/// is one node spanning the machine), and [`node_viable`] decides a node
-/// from `m_n`, the class `c_n` its non-affine processors pay, and its
-/// affine members only. The mesh charges each processor by its own
-/// distance, so it keeps the per-processor test.
+/// processor `k` with `f_k + p + c_k <= d` — read as one threshold per
+/// affinity class (DESIGN.md §6, decision 2). The cost `c_k` depends on the
+/// task only through its affinity set `a`, so `θ(a) = min_k (f_k + c(a, k))`
+/// is shared by the whole class, and a task is viable iff `θ(a) <= d − p`,
+/// that is iff `θ(a)` lies before its expiry instant `e = d − p + 1 µs`
+/// ([`Batch::expiry`]). The screen takes each node's earliest initial
+/// finish once (into the empty `node_min`; the constant model is one node
+/// spanning the machine), `θ` once per class (into the empty `theta`, see
+/// [`class_threshold`]), and then one comparison per task.
 fn screen_batch(
     params: &SearchParams<'_>,
     node_min: &mut Vec<Time>,
+    theta: &mut Vec<Time>,
     viable: &mut Vec<bool>,
 ) -> Vec<ScreenEvidence> {
     let finish = params.initial_finish;
     let processors = finish.len();
     match params.comm {
-        CommModel::Constant { c } => {
-            let m = finish.iter().copied().min();
-            viable.extend(
-                params
-                    .tasks
-                    .iter()
-                    .map(|t| m.is_some_and(|m| node_viable(t, finish, m, || *c, 0, processors))),
-            );
-        }
+        CommModel::Constant { .. } => node_min.extend(finish.iter().copied().min()),
         CommModel::Hierarchical { spec } => {
             assert_eq!(
                 spec.workers(),
@@ -1327,27 +1337,22 @@ fn screen_batch(
                     .min()
                     .expect("nodes are non-empty")
             }));
-            viable.extend(params.tasks.iter().map(|t| {
-                node_min.iter().enumerate().any(|(n, &m)| {
-                    let (lo, hi) = spec.node_range(n);
-                    node_viable(
-                        t,
-                        finish,
-                        m,
-                        || spec.non_affine_cost(t.affinity(), n),
-                        lo,
-                        hi,
-                    )
-                })
-            }));
         }
-        CommModel::Mesh { .. } => {
-            viable.extend(params.tasks.iter().map(|t| {
-                ProcessorId::all(processors)
-                    .any(|p| t.meets_deadline(finish[p.index()] + params.comm.demand(t, p)))
-            }));
-        }
+        CommModel::Mesh { .. } => {}
     }
+    let batch = params.batch;
+    theta.extend(
+        batch
+            .affinity_classes()
+            .iter()
+            .map(|a| class_threshold(params.comm, finish, node_min, a)),
+    );
+    let classes = batch.class_ids().iter();
+    viable.extend(
+        classes
+            .zip(batch.expiry())
+            .map(|(&class, &e)| theta[class as usize] < e),
+    );
     if !params.provenance {
         return Vec::new();
     }
@@ -1356,7 +1361,7 @@ fn screen_batch(
         .enumerate()
         .filter(|&(_, &ok)| !ok)
         .map(|(idx, _)| {
-            let t = &params.tasks[idx];
+            let t = &params.tasks()[idx];
             let probes = ProcessorId::all(processors)
                 .map(|p| {
                     let available = finish[p.index()];
@@ -1374,34 +1379,42 @@ fn screen_batch(
         .collect()
 }
 
-/// Whether task `t` meets its deadline on some processor of the node
-/// spanning `[lo, hi)`, whose earliest initial finish is `m` and whose
-/// non-affine processors all pay `non_affine` (computed only if needed).
-/// Exact, because completion `finish_k + p + c_k` is monotone in both
-/// terms: every member finishes at or after `m` and pays at least zero, so
-/// `m + p > d` rules the node out; the member finishing at `m` pays zero
-/// or `non_affine`, so `m + p + non_affine <= d` rules it in; otherwise
-/// every non-affine member misses and only the affine members, which pay
-/// nothing, are left to test.
-#[inline]
-fn node_viable(
-    t: &Task,
-    finish: &[Time],
-    m: Time,
-    non_affine: impl FnOnce() -> Duration,
-    lo: usize,
-    hi: usize,
-) -> bool {
-    let p = t.processing_time();
-    if !t.meets_deadline(m + p) {
-        return false;
+/// The class threshold `θ(a) = min_k (f_k + c(a, k))` over the processors
+/// of `finish`: the earliest instant at which a task of affinity `a` could
+/// begin its processing anywhere. [`Time::MAX`] with no processor.
+///
+/// The affine processors pay nothing, so their least finish comes first.
+/// The others pay by node under the constant and hierarchical models:
+/// every non-affine processor of node `n` pays the same class `c_n(a)`, so
+/// node `n` offers `m_n + c_n(a)` from its earliest finish `m_n` in
+/// `node_min`. This is exact: when only affine processors attain `m_n`,
+/// the affine term is `m_n` itself, below `m_n + c_n(a)`. The mesh prices
+/// each processor by its own distance, so there every processor offers
+/// `f_k + c(a, k)`. A node or processor whose earliest finish is not before
+/// the threshold so far cannot lower it and is skipped. That costs
+/// O(nodes + |a|) per class, or O(P × |a|) on the mesh.
+fn class_threshold(comm: &CommModel, finish: &[Time], node_min: &[Time], a: &AffinitySet) -> Time {
+    /// Lowers `theta` to `m + cost(unit)` over the units (nodes or
+    /// processors) whose earliest finish `m` lies before it.
+    fn lower(theta: Time, earliest: &[Time], cost: impl Fn(usize) -> Duration) -> Time {
+        let offers = earliest.iter().enumerate();
+        offers.fold(theta, |theta, (unit, &m)| {
+            if m < theta {
+                theta.min(m + cost(unit))
+            } else {
+                theta
+            }
+        })
     }
-    if t.meets_deadline(m + (p + non_affine())) {
-        return true;
+    let affine = a.members_in(0, finish.len()).map(|k| finish[k.index()]);
+    let theta = affine.min().unwrap_or(Time::MAX);
+    match comm {
+        CommModel::Constant { c } => lower(theta, node_min, |_| *c),
+        CommModel::Hierarchical { spec } => lower(theta, node_min, |n| spec.non_affine_cost(a, n)),
+        CommModel::Mesh { .. } => lower(theta, finish, |k| {
+            comm.affinity_cost(a, ProcessorId::new(k))
+        }),
     }
-    t.affinity()
-        .members_in(lo, hi)
-        .any(|a| t.meets_deadline(finish[a.index()] + p))
 }
 
 /// Same-expansion alternatives for arena node `id`: its siblings with the
@@ -1487,14 +1500,14 @@ mod tests {
     }
 
     fn params<'a>(
-        tasks: &'a [Task],
+        batch: &'a Batch,
         comm: &'a CommModel,
         initial: &'a [Time],
         repr: &'a Representation,
         order: ChildOrder,
     ) -> SearchParams<'a> {
         SearchParams {
-            tasks,
+            batch,
             comm,
             initial_finish: initial,
             representation: repr,
@@ -1512,7 +1525,8 @@ mod tests {
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let p = params(&[], &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let empty = Batch::new(0);
+        let p = params(&empty, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
         assert!(out.assignments.is_empty());
@@ -1521,11 +1535,11 @@ mod tests {
 
     #[test]
     fn assignment_oriented_schedules_everything_feasible() {
-        let tasks: Vec<Task> = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
+        let batch: Batch = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 3];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
         assert!(out.is_complete(6));
@@ -1538,15 +1552,15 @@ mod tests {
     #[test]
     fn all_scheduled_tasks_meet_deadlines() {
         // Mixed feasibility: generous and impossible deadlines.
-        let tasks = vec![
+        let batch = Batch::from_iter([
             mk_task(0, 100, 150, &[]),
             mk_task(1, 100, 90, &[]), // infeasible: p=100 > d=90
             mk_task(2, 100, 300, &[]),
-        ];
+        ]);
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         // task 1 can never be scheduled: the phase still ends at a leaf of
         // the *screened* tree, covering the viable tasks but not the batch.
@@ -1557,17 +1571,17 @@ mod tests {
         assert_eq!(out.screened(), 1, "task 1 screened at phase level");
         assert!(out.assignments.iter().all(|a| a.task != 1));
         for a in &out.assignments {
-            assert!(tasks[a.task].meets_deadline(a.completion));
+            assert!(batch.tasks()[a.task].meets_deadline(a.completion));
         }
     }
 
     #[test]
     fn quantum_exhaustion_returns_partial_schedule() {
-        let tasks: Vec<Task> = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
+        let batch: Batch = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 4];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         // 10us quantum at 1us per vertex = 10 vertices = 2.5 expansions of 4
         let mut meter = SchedulingMeter::new(
             HostParams::new(Duration::from_micros(1)),
@@ -1588,11 +1602,11 @@ mod tests {
         // classified. 10us quantum at 1us per vertex: charges 1..=9 fill
         // 9us, charge 10 is the exact fill (succeeds, exhausts), charge 11
         // fails -> 11 counted, 10 classified.
-        let tasks: Vec<Task> = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
+        let batch: Batch = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 4];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let mut meter = SchedulingMeter::new(
             HostParams::new(Duration::from_micros(1)),
             Duration::from_micros(10),
@@ -1614,11 +1628,11 @@ mod tests {
         // is generated, so a mid-round cap break counts nothing — every
         // counted vertex carries a feasibility verdict. Cap 6 on a
         // 4-processor expansion breaks two candidates into the second round.
-        let tasks: Vec<Task> = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
+        let batch: Batch = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 4];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.vertex_cap = Some(6);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::QuantumExhausted);
@@ -1639,12 +1653,12 @@ mod tests {
         // first blocked round charges 6..=10. The expected counts were
         // recorded from the engine that classified blocked rounds one
         // candidate at a time; both engines must reproduce them.
-        let tasks = vec![
+        let batch = Batch::from_iter([
             mk_task(0, 10, 15, &[]),
             mk_task(1, 10, 19, &[]),
             mk_task(2, 5, 500, &[]),
             mk_task(3, 5, 600, &[]),
-        ];
+        ]);
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let mut initial = [Time::from_micros(100); 5];
@@ -1669,7 +1683,7 @@ mod tests {
             ((0, 0, 100_000), (190, 159, 31, Termination::DeadEnd)),
         ];
         for ((cost, quantum, cap), expected) in cases {
-            let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+            let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
             p.vertex_cap = Some(cap);
             let host = HostParams::new(Duration::from_micros(cost));
             let mut meters =
@@ -1704,11 +1718,11 @@ mod tests {
         let comm_slow = CommModel::constant(Duration::from_micros(1_000));
         let asg = Representation::assignment_oriented();
         let seq = Representation::sequence_oriented();
-        let big: Vec<Task> = (0..30).map(|i| mk_task(i, 100, 100_000, &[])).collect();
-        let tight: Vec<Task> = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
-        let affine = vec![mk_task(0, 100, 150, &[0, 1]), mk_task(1, 100, 150, &[0])];
+        let big: Batch = (0..30).map(|i| mk_task(i, 100, 100_000, &[])).collect();
+        let tight: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
+        let affine = Batch::from_iter([mk_task(0, 100, 150, &[0, 1]), mk_task(1, 100, 150, &[0])]);
         type Scenario<'a> = (
-            &'a [Task],
+            &'a Batch,
             &'a CommModel,
             &'a Representation,
             usize,
@@ -1735,9 +1749,9 @@ mod tests {
             (&affine, &comm_free, &asg, 2, Pruning::default(), true),
         ];
         let mut scratch = SearchScratch::new();
-        for (tasks, comm, repr, procs, pruning, provenance) in scenarios {
+        for (batch, comm, repr, procs, pruning, provenance) in scenarios {
             let initial = vec![Time::ZERO; procs];
-            let mut p = params(tasks, comm, &initial, repr, ChildOrder::LoadBalance);
+            let mut p = params(batch, comm, &initial, repr, ChildOrder::LoadBalance);
             p.pruning = pruning;
             p.provenance = provenance;
             let fresh = search_schedule(&p, &mut free_meter());
@@ -1755,11 +1769,11 @@ mod tests {
     #[test]
     fn dead_end_when_nothing_fits() {
         // Two tasks, each alone feasible, but not both on one processor.
-        let tasks = vec![mk_task(0, 100, 120, &[]), mk_task(1, 100, 120, &[])];
+        let batch = Batch::from_iter([mk_task(0, 100, 120, &[]), mk_task(1, 100, 120, &[])]);
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 1]; // single processor
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::DeadEnd);
         assert_eq!(
@@ -1776,18 +1790,18 @@ mod tests {
         // the communication cost. Sequence-oriented must give level 0's
         // P0 a task (infeasible) -> immediate dead-end. Assignment-oriented
         // just assigns both tasks to P1.
-        let tasks = vec![mk_task(0, 100, 250, &[1]), mk_task(1, 100, 250, &[1])];
+        let batch = Batch::from_iter([mk_task(0, 100, 250, &[1]), mk_task(1, 100, 250, &[1])]);
         let comm = CommModel::constant(Duration::from_micros(1_000));
         let initial = [Time::ZERO; 2];
 
         let seq = Representation::sequence_oriented();
-        let p = params(&tasks, &comm, &initial, &seq, ChildOrder::EarliestDeadline);
+        let p = params(&batch, &comm, &initial, &seq, ChildOrder::EarliestDeadline);
         let out_seq = search_schedule(&p, &mut free_meter());
         assert_eq!(out_seq.termination, Termination::DeadEnd);
         assert!(out_seq.assignments.is_empty());
 
         let asg = Representation::assignment_oriented();
-        let p = params(&tasks, &comm, &initial, &asg, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &asg, ChildOrder::LoadBalance);
         let out_asg = search_schedule(&p, &mut free_meter());
         assert_eq!(out_asg.termination, Termination::Leaf);
         assert!(out_asg.is_complete(2));
@@ -1796,11 +1810,11 @@ mod tests {
 
     #[test]
     fn sequence_oriented_completes_balanced_feasible_case() {
-        let tasks: Vec<Task> = (0..4).map(|i| mk_task(i, 100, 100_000, &[])).collect();
+        let batch: Batch = (0..4).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::sequence_oriented();
         let initial = [Time::ZERO; 2];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::EarliestDeadline);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::EarliestDeadline);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
         assert!(out.is_complete(4));
@@ -1815,14 +1829,14 @@ mod tests {
         // Greedy load-balance puts A on P0 first (both empty, tie broken by
         // processor index), B then fails everywhere, and the search must
         // backtrack to try A on P1.
-        let tasks = vec![
+        let batch = Batch::from_iter([
             mk_task(0, 100, 150, &[0, 1]), // A: local everywhere, must start immediately
             mk_task(1, 100, 150, &[0]),    // B: affine P0 only; comm 1000 -> infeasible elsewhere
-        ];
+        ]);
         let comm = CommModel::constant(Duration::from_micros(1_000));
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
         assert!(out.is_complete(2));
@@ -1839,11 +1853,11 @@ mod tests {
         // Two processors fit 4 tasks each by the 400us deadline; with 10
         // tasks the last two are unschedulable and force exponential
         // backtracking through every arrangement of the first eight.
-        let tasks: Vec<Task> = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
+        let batch: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.vertex_cap = Some(500);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::QuantumExhausted);
@@ -1852,11 +1866,11 @@ mod tests {
 
     #[test]
     fn depth_bound_limits_schedule_length() {
-        let tasks: Vec<Task> = (0..10).map(|i| mk_task(i, 100, 100_000, &[])).collect();
+        let batch: Batch = (0..10).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.pruning = Pruning {
             depth_bound: Some(4),
             backtrack_limit: None,
@@ -1869,18 +1883,18 @@ mod tests {
         );
         assert_ne!(out.termination, Termination::Leaf);
         for a in &out.assignments {
-            assert!(tasks[a.task].meets_deadline(a.completion));
+            assert!(batch.tasks()[a.task].meets_deadline(a.completion));
         }
     }
 
     #[test]
     fn backtrack_limit_prunes_the_search() {
         // Force heavy backtracking: 10 equal tasks, capacity for 8.
-        let tasks: Vec<Task> = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
+        let batch: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.pruning = Pruning {
             depth_bound: None,
             backtrack_limit: Some(3),
@@ -1893,11 +1907,11 @@ mod tests {
 
     #[test]
     fn zero_backtrack_limit_is_one_dive() {
-        let tasks: Vec<Task> = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
+        let batch: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.pruning = Pruning {
             depth_bound: None,
             backtrack_limit: Some(0),
@@ -1911,11 +1925,11 @@ mod tests {
 
     #[test]
     fn pruning_defaults_do_not_bind() {
-        let tasks: Vec<Task> = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
+        let batch: Batch = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         assert_eq!(p.pruning, Pruning::default());
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
@@ -1923,11 +1937,11 @@ mod tests {
 
     #[test]
     fn stats_are_consistent() {
-        let tasks: Vec<Task> = (0..5).map(|i| mk_task(i, 100, 100_000, &[])).collect();
+        let batch: Batch = (0..5).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(
             out.stats.feasible_children + out.stats.infeasible_children,
@@ -1939,12 +1953,12 @@ mod tests {
 
     #[test]
     fn initial_backlog_delays_completions() {
-        let tasks = vec![mk_task(0, 100, 100_000, &[])];
+        let batch = Batch::from_iter([mk_task(0, 100, 100_000, &[])]);
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         // P0 busy until 5_000, P1 until 200
         let initial = [Time::from_micros(5_000), Time::from_micros(200)];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.assignments[0].processor.index(), 1);
         assert_eq!(out.assignments[0].completion, Time::from_micros(300));
@@ -1954,11 +1968,11 @@ mod tests {
     fn leaf_outcome_reports_real_makespan() {
         // Six equal 100us tasks balanced over three processors finish at
         // 200us; the outcome must carry that makespan, not a sentinel.
-        let tasks: Vec<Task> = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
+        let batch: Batch = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 3];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
         assert_eq!(out.makespan, Time::from_micros(200));
@@ -1973,13 +1987,13 @@ mod tests {
         // (zero undos) while a root replay would redo the whole shared
         // prefix — `replay_avoided` counts those skipped applies.
         let n: usize = 64;
-        let tasks: Vec<Task> = (0..n as u64)
+        let batch: Batch = (0..n as u64)
             .map(|i| mk_task(i, 100, 100_000, &[]))
             .collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.pruning = Pruning {
             depth_bound: None,
             backtrack_limit: Some(0),
@@ -2002,7 +2016,7 @@ mod tests {
         let comm_slow = CommModel::constant(Duration::from_micros(1_000));
         let asg = Representation::assignment_oriented();
         let seq = Representation::sequence_oriented();
-        let scenarios: Vec<(Vec<Task>, &CommModel, &Representation, usize, Pruning)> = vec![
+        let scenarios: Vec<(Batch, &CommModel, &Representation, usize, Pruning)> = vec![
             // backtracking-heavy: 10 tasks, capacity 8
             (
                 (0..10).map(|i| mk_task(i, 100, 400, &[])).collect(),
@@ -2013,7 +2027,7 @@ mod tests {
             ),
             // affinity forces a greedy mistake + recovery
             (
-                vec![mk_task(0, 100, 150, &[0, 1]), mk_task(1, 100, 150, &[0])],
+                Batch::from_iter([mk_task(0, 100, 150, &[0, 1]), mk_task(1, 100, 150, &[0])]),
                 &comm_slow,
                 &asg,
                 2,
@@ -2052,9 +2066,9 @@ mod tests {
                 },
             ),
         ];
-        for (tasks, comm, repr, procs, pruning) in scenarios {
+        for (batch, comm, repr, procs, pruning) in scenarios {
             let initial = vec![Time::ZERO; procs];
-            let mut p = params(&tasks, comm, &initial, repr, ChildOrder::LoadBalance);
+            let mut p = params(&batch, comm, &initial, repr, ChildOrder::LoadBalance);
             p.pruning = pruning;
             let inc = search_schedule(&p, &mut free_meter());
             let rep = search_schedule_replay(&p, &mut free_meter());
@@ -2071,15 +2085,15 @@ mod tests {
         // Task 1 is infeasible (p=100 > d=90): screened, with one failed
         // probe per processor; the others are placed, each decision carrying
         // its chosen cost and same-task alternatives.
-        let tasks = vec![
+        let batch = Batch::from_iter([
             mk_task(0, 100, 150, &[]),
             mk_task(1, 100, 90, &[]),
             mk_task(2, 100, 300, &[]),
-        ];
+        ]);
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.provenance = true;
         let out = search_schedule(&p, &mut free_meter());
         let prov = out.provenance.as_ref().expect("provenance requested");
@@ -2088,7 +2102,7 @@ mod tests {
         assert_eq!(prov.screened[0].probes.len(), 2);
         for probe in &prov.screened[0].probes {
             assert_eq!(probe.completion_us, probe.available_us + probe.demand_us);
-            assert!(!tasks[1].meets_deadline(Time::from_micros(probe.completion_us)));
+            assert!(!batch.tasks()[1].meets_deadline(Time::from_micros(probe.completion_us)));
         }
         assert_eq!(prov.decisions.len(), out.assignments.len());
         for (d, a) in prov.decisions.iter().zip(&out.assignments) {
@@ -2104,7 +2118,7 @@ mod tests {
 
         // Collection is record-only: schedule and stats are bit-identical
         // with provenance off.
-        let p2 = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p2 = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out2 = search_schedule(&p2, &mut free_meter());
         assert_eq!(out.assignments, out2.assignments);
         assert_eq!(out.stats, out2.stats);
@@ -2116,11 +2130,11 @@ mod tests {
         // Deadline 500; execution cannot start before the planned phase end
         // folded into initial_finish = 450; p = 100 -> completion 550 > 500:
         // infeasible, so nothing is scheduled.
-        let tasks = vec![mk_task(0, 100, 500, &[])];
+        let batch = Batch::from_iter([mk_task(0, 100, 500, &[])]);
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = [Time::from_micros(450)];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::DeadEnd);
         assert!(out.assignments.is_empty());
@@ -2130,7 +2144,7 @@ mod tests {
     fn one_node_topology_is_bit_identical_to_constant() {
         use rt_task::TopologySpec;
         let c = Duration::from_micros(2_000);
-        let tasks: Vec<Task> = (0..12)
+        let batch: Batch = (0..12)
             .map(|i| mk_task(i, 200 + i * 37, 40_000, &[(i as usize) % 4]))
             .collect();
         let repr = Representation::assignment_oriented();
@@ -2138,8 +2152,8 @@ mod tests {
 
         let flat_comm = CommModel::constant(c);
         let topo_comm = CommModel::hierarchical(TopologySpec::flat(8, c));
-        let pf = params(&tasks, &flat_comm, &initial, &repr, ChildOrder::LoadBalance);
-        let pt = params(&tasks, &topo_comm, &initial, &repr, ChildOrder::LoadBalance);
+        let pf = params(&batch, &flat_comm, &initial, &repr, ChildOrder::LoadBalance);
+        let pt = params(&batch, &topo_comm, &initial, &repr, ChildOrder::LoadBalance);
         let flat = search_schedule(&pf, &mut free_meter());
         let topo = search_schedule(&pt, &mut free_meter());
         assert_eq!(flat.assignments, topo.assignments);
@@ -2159,17 +2173,17 @@ mod tests {
         // at most 8 processors instead of all 16.
         let topo = TopologySpec::new(16, 4, 2, 0, 1_000, 2_000);
         let comm = CommModel::hierarchical(topo);
-        let tasks: Vec<Task> = (0..20)
+        let batch: Batch = (0..20)
             .map(|i| mk_task(i, 300, 200_000, &[(i as usize) % 16]))
             .collect();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 16];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
         assert!(out.is_complete(20));
         for a in &out.assignments {
-            assert!(tasks[a.task].meets_deadline(a.completion));
+            assert!(batch.tasks()[a.task].meets_deadline(a.completion));
         }
         assert!(out.stats.shard_screens > 0, "shard screen ran");
         assert!(out.stats.shards_pruned > 0, "fanout cut pruned shards");
@@ -2193,19 +2207,19 @@ mod tests {
         // sharded run schedules too).
         let topo = TopologySpec::new(8, 4, 1, 0, 500, 500).with_fanout(4);
         let comm = CommModel::hierarchical(topo);
-        let tasks: Vec<Task> = (0..10)
+        let batch: Batch = (0..10)
             .map(|i| mk_task(i, 400, 1_200 + i * 400, &[(i as usize) % 8]))
             .collect();
         let repr = Representation::assignment_oriented();
         let initial = [Time::ZERO; 8];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
+        let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
         // Full fanout = no heuristic cut: the screen only drops shards whose
         // *best* processor already misses the deadline, so the search still
         // covers every viable task.
         assert!(out.covers_viable());
         for a in &out.assignments {
-            assert!(tasks[a.task].meets_deadline(a.completion));
+            assert!(batch.tasks()[a.task].meets_deadline(a.completion));
         }
     }
 
@@ -2261,7 +2275,7 @@ mod tests {
             for repr in &reprs {
                 for _ in 0..60 {
                     let n = rng.uniform_u64(1..12);
-                    let tasks: Vec<Task> = (0..n)
+                    let batch: Batch = (0..n)
                         .map(|i| {
                             let affinity: Vec<usize> = (0..rng.uniform_usize(0..3))
                                 .map(|_| rng.uniform_usize(0..workers))
@@ -2273,7 +2287,7 @@ mod tests {
                     let initial: Vec<Time> = (0..workers)
                         .map(|_| Time::from_micros(rng.uniform_u64(0..800)))
                         .collect();
-                    let mut p = params(&tasks, comm, &initial, repr, ChildOrder::LoadBalance);
+                    let mut p = params(&batch, comm, &initial, repr, ChildOrder::LoadBalance);
                     p.provenance = true;
                     p.vertex_cap = Some(rng.uniform_u64(20..400));
 
@@ -2319,7 +2333,7 @@ mod tests {
     fn screen_all_probes(params: &SearchParams<'_>) -> (Vec<bool>, Vec<ScreenEvidence>) {
         let mut viable = Vec::new();
         let mut evidence = Vec::new();
-        for (idx, t) in params.tasks.iter().enumerate() {
+        for (idx, t) in params.tasks().iter().enumerate() {
             let probes: Vec<ScreenProbe> = ProcessorId::all(params.initial_finish.len())
                 .map(|p| {
                     let available = params.initial_finish[p.index()];
@@ -2349,13 +2363,15 @@ mod tests {
         use paragon_platform::UNAVAILABLE;
         use rt_task::{MeshSpec, TopologySpec};
         // Every comm model and each arm's edge cases: the flat constant and
-        // free models (one node), the mesh (per-processor arm), a 1-node
-        // topology, zero and non-zero intra-node cost, and P = 130 on 6
-        // nodes of 22 and 21 processors, so affinity spans three words and
-        // node edges fall off word edges. Batches draw empty affinities and
-        // (outside the mesh, whose geometry rejects them in both
-        // formulations) affinity bits at or above P; a sixth of the workers
-        // are down at `UNAVAILABLE`.
+        // free models (one node), the mesh (per-processor thresholds), a
+        // 1-node topology, zero and non-zero intra-node cost, and P = 130 on
+        // 6 nodes of 22 and 21 processors, so affinity spans three words and
+        // node edges fall off word edges. Each batch draws its tasks'
+        // affinities from a pool of 1 to 4 sets, so classes repeat within a
+        // batch. The pools hold empty sets and (outside the mesh, whose
+        // geometry rejects them in both formulations) bits at or above P;
+        // a sixth of the workers are down at `UNAVAILABLE`, and the ranges
+        // give some tasks `p > d`.
         let models = [
             (CommModel::constant(Duration::from_micros(700)), 16),
             (CommModel::free(), 16),
@@ -2380,17 +2396,18 @@ mod tests {
         ];
         let repr = Representation::assignment_oriented();
         let mut rng = SimRng::seed_from(1998);
-        let mut node_min = Vec::new();
+        let (mut node_min, mut theta) = (Vec::new(), Vec::new());
         // Asserts the screen against the all-probes formulation, with and
         // without provenance, and returns the verdicts.
-        let mut check = |tasks: &[Task], comm: &CommModel, initial: &[Time]| -> Vec<bool> {
-            let mut p = params(tasks, comm, initial, &repr, ChildOrder::LoadBalance);
+        let mut check = |batch: &Batch, comm: &CommModel, initial: &[Time]| -> Vec<bool> {
+            let mut p = params(batch, comm, initial, &repr, ChildOrder::LoadBalance);
             let (want_viable, want_evidence) = screen_all_probes(&p);
             for provenance in [false, true] {
                 p.provenance = provenance;
                 let mut viable = Vec::new();
                 node_min.clear();
-                let evidence = screen_batch(&p, &mut node_min, &mut viable);
+                theta.clear();
+                let evidence = screen_batch(&p, &mut node_min, &mut theta, &mut viable);
                 assert_eq!(viable, want_viable, "verdicts under {comm:?}");
                 if provenance {
                     assert_eq!(evidence, want_evidence);
@@ -2407,18 +2424,26 @@ mod tests {
             } else {
                 workers + 70
             };
-            let (mut kept, mut rejected) = (0, 0);
+            // One batch per model, refilled every phase as the driver's is,
+            // so its classes also hold sets no task of the phase has.
+            let mut batch = Batch::new(0);
+            let (mut kept, mut rejected, mut shared) = (0, 0, 0);
             for _ in 0..300 {
-                let n = rng.uniform_u64(0..24);
-                let tasks: Vec<Task> = (0..n)
-                    .map(|i| {
-                        let affinity: Vec<usize> = (0..rng.uniform_usize(0..5))
+                let pool: Vec<Vec<usize>> = (0..rng.uniform_usize(1..5))
+                    .map(|_| {
+                        (0..rng.uniform_usize(0..5))
                             .map(|_| rng.uniform_usize(0..affinity_span))
-                            .collect();
-                        let p_us = rng.uniform_u64(50..2_000);
-                        mk_task(i, p_us, rng.uniform_u64(100..4_000), &affinity)
+                            .collect()
                     })
                     .collect();
+                let scheduled: Vec<usize> = (0..batch.len()).collect();
+                batch.remove_sorted(&scheduled);
+                batch.advance_phase();
+                for i in 0..rng.uniform_u64(0..24) {
+                    let affinity = &pool[rng.uniform_usize(0..pool.len())];
+                    let p_us = rng.uniform_u64(50..2_000);
+                    batch.push(mk_task(i, p_us, rng.uniform_u64(100..4_000), affinity));
+                }
                 let initial: Vec<Time> = (0..workers)
                     .map(|_| {
                         if rng.uniform_usize(0..6) == 0 {
@@ -2428,46 +2453,61 @@ mod tests {
                         }
                     })
                     .collect();
-                let verdicts = check(&tasks, comm, &initial);
+                let verdicts = check(&batch, comm, &initial);
                 let k = verdicts.iter().filter(|&&ok| ok).count();
                 kept += k;
                 rejected += verdicts.len() - k;
+                let mut classes = batch.class_ids().to_vec();
+                classes.sort_unstable();
+                classes.dedup();
+                shared += batch.len() - classes.len();
             }
             assert!(
-                rejected > 100 && kept > 100,
-                "random batches under {comm:?} must mix verdicts: {kept} viable, {rejected} rejected"
+                rejected > 100 && kept > 100 && shared > 1_000,
+                "random batches under {comm:?} must mix verdicts and share classes: \
+                 {kept} viable, {rejected} rejected, {shared} tasks in a shared class"
             );
         }
 
-        // The node-level shortcuts in isolation, on 8 processors in 2 nodes
-        // of 4 (intra-node 800, inter-node 1000) and on the constant model
-        // (C = 1000). Node 0's earliest finish (P1 at 0) is not affine;
-        // its affine processor P2 finishes at 500; node 1 is down.
+        // The node-level terms of θ in isolation, on 8 processors in 2
+        // nodes of 4 (intra-node 800, inter-node 1000) and on the constant
+        // model (C = 1000). Node 0's earliest finish (P1 at 0) is not
+        // affine; its affine processor P2 finishes at 500; node 1 is down.
         let topo = CommModel::hierarchical(TopologySpec::new(8, 2, 1, 800, 1_000, 1_000));
         let constant = CommModel::constant(Duration::from_micros(1_000));
         let mut initial = vec![Time::from_micros(900), Time::ZERO, Time::from_micros(500)];
         initial.push(Time::from_micros(900));
         initial.extend([UNAVAILABLE; 4]);
         let cases = [
-            // The affine P2 meets the deadline (500 + 100 <= 700) while the
-            // node's minimum P1 pays the non-affine class: viable only
-            // through the affine scan.
+            // θ({2}) = 500 through the affine P2, below node 0's 0 + 800:
+            // viable, as 500 < e = 601.
             (mk_task(0, 100, 700, &[2]), true),
-            // m + p = 100 fits, the non-affine class does not, and the
-            // affine P2 misses (600 > 550): rejected although the node
-            // holds an affine processor.
+            // The same class against e = 451: rejected although node 0's
+            // earliest finish alone would fit (0 + 100 <= 550).
             (mk_task(1, 100, 550, &[2]), false),
-            // Affinity only on the down node and above P.
+            // Affinity only on the down node and above P: θ = 0 + 1000,
+            // through node 0's non-affine class, against e = 901.
             (mk_task(2, 100, 1_000, &[5, 40]), false),
-            // No affinity: every processor pays the worst class.
+            // No affinity: every processor pays the worst class, θ = 1000.
             (mk_task(3, 100, 1_100, &[]), true),
             (mk_task(4, 100, 1_099, &[]), false),
         ];
-        let tasks: Vec<Task> = cases.iter().map(|(t, _)| t.clone()).collect();
+        let batch: Batch = cases.iter().map(|(t, _)| t.clone()).collect();
+        assert_eq!(batch.class_ids(), [0, 0, 1, 2, 2]);
         let want: Vec<bool> = cases.iter().map(|&(_, ok)| ok).collect();
         for comm in [&topo, &constant] {
-            assert_eq!(check(&tasks, comm, &initial), want, "under {comm:?}");
+            assert_eq!(check(&batch, comm, &initial), want, "under {comm:?}");
         }
+        let (a, finish) = (&batch.affinity_classes()[0], &initial[..]);
+        let node_min = [Time::ZERO, UNAVAILABLE];
+        assert_eq!(
+            class_threshold(&topo, finish, &node_min, a),
+            Time::from_micros(500)
+        );
+        assert_eq!(
+            class_threshold(&constant, finish, &node_min[..1], a),
+            Time::from_micros(500)
+        );
     }
 
     #[test]
@@ -2487,7 +2527,7 @@ mod tests {
             // tasks lie 2^32 µs or more past the anchor and share the
             // saturated deadline rank that `order_keys` re-sorts.
             let step = if round % 2 == 0 { 100 } else { 1 << 31 };
-            let tasks: Vec<Task> = (0..16)
+            let batch: Batch = (0..16)
                 .map(|i| mk_task(i, 1, step * rng.uniform_u64(1..6), &[]))
                 .collect();
             let fixed = rng.uniform_usize(0..16);
@@ -2528,23 +2568,23 @@ mod tests {
                         }),
                         ChildOrder::EarliestDeadline => want.sort_by_key(|&(m, c)| {
                             let (t, p) = pair(m);
-                            (tasks[t].deadline(), c, t, p)
+                            (batch.tasks()[t].deadline(), c, t, p)
                         }),
                         ChildOrder::None => {}
                     }
-                    let p = params(&tasks, &comm, &initial, &repr, order);
+                    let p = params(&batch, &comm, &initial, &repr, order);
                     let rank = KeyRank::new(&p);
                     let mut keys: Vec<u128> = cands
                         .iter()
                         .enumerate()
                         .map(|(g, &(m, c))| {
-                            let deadline = tasks[pair(m).0].deadline();
+                            let deadline = batch.tasks()[pair(m).0].deadline();
                             successor_key(rank.of(deadline, g), c, m)
                         })
                         .collect();
                     let tail = keys.iter().filter(|&&k| (k >> 96) as u32 == u32::MAX);
                     saturated += usize::from(tail.count() >= 2);
-                    order_keys(&mut keys, rank, &tasks);
+                    order_keys(&mut keys, rank, batch.tasks());
                     let got: Vec<(usize, Time)> = keys.into_iter().map(unpack_key).collect();
                     assert_eq!(got, want, "round {round}, {repr:?}, {order:?}");
                 }
@@ -2656,7 +2696,7 @@ mod tests {
 
         let workers = 4;
         let mut rng = SimRng::seed_from(1998);
-        let tasks: Vec<Task> = (0..400)
+        let batch: Batch = (0..400)
             .map(|i| {
                 let p = rng.uniform_u64(50..500);
                 let d = if rng.bernoulli(0.3) {
@@ -2677,7 +2717,7 @@ mod tests {
                 skip_processors,
             };
             for order in [ChildOrder::EarliestDeadline, ChildOrder::None] {
-                let p = params(&tasks, &comm, &initial, &repr, order);
+                let p = params(&batch, &comm, &initial, &repr, order);
                 let n_viable = search_schedule(&p, &mut free_meter()).n_viable as u64;
                 assert!(n_viable >= 300, "the round must be long: {n_viable}");
                 for quantum in [1, 50, n_viable - 1] {

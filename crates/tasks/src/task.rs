@@ -340,21 +340,29 @@ impl CommModel {
     #[must_use]
     #[inline]
     pub fn cost(&self, task: &Task, proc: ProcessorId) -> Duration {
-        if task.affinity().contains(proc) {
+        self.affinity_cost(task.affinity(), proc)
+    }
+
+    /// [`CommModel::cost`] for any task whose affinity set is `affinity`:
+    /// under every model the cost depends on the task only through that
+    /// set, so tasks sharing a set share every cost.
+    #[must_use]
+    #[inline]
+    pub fn affinity_cost(&self, affinity: &AffinitySet, proc: ProcessorId) -> Duration {
+        if affinity.contains(proc) {
             return Duration::ZERO;
         }
         match self {
             CommModel::Constant { c } => *c,
             CommModel::Mesh { spec } => {
-                let hops = task
-                    .affinity()
+                let hops = affinity
                     .iter()
                     .map(|home| spec.distance(home, proc))
                     .min()
                     .unwrap_or_else(|| spec.diameter());
                 Duration::from_micros(spec.hop_cost_micros(hops))
             }
-            CommModel::Hierarchical { spec } => spec.cost(task.affinity(), proc),
+            CommModel::Hierarchical { spec } => spec.cost(affinity, proc),
         }
     }
 

@@ -23,7 +23,7 @@ use bench_support::{deep_dive_batch, synthetic_batch, tight_batch};
 use paragon_des::trace::{PhaseProfile, Stage, STAGE_COUNT};
 use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{HostParams, SchedulingMeter};
-use rt_task::{CommModel, ResourceEats};
+use rt_task::{Batch, CommModel, ResourceEats};
 use rt_telemetry::RunManifest;
 use rtsads::{Algorithm, PhaseScratch};
 use sched_search::{
@@ -538,14 +538,16 @@ fn cleanest_profile(mut pass: impl FnMut() -> PhaseProfile) -> Option<PointProfi
 pub fn collect(measured: u64) -> BenchSnapshot {
     let warmup = (measured / 10).clamp(3, 50);
 
+    // Each point's batch, with its expiry and class columns, is built once,
+    // outside the timed loop, as the driver builds its batch once per run.
     // Point 1: raw engine, depth-64 deep dive on 2 workers.
     let dive = {
-        let tasks = deep_dive_batch(64);
+        let batch: Batch = deep_dive_batch(64).into_iter().collect();
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
         let initial = vec![Time::ZERO; 2];
         let params = SearchParams {
-            tasks: &tasks,
+            batch: &batch,
             comm: &comm,
             initial_finish: &initial,
             representation: &repr,
@@ -583,7 +585,7 @@ pub fn collect(measured: u64) -> BenchSnapshot {
     let comm = CommModel::constant(Duration::from_millis(2));
     let initial = vec![Time::ZERO; workers];
     let phase_measured = (measured / 40).max(3);
-    let full_point = |name: &str, tasks: &[rt_task::Task], comm: &CommModel, initial: &[Time]| {
+    let full_point = |name: &str, batch: &Batch, comm: &CommModel, initial: &[Time]| {
         let algorithm = Algorithm::rt_sads();
         let mut scratch = PhaseScratch::new();
         let run = |scratch: &mut PhaseScratch| -> PhaseTally {
@@ -593,7 +595,7 @@ pub fn collect(measured: u64) -> BenchSnapshot {
             );
             let mut rng = SimRng::seed_from(SNAPSHOT_SEED);
             let out = algorithm.schedule_phase(
-                tasks,
+                batch,
                 comm,
                 initial,
                 Time::ZERO,
@@ -620,10 +622,10 @@ pub fn collect(measured: u64) -> BenchSnapshot {
         });
         p
     };
-    let mixed_tasks = synthetic_batch(150, workers);
-    let tight_tasks = tight_batch(150, workers);
-    let mixed = full_point("mixed_150x8", &mixed_tasks, &comm, &initial);
-    let tight = full_point("tight_150x8", &tight_tasks, &comm, &initial);
+    let mixed_in: Batch = synthetic_batch(150, workers).into_iter().collect();
+    let tight_in: Batch = tight_batch(150, workers).into_iter().collect();
+    let mixed = full_point("mixed_150x8", &mixed_in, &comm, &initial);
+    let tight = full_point("tight_150x8", &tight_in, &comm, &initial);
 
     // Point 4: the shard-first candidate loop at P=1024 (16 nodes of 64
     // processors on 4 racks). The flat loop would probe all 1024 processors
@@ -635,10 +637,10 @@ pub fn collect(measured: u64) -> BenchSnapshot {
         let topo = rt_task::TopologySpec::new(1_024, 16, 4, 0, 2_000, 4_000);
         let sharded_comm = CommModel::hierarchical(topo);
         let sharded_initial = vec![Time::ZERO; sharded_workers];
-        let sharded_tasks = synthetic_batch(150, sharded_workers);
+        let sharded_batch: Batch = synthetic_batch(150, sharded_workers).into_iter().collect();
         full_point(
             "sharded_1024x64",
-            &sharded_tasks,
+            &sharded_batch,
             &sharded_comm,
             &sharded_initial,
         )

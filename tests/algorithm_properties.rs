@@ -9,7 +9,7 @@ use rtsads_repro::platform::{HostParams, SchedulingMeter};
 use rtsads_repro::sads::{Algorithm, PhaseScratch};
 use rtsads_repro::search::Pruning;
 use rtsads_repro::task::{
-    AffinitySet, CommModel, MeshSpec, ProcessorId, ResourceEats, Task, TaskId,
+    AffinitySet, Batch, CommModel, MeshSpec, ProcessorId, ResourceEats, Task, TaskId,
 };
 
 #[derive(Debug, Clone)]
@@ -91,6 +91,7 @@ proptest! {
         backlog_us in 0u64..5_000,
     ) {
         let tasks = tasks_from(&specs, workers);
+        let batch: Batch = tasks.iter().cloned().collect();
         let comm = CommModel::constant(Duration::from_micros(comm_us));
         // heterogeneous initial backlogs
         let initial: Vec<Time> = (0..workers)
@@ -104,7 +105,7 @@ proptest! {
             let mut rng = SimRng::seed_from(5);
             let mut scratch = PhaseScratch::new();
             let out = alg.schedule_phase(
-                &tasks,
+                &batch,
                 &comm,
                 &initial,
                 Time::ZERO,
@@ -130,6 +131,7 @@ proptest! {
     ) {
         let workers = usize::from(cols) * usize::from(rows);
         let tasks = tasks_from(&specs, workers);
+        let batch: Batch = tasks.iter().cloned().collect();
         let comm = CommModel::mesh(MeshSpec::new(cols, rows, 300, 150));
         let initial = vec![Time::ZERO; workers];
         for alg in [Algorithm::rt_sads(), Algorithm::d_cols(), Algorithm::myopic()] {
@@ -140,7 +142,7 @@ proptest! {
             let mut rng = SimRng::seed_from(9);
             let mut scratch = PhaseScratch::new();
             let out = alg.schedule_phase(
-                &tasks,
+                &batch,
                 &comm,
                 &initial,
                 Time::ZERO,
@@ -201,13 +203,14 @@ proptest! {
         workers in 1usize..5,
     ) {
         let tasks = tasks_from(&specs, workers);
+        let batch: Batch = tasks.iter().cloned().collect();
         let comm = CommModel::constant(Duration::from_micros(500));
         let initial = vec![Time::ZERO; workers];
         let run = |alg: Algorithm| {
             let mut meter = SchedulingMeter::new(HostParams::free(), Duration::ZERO);
             let mut rng = SimRng::seed_from(3);
             alg.schedule_phase(
-                &tasks,
+                &batch,
                 &comm,
                 &initial,
                 Time::ZERO,

@@ -14,7 +14,9 @@
 
 use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{HostParams, SchedulingMeter};
-use rt_task::{AffinitySet, CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId};
+use rt_task::{
+    AffinitySet, Batch, CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId,
+};
 use sched_search::{
     search_schedule, search_schedule_replay, search_schedule_with, ChildOrder, ProcessorOrder,
     Pruning, Representation, SearchOutcome, SearchParams, SearchScratch, TaskOrder, Termination,
@@ -63,7 +65,7 @@ fn random_tasks(rng: &mut SimRng, n: usize, workers: usize) -> Vec<Task> {
 /// One generated sweep instance: everything a `SearchParams` borrows, plus
 /// the meter configuration, owned so several engines can run it.
 struct Instance {
-    tasks: Vec<Task>,
+    batch: Batch,
     comm: CommModel,
     initial: Vec<Time>,
     representation: Representation,
@@ -79,7 +81,7 @@ struct Instance {
 impl Instance {
     fn params(&self) -> SearchParams<'_> {
         SearchParams {
-            tasks: &self.tasks,
+            batch: &self.batch,
             comm: &self.comm,
             initial_finish: &self.initial,
             representation: &self.representation,
@@ -163,7 +165,7 @@ fn random_instance(rng: &mut SimRng) -> Instance {
         .bernoulli(0.3)
         .then(|| Duration::from_micros(rng.uniform_u64(10..2_000)));
     Instance {
-        tasks,
+        batch: tasks.into_iter().collect(),
         comm,
         initial,
         representation,
@@ -318,7 +320,7 @@ fn one_node_topology_is_bit_identical_to_the_flat_model() {
                 workers as u32,
                 flat.comm.constant_cost(),
             )),
-            tasks: flat.tasks.clone(),
+            batch: flat.batch.clone(),
             initial: flat.initial.clone(),
             representation: flat.representation.clone(),
             child_order: flat.child_order,

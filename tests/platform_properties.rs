@@ -20,6 +20,36 @@ fn mk_task(id: u64, p_us: u64, d_us: u64, workers: usize, mask: u8) -> Task {
         .build()
 }
 
+/// The batch's columns against a recomputation from each survivor's
+/// `Task`, with `Task::is_expired` and `Task::slack` as the reference
+/// semantics: the expiry instant `d − p + 1 µs` (0 when `p > d`) is the
+/// first instant at which the task is expired, the class names the task's
+/// own affinity set among distinct sets, and `Min_Slack` is the least
+/// slack at `now`.
+fn columns_match(batch: &Batch, now: Time) -> Result<(), TestCaseError> {
+    prop_assert_eq!(batch.expiry().len(), batch.len());
+    prop_assert_eq!(batch.class_ids().len(), batch.len());
+    let classes = batch.affinity_classes();
+    for ((t, &e), &class) in batch.iter().zip(batch.expiry()).zip(batch.class_ids()) {
+        let (d, p) = (t.deadline().as_micros(), t.processing_time().as_micros());
+        let want = if p > d { 0 } else { d - p + 1 };
+        prop_assert_eq!(e, Time::from_micros(want));
+        prop_assert!(t.is_expired(e));
+        if let Some(before) = e.as_micros().checked_sub(1) {
+            prop_assert!(!t.is_expired(Time::from_micros(before)));
+        }
+        prop_assert_eq!(&classes[class as usize], t.affinity());
+    }
+    for (i, a) in classes.iter().enumerate() {
+        prop_assert!(!classes[..i].contains(a), "class {} is interned twice", i);
+    }
+    prop_assert_eq!(
+        batch.min_slack(now),
+        batch.iter().map(|t| t.slack(now)).min()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -83,35 +113,40 @@ proptest! {
     }
 
     /// Batch algebra: drop_expired + remove_sorted + advance_phase conserve
-    /// tasks (no loss, no duplication).
+    /// tasks (no loss, no duplication), drop exactly the expired tasks, and
+    /// keep the expiry and class columns in step with the tasks. Deadlines
+    /// may precede `p`, and affinities take four distinct sets.
     #[test]
     fn batch_operations_conserve_tasks(
-        specs in prop::collection::vec((1u64..500, 1u64..10_000), 1..30),
+        specs in prop::collection::vec((1u64..500, 1u64..10_000, 0u8..4), 1..30),
         now_us in 0u64..8_000,
         take in 0usize..10,
     ) {
+        let now = Time::from_micros(now_us);
         let mut batch = Batch::new(0);
-        for (i, &(p_us, d_us)) in specs.iter().enumerate() {
-            let d_us = d_us.max(p_us); // deadline can't precede arrival+p trivially
-            batch.push(mk_task(i as u64, p_us, d_us, 2, 0xFF));
+        for (i, &(p_us, d_us, mask)) in specs.iter().enumerate() {
+            batch.push(mk_task(i as u64, p_us, d_us, 2, mask));
         }
+        columns_match(&batch, now)?;
+        let before: Vec<Task> = batch.tasks().to_vec();
         let n = batch.len();
         let mut dropped = Vec::new();
-        let n_dropped = batch.drop_expired(Time::from_micros(now_us), |t| dropped.push(t.clone()));
+        let n_dropped = batch.drop_expired(now, |t| dropped.push(t.clone()));
         prop_assert_eq!(n_dropped, dropped.len());
+        // a task is dropped iff it is expired at `now`, in batch order
+        let expired: Vec<Task> = before.into_iter().filter(|t| t.is_expired(now)).collect();
+        prop_assert_eq!(&dropped, &expired);
+        for t in &batch {
+            prop_assert!(!t.is_expired(now));
+        }
+        columns_match(&batch, now)?;
         let scheduled: Vec<usize> = (0..batch.len().min(take)).collect();
         let removed = scheduled.len();
         batch.remove_sorted(&scheduled);
+        columns_match(&batch, now)?;
         batch.advance_phase();
         prop_assert_eq!(dropped.len() + removed + batch.len(), n);
         prop_assert_eq!(batch.phase(), 1);
-        // dropped tasks really were expired, survivors really were not
-        for t in &dropped {
-            prop_assert!(t.is_expired(Time::from_micros(now_us)));
-        }
-        for t in &batch {
-            prop_assert!(!t.is_expired(Time::from_micros(now_us)));
-        }
     }
 
     /// Affinity sets behave like sets: union/intersection laws against a

@@ -9,7 +9,7 @@ use rtsads_repro::search::{
     search_schedule, ChildOrder, ProcessorOrder, Pruning, Representation, SearchParams, TaskOrder,
     Termination,
 };
-use rtsads_repro::task::{AffinitySet, CommModel, ProcessorId, ResourceEats, Task, TaskId};
+use rtsads_repro::task::{AffinitySet, Batch, CommModel, ProcessorId, ResourceEats, Task, TaskId};
 
 #[derive(Debug, Clone)]
 struct Spec {
@@ -89,8 +89,9 @@ proptest! {
         } else {
             Representation::sequence_oriented()
         };
+        let batch: Batch = tasks.iter().cloned().collect();
         let params = SearchParams {
-            tasks: &tasks,
+            batch: &batch,
             comm: &comm,
             initial_finish: &initial,
             representation: &repr,
@@ -135,8 +136,9 @@ proptest! {
         let comm = CommModel::free();
         let initial = vec![Time::ZERO; workers];
         let repr = Representation::assignment_oriented();
+        let batch: Batch = tasks.iter().cloned().collect();
         let params = SearchParams {
-            tasks: &tasks,
+            batch: &batch,
             comm: &comm,
             initial_finish: &initial,
             representation: &repr,
@@ -171,8 +173,9 @@ proptest! {
         let comm = CommModel::free();
         let initial = vec![Time::ZERO; workers];
         let repr = Representation::assignment_oriented();
+        let batch: Batch = tasks.iter().cloned().collect();
         let params = SearchParams {
-            tasks: &tasks,
+            batch: &batch,
             comm: &comm,
             initial_finish: &initial,
             representation: &repr,
@@ -214,8 +217,9 @@ proptest! {
             processor_order: ProcessorOrder::RoundRobin,
             skip_processors: false,
         };
+        let batch: Batch = tasks.iter().cloned().collect();
         let params = SearchParams {
-            tasks: &tasks,
+            batch: &batch,
             comm: &comm,
             initial_finish: &initial,
             representation: &repr,
@@ -257,8 +261,9 @@ proptest! {
         let repr = Representation::AssignmentOriented {
             task_order: TaskOrder::EarliestDeadline,
         };
+        let batch: Batch = tasks.iter().cloned().collect();
         let params = SearchParams {
-            tasks: &tasks,
+            batch: &batch,
             comm: &comm,
             initial_finish: &initial,
             representation: &repr,
