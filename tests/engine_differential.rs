@@ -16,6 +16,7 @@ use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{HostParams, SchedulingMeter};
 use rt_task::{
     AffinitySet, Batch, CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId,
+    TopologySpec,
 };
 use sched_search::{
     search_schedule, search_schedule_replay, search_schedule_with, ChildOrder, ProcessorOrder,
@@ -25,6 +26,28 @@ use sched_search::{
 const INSTANCES: u64 = 500;
 
 fn random_tasks(rng: &mut SimRng, n: usize, workers: usize) -> Vec<Task> {
+    tasks_with_affinity(rng, n, |rng| {
+        if rng.bernoulli(0.3) {
+            // Restrict to a random non-empty subset of the workers.
+            let keep: Vec<ProcessorId> = (0..workers)
+                .filter(|_| rng.bernoulli(0.5))
+                .map(ProcessorId::new)
+                .collect();
+            if !keep.is_empty() {
+                return Some(keep.into_iter().collect());
+            }
+        }
+        None
+    })
+}
+
+/// `n` random tasks whose affinity sets `affinity` draws (`None` keeps the
+/// builder's empty set), with mixed laxity and random resource requests.
+fn tasks_with_affinity(
+    rng: &mut SimRng,
+    n: usize,
+    mut affinity: impl FnMut(&mut SimRng) -> Option<AffinitySet>,
+) -> Vec<Task> {
     (0..n)
         .map(|i| {
             let p = rng.uniform_u64(50..500);
@@ -38,15 +61,8 @@ fn random_tasks(rng: &mut SimRng, n: usize, workers: usize) -> Vec<Task> {
             let mut b = Task::builder(TaskId::new(i as u64))
                 .processing_time(Duration::from_micros(p))
                 .deadline(Time::from_micros(deadline));
-            if rng.bernoulli(0.3) {
-                // Restrict to a random non-empty subset of the workers.
-                let keep: Vec<ProcessorId> = (0..workers)
-                    .filter(|_| rng.bernoulli(0.5))
-                    .map(ProcessorId::new)
-                    .collect();
-                if !keep.is_empty() {
-                    b = b.affinity(keep.into_iter().collect::<AffinitySet>());
-                }
+            if let Some(set) = affinity(rng) {
+                b = b.affinity(set);
             }
             if rng.bernoulli(0.2) {
                 let r = rng.uniform_usize(0..3);
@@ -115,6 +131,19 @@ fn random_instance(rng: &mut SimRng) -> Instance {
     let initial: Vec<Time> = (0..workers)
         .map(|_| Time::from_micros(rng.uniform_u64(0..300)))
         .collect();
+    search_draws(rng, tasks, comm, initial)
+}
+
+/// Draws the search configuration of an instance over `tasks`, `comm` and
+/// `initial`: layout, child order, pruning, vertex cap, resource EATs,
+/// provenance and quantum.
+fn search_draws(
+    rng: &mut SimRng,
+    tasks: Vec<Task>,
+    comm: CommModel,
+    initial: Vec<Time>,
+) -> Instance {
+    let n = tasks.len();
     let representation = if rng.bernoulli(0.5) {
         Representation::AssignmentOriented {
             task_order: *rng.choose(&[
@@ -176,6 +205,59 @@ fn random_instance(rng: &mut SimRng) -> Instance {
         provenance,
         quantum,
     }
+}
+
+/// A random instance on a sharded cluster, for the shard-first candidate
+/// generator: 2 to 4 nodes on 1 or 2 racks, a worker count that is no
+/// multiple of the node count (so node sizes differ), a zero or non-zero
+/// intra-node cost and a fanout of 1 to 3. Each batch draws its tasks'
+/// affinities from a pool of 1 to 4 sets, which holds the empty set,
+/// single processors, random subsets and sets with a member on the first
+/// and the last node (so they span nodes, and racks when there are two).
+fn random_sharded_instance(rng: &mut SimRng) -> Instance {
+    let n = rng.uniform_usize(0..24);
+    let nodes = rng.uniform_usize(2..5);
+    let racks = rng.uniform_usize(1..3);
+    let workers = nodes * rng.uniform_usize(1..4) + rng.uniform_usize(1..nodes);
+    let intra = if rng.bernoulli(0.5) {
+        0
+    } else {
+        rng.uniform_u64(20..400)
+    };
+    let inter_node = intra + rng.uniform_u64(0..800);
+    let inter_rack = inter_node + rng.uniform_u64(0..1_500);
+    let topo = TopologySpec::new(
+        workers as u32,
+        nodes as u32,
+        racks as u32,
+        intra,
+        inter_node,
+        inter_rack,
+    )
+    .with_fanout(rng.uniform_usize(1..4) as u32);
+    let pool: Vec<AffinitySet> = (0..rng.uniform_usize(1..5))
+        .map(|_| match rng.uniform_usize(0..4) {
+            0 => AffinitySet::new(),
+            1 => AffinitySet::from_iter([ProcessorId::new(rng.uniform_usize(0..workers))]),
+            2 => (0..workers)
+                .filter(|_| rng.bernoulli(0.3))
+                .map(ProcessorId::new)
+                .collect(),
+            _ => {
+                let (first, last) = (topo.node_range(0), topo.node_range(nodes - 1));
+                let a = rng.uniform_usize(first.0..first.1);
+                let b = rng.uniform_usize(last.0..last.1);
+                AffinitySet::from_iter([ProcessorId::new(a), ProcessorId::new(b)])
+            }
+        })
+        .collect();
+    let tasks = tasks_with_affinity(rng, n, |rng| {
+        Some(pool[rng.uniform_usize(0..pool.len())].clone())
+    });
+    let initial: Vec<Time> = (0..workers)
+        .map(|_| Time::from_micros(rng.uniform_u64(0..600)))
+        .collect();
+    search_draws(rng, tasks, CommModel::hierarchical(topo), initial)
 }
 
 #[test]
@@ -302,8 +384,6 @@ fn profiled_search_is_bit_identical_to_unprofiled() {
 /// engage (it needs >= 2 nodes), so its counters stay zero.
 #[test]
 fn one_node_topology_is_bit_identical_to_the_flat_model() {
-    use rt_task::TopologySpec;
-
     let parent = SimRng::seed_from(0x5AD5_D1FF);
     let mut flat_scratch = SearchScratch::new();
     let mut topo_scratch = SearchScratch::new();
@@ -519,4 +599,73 @@ fn search_order_digests_are_pinned() {
         assert!(n > 20, "cell {:?} drew only {n} instances", PINNED[c]);
     }
     assert_eq!(got, PINNED, "search order drifted (got, pinned)");
+}
+
+/// The shard-first generator's differential and search-order pin. The
+/// sweeps above draw 1 to 4 workers under free or constant comm, so no
+/// digest there covers shard-first generation: this one draws its own 250
+/// instances on sharded clusters ([`random_sharded_instance`]), checks the
+/// incremental engine (fresh and through one reused scratch) against the
+/// replay oracle on each, and folds every outcome into one FNV-1a digest,
+/// recorded before the column fill took its demands from a per-phase
+/// (class, node) cost table.
+#[test]
+fn sharded_instances_match_the_replay_oracle_and_pin_their_order() {
+    // Half the other sweeps' count: a sharded instance that runs into the
+    // 20,000-vertex cap costs the debug-build oracle about 0.4 s.
+    const SHARDED_INSTANCES: u64 = 250;
+    const PINNED: u64 = 0x62e7_d909_5770_831b;
+    let parent = SimRng::seed_from(0x5AD5_5EED);
+    let mut digest = Fnv::new();
+    let mut scratch = SearchScratch::new();
+    let (mut shard_screens, mut shards_pruned, mut undos) = (0, 0, 0);
+    let (mut leaves, mut sequence, mut decisions) = (0, 0, 0);
+    for i in 0..SHARDED_INSTANCES {
+        let mut rng = parent.child(i);
+        let inst = random_sharded_instance(&mut rng);
+        let params = inst.params();
+        let mut meters = [inst.meter(), inst.meter(), inst.meter()];
+        let [m_inc, m_rep, m_scr] = &mut meters;
+        let inc = search_schedule(&params, m_inc);
+        let rep = search_schedule_replay(&params, m_rep);
+        let scr = search_schedule_with(&params, m_scr, &mut scratch);
+        for (other, what) in [(&rep, "replay"), (&scr, "scratch")] {
+            let at = format!("instance {i}, {what}");
+            assert_eq!(inc.assignments, other.assignments, "{at}");
+            assert_eq!(inc.termination, other.termination, "{at}");
+            assert_eq!(inc.n_viable, other.n_viable, "{at}");
+            assert_eq!(inc.makespan, other.makespan, "{at}");
+            assert_eq!(inc.stats, other.stats, "{at}");
+            assert_eq!(inc.provenance, other.provenance, "{at}");
+        }
+        for m in &meters[1..] {
+            assert_eq!(meters[0].vertices(), m.vertices(), "instance {i}");
+            assert_eq!(meters[0].consumed(), m.consumed(), "instance {i}");
+        }
+        digest.outcome(&inc);
+        scratch.recycle(scr.assignments);
+
+        shard_screens += inc.stats.shard_screens;
+        shards_pruned += inc.stats.shards_pruned;
+        undos += inc.stats.undos;
+        leaves += u64::from(inc.covers_viable() && inc.n_viable > 0);
+        sequence += u64::from(!inst.representation.is_assignment_oriented());
+        decisions += inc.provenance.as_ref().map_or(0, |p| p.decisions.len());
+    }
+    assert!(
+        shard_screens > 1_000 && shards_pruned > 1_000 && undos > 0,
+        "the sweep must shard, prune and backtrack: {shard_screens} screens, \
+         {shards_pruned} shards pruned, {undos} undos"
+    );
+    assert!(leaves > 25 && leaves < SHARDED_INSTANCES, "{leaves} leaves");
+    assert!(
+        sequence > 75 && sequence < 175,
+        "{sequence} sequence-oriented"
+    );
+    assert!(decisions > 50, "{decisions} provenance decisions");
+    assert_eq!(
+        digest.0, PINNED,
+        "sharded search order drifted: {:#018x}",
+        digest.0
+    );
 }
