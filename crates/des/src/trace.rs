@@ -63,18 +63,23 @@ pub struct PlacementProbe {
 /// that every consumer iterates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Phase-level feasibility screen over the batch (`screen_batch`): one
-    /// threshold per affinity class, then one comparison per task, plus
-    /// the rejected tasks' probe lists under provenance.
+    /// Phase-level feasibility screen over the batch (`screen_batch`): the
+    /// (affinity class, node) cost table, one threshold per class, then one
+    /// comparison per task, plus the rejected tasks' probe lists under
+    /// provenance.
     Screen,
-    /// Candidate-column sync of an assignment-oriented expansion (none under
-    /// the sequence-oriented layout, which evaluates in the cost fold).
+    /// Candidate-column sync of an assignment-oriented expansion, its cold
+    /// cells priced from the phase's cost table (none under the
+    /// sequence-oriented layout, which evaluates in the cost fold).
     Fill,
-    /// Per-candidate `ce_k` cost fold and feasibility classification.
+    /// The round's one quantum charge, then the `ce_k` cost fold and
+    /// feasibility classification of each candidate it charged.
     Cost,
-    /// Child ordering and push: the candidate sort and best-vertex selection.
+    /// Child ordering and push: the key sort, one pass each extending the
+    /// arena and the candidate list, and the best-vertex pass.
     Select,
-    /// Shard gate and shard-first candidate ranking (hierarchical runs).
+    /// Shard gate and shard-first candidate ranking (hierarchical runs),
+    /// one bound per node from the phase's cost table.
     Shard,
     /// `PathState::apply` chain walks when switching branches.
     Apply,

@@ -499,16 +499,24 @@ impl PathState {
     /// phase, which appends the segment to the slab, or when Δ would exceed
     /// a straight refill).
     ///
+    /// The caller prices the segment: `demand(k)` is the task's demand
+    /// `p + c_k` on processor `k`, read once per cell on the segment's
+    /// first touch in a phase and cached in the cell for every later sync.
+    /// The search passes its per-phase (affinity class, node) cost table's
+    /// entry — `p` on an affine processor, `p` plus the class's cost on the
+    /// node elsewhere — and prices each processor only on the mesh.
+    ///
     /// Each entry of the synchronised range equals
     /// [`PathState::completion_if`] for the same `(task, processor)` pair —
     /// bit-for-bit, since both compute `max(finish_k, earliest) + demand_k`
-    /// from the same operands.
+    /// from the same operands — whenever `demand` agrees with
+    /// [`CommModel::demand`].
     pub fn ensure_candidate_segment(
         &mut self,
         tasks: &[Task],
-        comm: &CommModel,
         task: usize,
         seg: usize,
+        demand: impl Fn(usize) -> Duration,
     ) {
         let n_segs = self.column_segments();
         let (lo, hi) = self.seg_range(seg);
@@ -545,7 +553,7 @@ impl PathState {
             };
             let finish = &self.finish;
             self.slab.extend((lo..hi).map(|p| {
-                let demand = comm.demand(t, ProcessorId::new(p));
+                let demand = demand(p);
                 Cell {
                     demand,
                     completion: finish[p].max(earliest) + demand,
@@ -935,6 +943,15 @@ mod tests {
         s.configure_shards(&[2, 3]);
     }
 
+    /// Prices `task`'s cells through [`CommModel::demand`].
+    fn demand<'a>(
+        tasks: &'a [Task],
+        comm: &'a CommModel,
+        task: usize,
+    ) -> impl Fn(usize) -> Duration + 'a {
+        move |k| comm.demand(&tasks[task], ProcessorId::new(k))
+    }
+
     /// The incremental column must match `completion_if` entry-wise no
     /// matter what interleaving of applies and undos preceded the read:
     /// every segment is synced and read through its view, and together the
@@ -945,7 +962,7 @@ mod tests {
             .collect();
         let mut got = Vec::new();
         for seg in 0..s.column_segments() {
-            s.ensure_candidate_segment(tasks, comm, task, seg);
+            s.ensure_candidate_segment(tasks, task, seg, demand(tasks, comm, task));
             got.extend(s.candidate_segment(task, seg));
         }
         assert_eq!(got, expected, "column for task {task} diverged");
@@ -1019,10 +1036,10 @@ mod tests {
         s.configure_shards(&[2, 4]);
         // Sync only shard 1 of task 0's column, mutate shard 0, then check
         // that re-syncing each shard yields from-scratch values.
-        s.ensure_candidate_segment(&tasks, &comm, 0, 1);
+        s.ensure_candidate_segment(&tasks, 0, 1, demand(&tasks, &comm, 0));
         s.apply(&tasks, &comm, 1, ProcessorId::new(0));
-        s.ensure_candidate_segment(&tasks, &comm, 0, 0);
-        s.ensure_candidate_segment(&tasks, &comm, 0, 1);
+        s.ensure_candidate_segment(&tasks, 0, 0, demand(&tasks, &comm, 0));
+        s.ensure_candidate_segment(&tasks, 0, 1, demand(&tasks, &comm, 0));
         let expected: Vec<(usize, Time)> = (0..4)
             .map(|p| (p, s.completion_if(&tasks, &comm, 0, ProcessorId::new(p))))
             .collect();
@@ -1049,21 +1066,21 @@ mod tests {
         let mut s = wide_state(&tasks);
         assert!(s.slab.is_empty());
         for (k, seg) in [3, 0, 15, 7].into_iter().enumerate() {
-            s.ensure_candidate_segment(&tasks, &comm, 0, seg);
+            s.ensure_candidate_segment(&tasks, 0, seg, demand(&tasks, &comm, 0));
             assert_eq!(s.slab.len(), (k + 1) * 64, "{} segments synced", k + 1);
         }
         // Re-syncing a synced segment, replay or refill, appends nothing.
         s.apply(&tasks, &comm, 1, ProcessorId::new(200));
         for seg in [3, 0, 15, 7] {
-            s.ensure_candidate_segment(&tasks, &comm, 0, seg);
+            s.ensure_candidate_segment(&tasks, 0, seg, demand(&tasks, &comm, 0));
         }
         assert_eq!(s.slab.len(), 4 * 64);
         // Another task's segments take their own cells.
         s.undo();
-        s.ensure_candidate_segment(&tasks, &comm, 1, 3);
+        s.ensure_candidate_segment(&tasks, 1, 3, demand(&tasks, &comm, 1));
         assert_eq!(s.slab.len(), 5 * 64);
         for seg in [3, 0, 15, 7] {
-            s.ensure_candidate_segment(&tasks, &comm, 0, seg);
+            s.ensure_candidate_segment(&tasks, 0, seg, demand(&tasks, &comm, 0));
             for (p, got) in s.candidate_segment(0, seg) {
                 assert_eq!(got, s.completion_if(&tasks, &comm, 0, ProcessorId::new(p)));
             }
@@ -1088,14 +1105,14 @@ mod tests {
         let comm = CommModel::constant(Duration::from_micros(10));
         let mut s = wide_state(&tasks);
         for seg in [2, 9] {
-            s.ensure_candidate_segment(&tasks, &comm, 1, seg);
+            s.ensure_candidate_segment(&tasks, 1, seg, demand(&tasks, &comm, 1));
         }
         let before = s.heads[1].earliest;
         // Committing the exclusive holder moves task 1's earliest start,
         // which invalidates its whole column.
         s.apply(&tasks, &comm, 0, ProcessorId::new(500));
         for seg in [2, 9] {
-            s.ensure_candidate_segment(&tasks, &comm, 1, seg);
+            s.ensure_candidate_segment(&tasks, 1, seg, demand(&tasks, &comm, 1));
         }
         assert_ne!(
             s.heads[1].earliest, before,
@@ -1120,7 +1137,7 @@ mod tests {
         let mut s = wide_state(&tasks);
         for task in 0..2 {
             for seg in 0..16 {
-                s.ensure_candidate_segment(&tasks, &comm, task, seg);
+                s.ensure_candidate_segment(&tasks, task, seg, demand(&tasks, &comm, task));
             }
         }
         assert_eq!(s.slab.len(), 2 * 1_024);

@@ -2,14 +2,18 @@
 //! interleaving of `apply`/`undo`, with column reads forced at arbitrary
 //! points in between (so segments synchronise at different journal
 //! positions), every column entry must be bit-equal to the from-scratch
-//! evaluation (`completion_if`) against the live state — and the
-//! incrementally maintained `makespan` and per-shard `shard_min` must equal
-//! their from-scratch recomputations over the finish array.
+//! evaluation (`completion_if`, which prices through `CommModel::demand`)
+//! against the live state — and the incrementally maintained `makespan` and
+//! per-shard `shard_min` must equal their from-scratch recomputations over
+//! the finish array. The columns are priced as the search prices them, by
+//! affinity class and node.
 
 use proptest::prelude::*;
 
 use paragon_des::{Duration, Time};
-use rt_task::{CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId, TopologySpec};
+use rt_task::{
+    AffinitySet, CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId, TopologySpec,
+};
 use sched_search::PathState;
 
 /// One step of the random walk over the search tree.
@@ -39,6 +43,8 @@ struct TaskSpec {
     p_us: u64,
     laxity_x10: u64,
     resource: Option<(usize, bool)>,
+    /// Affinity members; some lie at or above P, and the set may be empty.
+    affinity: Vec<usize>,
 }
 
 fn task_spec() -> impl Strategy<Value = TaskSpec> {
@@ -48,12 +54,16 @@ fn task_spec() -> impl Strategy<Value = TaskSpec> {
         any::<bool>(),
         0usize..3,
         any::<bool>(),
+        prop::collection::vec(0usize..24, 0..4),
     )
-        .prop_map(|(p_us, laxity_x10, has_resource, r, exclusive)| TaskSpec {
-            p_us,
-            laxity_x10,
-            resource: has_resource.then_some((r, exclusive)),
-        })
+        .prop_map(
+            |(p_us, laxity_x10, has_resource, r, exclusive, affinity)| TaskSpec {
+                p_us,
+                laxity_x10,
+                resource: has_resource.then_some((r, exclusive)),
+                affinity,
+            },
+        )
 }
 
 fn tasks_from(specs: &[TaskSpec]) -> Vec<Task> {
@@ -71,15 +81,40 @@ fn tasks_from(specs: &[TaskSpec]) -> Vec<Task> {
                 .processing_time(p)
                 .deadline(Time::ZERO + p.mul_f64(s.laxity_x10 as f64 / 10.0))
                 .resources(resources)
+                .affinity(
+                    s.affinity
+                        .iter()
+                        .map(|&k| ProcessorId::new(k))
+                        .collect::<AffinitySet>(),
+                )
                 .build()
         })
         .collect()
 }
 
+/// Segment `seg`'s demands for `t` as the search builds them from its
+/// per-phase cost table: `p` on an affine processor, and elsewhere `p` plus
+/// the class's cost on the segment's node — `C` on the constant model's one
+/// node, `TopologySpec::non_affine_cost` on a topology's node `seg`.
+fn class_demand<'a>(comm: &CommModel, t: &'a Task, seg: usize) -> impl Fn(usize) -> Duration + 'a {
+    let remote = match comm.topology() {
+        Some(spec) => spec.non_affine_cost(t.affinity(), seg),
+        None => comm.constant_cost(),
+    };
+    let p = t.processing_time();
+    move |k| {
+        if t.affinity().contains(ProcessorId::new(k)) {
+            p
+        } else {
+            p + remote
+        }
+    }
+}
+
 /// Checks every incremental structure of `state` against its from-scratch
 /// definition. Each column segment is synchronised with
-/// `ensure_candidate_segment` and read through `candidate_segment`, exactly
-/// the production read path.
+/// `ensure_candidate_segment`, priced by [`class_demand`], and read through
+/// `candidate_segment`, exactly the production read path.
 fn check_state(
     tasks: &[Task],
     comm: &CommModel,
@@ -108,7 +143,7 @@ fn check_state(
     for t in 0..tasks.len() {
         let mut col = Vec::with_capacity(procs);
         for seg in 0..state.column_segments() {
-            state.ensure_candidate_segment(tasks, comm, t, seg);
+            state.ensure_candidate_segment(tasks, t, seg, class_demand(comm, &tasks[t], seg));
             col.extend(state.candidate_segment(t, seg));
         }
         prop_assert_eq!(col.len(), procs);
@@ -185,17 +220,21 @@ proptest! {
 
     /// Sharded (multi-segment) columns under a hierarchical model — the
     /// shard-first read path syncs segments independently, so the journal
-    /// replay positions differ per segment.
+    /// replay positions differ per segment. 1 to 3 racks, intra-node cost
+    /// 0 or 50, and worker counts that leave the nodes unequal in size.
     #[test]
     fn sharded_columns_match_rebuild(
         specs in prop::collection::vec(task_spec(), 1..10),
         ops in prop::collection::vec(op(), 1..40),
         nodes in 2u32..5,
         per_node in 1u32..5,
+        extra in 0u32..4,
+        racks in 1u32..4,
+        intra_us in prop::sample::select(vec![0u64, 50]),
     ) {
         let tasks = tasks_from(&specs);
-        let workers = nodes * per_node;
-        let topo = TopologySpec::new(workers, nodes, 1, 50, 400, 400);
+        let workers = nodes * per_node + extra % nodes;
+        let topo = TopologySpec::new(workers, nodes, racks.min(nodes), intra_us, 400, 900);
         let comm = CommModel::hierarchical(topo);
         let shard_ends: Vec<usize> = (0..topo.nodes()).map(|s| topo.node_range(s).1).collect();
         run_walk(&tasks, &comm, workers as usize, &shard_ends, &ops)?;
