@@ -3086,10 +3086,11 @@ mod tests {
         // of the full round, under the EDF and generation child orders and
         // both processor-skip variants. The differential instances hold at
         // most 24 tasks, so only this case stops a round with hundreds of
-        // candidates still unevaluated. The digest was recorded from the
-        // engine that evaluated a round's every candidate before charging
-        // the first; evaluating them as the quantum pays for them must
-        // leave stats, termination and assignments unchanged.
+        // candidates still unevaluated. The digest was first recorded from
+        // the engine that evaluated a round's every candidate before
+        // charging the first, and re-recorded when the depth-prune counter
+        // left the fold; evaluating candidates as the quantum pays for them
+        // must leave stats, termination and assignments unchanged.
         use paragon_des::SimRng;
 
         fn fold(digest: &mut u64, w: u64) {
@@ -3149,7 +3150,6 @@ mod tests {
                         s.feasible_children,
                         s.deepest as u64,
                         s.level_skips,
-                        s.depth_prunes,
                         s.screened_tasks,
                         s.undos,
                         s.replay_avoided,
@@ -3161,6 +3161,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(digest, 0xc2d3_f121_9f91_92b1, "digest {digest:#018x}");
+        assert_eq!(digest, 0x2d39_32ca_1197_fab1, "digest {digest:#018x}");
     }
 }

@@ -7,10 +7,9 @@
 //! they must agree bit-for-bit on the whole `SearchOutcome` — assignments,
 //! termination, viability count, makespan and every stats counter.
 //!
-//! The sweep spans both representations, all task and child orderings,
-//! random affinities, resource requests, tight and loose deadlines, busy
-//! initial finish times, pruning bounds, vertex caps and constrained
-//! quanta.
+//! The sweep spans both representations, all child orderings, random
+//! affinities, resource requests, tight and loose deadlines, busy initial
+//! finish times, backtrack limits, vertex caps and constrained quanta.
 
 use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{HostParams, SchedulingMeter};
@@ -135,23 +134,17 @@ fn random_instance(rng: &mut SimRng) -> Instance {
 }
 
 /// Draws the search configuration of an instance over `tasks`, `comm` and
-/// `initial`: layout, child order, pruning, vertex cap, resource EATs,
-/// provenance and quantum.
+/// `initial`: layout, child order, backtrack limit, vertex cap, resource
+/// EATs, provenance and quantum.
 fn search_draws(
     rng: &mut SimRng,
     tasks: Vec<Task>,
     comm: CommModel,
     initial: Vec<Time>,
 ) -> Instance {
-    let n = tasks.len();
     let representation = if rng.bernoulli(0.5) {
         Representation::AssignmentOriented {
-            task_order: *rng.choose(&[
-                TaskOrder::EarliestDeadline,
-                TaskOrder::MinSlack,
-                TaskOrder::Arrival,
-                TaskOrder::ShortestProcessing,
-            ]),
+            task_order: TaskOrder::EarliestDeadline,
         }
     } else {
         // Sweep both processor orders and the skip variant — the
@@ -168,9 +161,7 @@ fn search_draws(
         ChildOrder::None,
     ]);
     let pruning = Pruning {
-        depth_bound: rng
-            .bernoulli(0.3)
-            .then(|| rng.uniform_usize(1..n.max(1) + 2)),
+        depth_bound: None,
         backtrack_limit: rng.bernoulli(0.3).then(|| rng.uniform_u64(0..6)),
     };
     // Small caps force QuantumExhausted mid-expansion on some
@@ -478,7 +469,6 @@ impl Fnv {
             s.feasible_children,
             s.deepest as u64,
             s.level_skips,
-            s.depth_prunes,
             s.screened_tasks,
             s.undos,
             s.replay_avoided,
@@ -526,10 +516,11 @@ impl Fnv {
 /// ordering moves both sides of the differential together and the sweeps
 /// above stay green. This test folds every outcome of the same 500 seeded
 /// instances into one FNV-1a digest per (representation × child order)
-/// cell and compares against committed digests, recorded from an engine that sorted
-/// each child order by its full comparison tuple. Any reordering of
-/// siblings, stats drift or provenance change flips a digest; a deliberate
-/// change of search order lands with new digests.
+/// cell and compares against committed digests. They were last recorded
+/// when the sweep stopped drawing the task orders and depth bounds no run
+/// sets, on an engine whose order the earlier digests pinned. Any
+/// reordering of siblings, stats drift or provenance change flips a
+/// digest; a deliberate change of search order lands with new digests.
 #[test]
 fn search_order_digests_are_pinned() {
     const ORDERS: [ChildOrder; 4] = [
@@ -540,30 +531,30 @@ fn search_order_digests_are_pinned() {
     ];
     // (layout, child order, serial digest).
     const PINNED: [(&str, ChildOrder, u64); 8] = [
-        ("assignment", ChildOrder::LoadBalance, 0x4289_e679_5614_000b),
+        ("assignment", ChildOrder::LoadBalance, 0x5e33_f0fa_28a2_6329),
         (
             "assignment",
             ChildOrder::EarliestCompletion,
-            0x9fa1_f4fb_e266_12cf,
+            0x47be_8239_e62f_1184,
         ),
         (
             "assignment",
             ChildOrder::EarliestDeadline,
-            0xbf4b_816a_d473_f96b,
+            0x11f9_fa76_5a29_cc20,
         ),
-        ("assignment", ChildOrder::None, 0x01ef_4d09_b538_454c),
-        ("sequence", ChildOrder::LoadBalance, 0x516e_3992_e4af_e70f),
+        ("assignment", ChildOrder::None, 0xb2ed_2b93_4701_f084),
+        ("sequence", ChildOrder::LoadBalance, 0x7c61_9ef3_5849_dd9d),
         (
             "sequence",
             ChildOrder::EarliestCompletion,
-            0x8daa_af97_495e_fb01,
+            0x2133_1867_da51_747b,
         ),
         (
             "sequence",
             ChildOrder::EarliestDeadline,
-            0x127b_5113_7b4e_76df,
+            0x7c17_6071_22e1_db1f,
         ),
-        ("sequence", ChildOrder::None, 0x9ec0_3d05_a219_3a4e),
+        ("sequence", ChildOrder::None, 0xacf0_c7a4_d1b8_01c1),
     ];
     let cell = |inst: &Instance| {
         let layout = usize::from(!inst.representation.is_assignment_oriented());
@@ -607,14 +598,14 @@ fn search_order_digests_are_pinned() {
 /// instances on sharded clusters ([`random_sharded_instance`]), checks the
 /// incremental engine (fresh and through one reused scratch) against the
 /// replay oracle on each, and folds every outcome into one FNV-1a digest,
-/// recorded before the column fill took its demands from a per-phase
-/// (class, node) cost table.
+/// last recorded when the sweep stopped drawing task orders and depth
+/// bounds.
 #[test]
 fn sharded_instances_match_the_replay_oracle_and_pin_their_order() {
     // Half the other sweeps' count: a sharded instance that runs into the
     // 20,000-vertex cap costs the debug-build oracle about 0.4 s.
     const SHARDED_INSTANCES: u64 = 250;
-    const PINNED: u64 = 0x62e7_d909_5770_831b;
+    const PINNED: u64 = 0xbd4d_b258_a20f_1b93;
     let parent = SimRng::seed_from(0x5AD5_5EED);
     let mut digest = Fnv::new();
     let mut scratch = SearchScratch::new();
