@@ -626,6 +626,165 @@ mod tests {
     }
 
     #[test]
+    fn quantum_cut_baseline_rounds_are_pinned() {
+        // Greedy EDF, random and myopic phases on P = 4 under C = 1000us,
+        // where each task's round alternates feasible and infeasible
+        // candidates with its affinity set. At 1us per vertex the quantum
+        // cuts round r after its first charge (q = 1 cuts round 1),
+        // mid-round (q = (r - 1)P + 2) and one charge short of its end
+        // (q = rP - 1), then the phase runs uncut; the one-pass baselines
+        // are cut in round 3, myopic (seven window tasks per expansion) in
+        // round 9, its second expansion. The expected values were
+        // recorded from the loops that charged one candidate at a time.
+        let affine = |set: &[usize]| set.iter().map(|&k| ProcessorId::new(k)).collect();
+        let specs: [(u64, u64, AffinitySet); 8] = [
+            (100, 450, affine(&[0, 2])),
+            (100, 300, affine(&[1])),
+            (150, 2_000, AffinitySet::all(4)),
+            (100, 250, affine(&[3])),
+            (200, 1_500, affine(&[0, 1])),
+            (100, 400, affine(&[2, 3])),
+            (120, 5_000, AffinitySet::new()),
+            (100, 180, affine(&[1, 3])),
+        ];
+        let batch: Batch = specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (p, d, affinity))| {
+                Task::builder(TaskId::new(i as u64))
+                    .processing_time(Duration::from_micros(p))
+                    .deadline(Time::from_micros(d))
+                    .affinity(affinity)
+                    .build()
+            })
+            .collect();
+        let comm = CommModel::constant(Duration::from_micros(1_000));
+        let initial = [0, 50, 0, 20].map(Time::from_micros);
+        let p = 4;
+        let qe = Termination::QuantumExhausted;
+        type Want = (u64, u64, u64, Termination, &'static [(usize, usize, u64)]);
+        // Per cut: (vertices, feasible, infeasible, termination,
+        // assignments as (task, processor, completion us)).
+        let greedy_all: &[(usize, usize, u64)] = &[
+            (7, 3, 120),
+            (3, 3, 220),
+            (1, 1, 150),
+            (5, 2, 100),
+            (0, 0, 100),
+            (4, 0, 300),
+            (2, 2, 250),
+            (6, 1, 1_270),
+        ];
+        let cases: [(Algorithm, u64, [Want; 4]); 3] = [
+            (
+                Algorithm::GreedyEdf,
+                3,
+                [
+                    (2, 0, 1, qe, &[]),
+                    (11, 4, 6, qe, &greedy_all[..2]),
+                    (12, 4, 7, qe, &greedy_all[..2]),
+                    (32, 20, 12, Termination::Leaf, greedy_all),
+                ],
+            ),
+            (
+                Algorithm::RandomAssign,
+                3,
+                [
+                    (2, 1, 0, qe, &[]),
+                    (11, 5, 5, qe, &[(0, 0, 100), (1, 1, 150)]),
+                    (12, 6, 5, qe, &[(0, 0, 100), (1, 1, 150)]),
+                    (
+                        32,
+                        17,
+                        15,
+                        Termination::DeadEnd,
+                        &[
+                            (0, 0, 100),
+                            (1, 1, 150),
+                            (2, 0, 250),
+                            (3, 3, 120),
+                            (4, 2, 1_200),
+                            (5, 3, 220),
+                            (6, 1, 1_270),
+                        ],
+                    ),
+                ],
+            ),
+            (
+                Algorithm::myopic(),
+                9,
+                [
+                    (2, 0, 1, qe, &[]),
+                    (35, 18, 16, qe, &[(7, 3, 120)]),
+                    (36, 18, 17, qe, &[(7, 3, 120)]),
+                    (
+                        140,
+                        105,
+                        35,
+                        Termination::Leaf,
+                        &[
+                            (7, 3, 120),
+                            (1, 1, 150),
+                            (3, 3, 220),
+                            (5, 2, 100),
+                            (0, 0, 100),
+                            (4, 0, 300),
+                            (2, 2, 250),
+                            (6, 1, 1_270),
+                        ],
+                    ),
+                ],
+            ),
+        ];
+        for (algorithm, round, expected) in cases {
+            let cuts = [
+                Some(1),
+                Some((round - 1) * p + 2),
+                Some(round * p - 1),
+                None,
+            ];
+            for (quantum, want) in cuts.into_iter().zip(expected) {
+                let mut meter = match quantum {
+                    Some(q) => SchedulingMeter::new(
+                        HostParams::new(Duration::from_micros(1)),
+                        Duration::from_micros(q),
+                    ),
+                    None => free_meter(),
+                };
+                let out = algorithm.schedule_phase(
+                    &batch,
+                    &comm,
+                    &initial,
+                    Time::ZERO,
+                    None,
+                    Pruning::default(),
+                    &ResourceEats::new(),
+                    false,
+                    &mut meter,
+                    &mut SimRng::seed_from(5),
+                    &mut PhaseScratch::new(),
+                );
+                let s = out.stats;
+                let placed: Vec<(usize, usize, u64)> = out
+                    .assignments
+                    .iter()
+                    .map(|a| (a.task, a.processor.index(), a.completion.as_micros()))
+                    .collect();
+                let got = (
+                    s.vertices_generated,
+                    s.feasible_children,
+                    s.infeasible_children,
+                    out.termination,
+                );
+                let at = format!("{} cut at {quantum:?}", algorithm.name());
+                assert_eq!(got, (want.0, want.1, want.2, want.3), "{at}");
+                assert_eq!(placed, want.4, "{at}");
+                assert_eq!(s.vertices_generated, meter.vertices(), "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn reused_phase_scratch_matches_fresh_runs() {
         // One scratch carried across every algorithm must reproduce each
         // fresh-scratch outcome exactly, including stats and provenance.
