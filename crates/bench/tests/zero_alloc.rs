@@ -82,7 +82,7 @@ fn steady_state_phases_do_not_allocate() {
     use rt_task::{Batch, CommModel, ResourceEats};
     use rtsads::{Algorithm, PhaseScratch};
     use sched_search::{
-        search_schedule_with, ChildOrder, Pruning, Representation, SearchParams, SearchScratch,
+        search_schedule_with, ChildOrder, PhaseInput, Representation, SearchParams, SearchScratch,
     };
 
     const WARMUP: usize = 3;
@@ -95,19 +95,20 @@ fn steady_state_phases_do_not_allocate() {
     {
         let batch: Batch = deep_dive_batch(64).into_iter().collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
         let initial = vec![Time::ZERO; 2];
+        let resources = ResourceEats::new();
         let params = SearchParams {
-            batch: &batch,
-            comm: &comm,
-            initial_finish: &initial,
-            representation: &repr,
+            input: PhaseInput {
+                batch: &batch,
+                comm: &comm,
+                initial_finish: &initial,
+                vertex_cap: None,
+                backtrack_limit: None,
+                resources: &resources,
+                provenance: false,
+            },
+            representation: Representation::AssignmentOriented,
             child_order: ChildOrder::LoadBalance,
-            now: Time::ZERO,
-            vertex_cap: None,
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         };
         let mut scratch = SearchScratch::new();
         let (n, _) = count_allocs(WARMUP, MEASURED, || {
@@ -141,14 +142,15 @@ fn steady_state_phases_do_not_allocate() {
             );
             let mut rng = SimRng::seed_from(7);
             let out = algorithm.schedule_phase(
-                &batch,
-                &comm,
-                &initial,
-                Time::ZERO,
-                Some(200_000),
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
+                &PhaseInput {
+                    batch: &batch,
+                    comm: &comm,
+                    initial_finish: &initial,
+                    vertex_cap: Some(200_000),
+                    backtrack_limit: None,
+                    resources: &ResourceEats::new(),
+                    provenance: false,
+                },
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -186,14 +188,15 @@ fn steady_state_phases_do_not_allocate() {
             );
             let mut rng = SimRng::seed_from(7);
             let out = algorithm.schedule_phase(
-                &batch,
-                &sharded_comm,
-                &sharded_initial,
-                Time::ZERO,
-                Some(200_000),
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
+                &PhaseInput {
+                    batch: &batch,
+                    comm: &sharded_comm,
+                    initial_finish: &sharded_initial,
+                    vertex_cap: Some(200_000),
+                    backtrack_limit: None,
+                    resources: &ResourceEats::new(),
+                    provenance: false,
+                },
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -220,14 +223,15 @@ fn steady_state_phases_do_not_allocate() {
             );
             let mut rng = SimRng::seed_from(7);
             let out = algorithm.schedule_phase(
-                &batch,
-                &comm,
-                &initial,
-                Time::ZERO,
-                Some(200_000),
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
+                &PhaseInput {
+                    batch: &batch,
+                    comm: &comm,
+                    initial_finish: &initial,
+                    vertex_cap: Some(200_000),
+                    backtrack_limit: None,
+                    resources: &ResourceEats::new(),
+                    provenance: false,
+                },
                 &mut meter,
                 &mut rng,
                 &mut scratch,

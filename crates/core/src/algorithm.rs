@@ -2,11 +2,11 @@
 
 use paragon_des::{SimRng, Time};
 use paragon_platform::SchedulingMeter;
-use rt_task::{Batch, CommModel, ProcessorId, ResourceEats, Task};
+use rt_task::{ProcessorId, Task};
 use sched_search::{
-    placement_probe, search_schedule_with, Assignment, ChildOrder, PathState, PhaseProvenance,
-    PlacementEvidence, ProcessorOrder, Pruning, Representation, SearchOutcome, SearchParams,
-    SearchScratch, SearchStats, TaskOrder, Termination,
+    placement_probe, search_schedule_with, Assignment, ChildOrder, PathState, PhaseInput,
+    PhaseProvenance, PlacementEvidence, ProcessorOrder, Representation, SearchOutcome,
+    SearchParams, SearchScratch, SearchStats, Termination,
 };
 use serde::{Deserialize, Serialize};
 
@@ -45,11 +45,10 @@ impl PhaseScratch {
 /// Which scheduler runs the phases.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Algorithm {
-    /// The paper's contribution: assignment-oriented search (Figure 2) with
-    /// a per-level task ordering and heuristic successor ordering.
+    /// The paper's contribution: assignment-oriented search (Figure 2),
+    /// whose levels fix tasks in deadline order, with heuristic successor
+    /// ordering.
     RtSads {
-        /// Which task each tree level considers.
-        task_order: TaskOrder,
         /// Successor ordering (the load-balancing cost function by default).
         child_order: ChildOrder,
     },
@@ -86,11 +85,10 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Canonical RT-SADS: EDF task order, load-balancing cost function.
+    /// Canonical RT-SADS: the load-balancing cost function.
     #[must_use]
     pub fn rt_sads() -> Self {
         Algorithm::RtSads {
-            task_order: TaskOrder::EarliestDeadline,
             child_order: ChildOrder::LoadBalance,
         }
     }
@@ -154,211 +152,138 @@ impl Algorithm {
         }
     }
 
-    /// Runs one scheduling phase over `batch` and returns the (partial)
-    /// schedule, whose assignments name tasks by batch position.
-    /// `initial_finish[k]` is `max(busy_until_k, t_s + Q_s(j))`;
-    /// `meter` charges and bounds the scheduling time; `pruning` applies the
-    /// Section-3 bounds to the search-based algorithms (the one-pass
-    /// baselines ignore it); `rng` is only used by
-    /// [`Algorithm::RandomAssign`]; `provenance` asks for decision evidence
-    /// ([`SearchOutcome::provenance`] — record-only, never alters the
-    /// schedule; the myopic baseline does not produce any). `scratch` holds
-    /// the reusable working buffers — pass a fresh one for a one-off call, or
-    /// carry one across phases to keep the hot path allocation-free.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one scheduling phase over `input` and returns the (partial)
+    /// schedule, whose assignments name tasks by batch position. `meter`
+    /// charges and bounds the scheduling time; `rng` is only used by
+    /// [`Algorithm::RandomAssign`]. Only the two searches read the vertex
+    /// cap and the backtrack limit, and the myopic baseline records no
+    /// provenance (which is record-only everywhere: it never alters the
+    /// schedule). `scratch` holds the reusable working buffers — pass a
+    /// fresh one for a one-off call, or carry one across phases to keep the
+    /// hot path allocation-free.
     #[must_use]
     pub fn schedule_phase(
         &self,
-        batch: &Batch,
-        comm: &CommModel,
-        initial_finish: &[Time],
-        now: Time,
-        vertex_cap: Option<u64>,
-        pruning: Pruning,
-        resources: &ResourceEats,
-        provenance: bool,
+        input: &PhaseInput<'_>,
         meter: &mut SchedulingMeter,
         rng: &mut SimRng,
         scratch: &mut PhaseScratch,
     ) -> SearchOutcome {
         // The two search algorithms differ only in their tree layout and
         // successor order; everything else is one engine call.
-        let tasks = batch.tasks();
-        let (representation, child_order) = match self {
-            Algorithm::RtSads {
-                task_order,
-                child_order,
-            } => (
-                Representation::AssignmentOriented {
-                    task_order: *task_order,
-                },
-                *child_order,
-            ),
+        let (representation, child_order) = match *self {
+            Algorithm::RtSads { child_order } => (Representation::AssignmentOriented, child_order),
             Algorithm::DCols {
                 processor_order,
                 child_order,
                 skip_processors,
             } => (
                 Representation::SequenceOriented {
-                    processor_order: *processor_order,
-                    skip_processors: *skip_processors,
+                    processor_order,
+                    skip_processors,
                 },
-                *child_order,
+                child_order,
             ),
-            Algorithm::GreedyEdf => {
-                return greedy_edf(
-                    tasks,
-                    comm,
-                    initial_finish,
-                    now,
-                    resources,
-                    provenance,
-                    meter,
-                    scratch,
-                )
-            }
+            Algorithm::GreedyEdf => return greedy_edf(input, meter, scratch),
             Algorithm::Myopic {
                 window,
                 weight_pct,
                 max_backtracks,
             } => {
                 return crate::myopic::myopic_phase(
-                    tasks,
-                    comm,
-                    initial_finish,
-                    now,
-                    resources,
-                    *window,
-                    *weight_pct,
-                    *max_backtracks,
+                    input,
+                    window,
+                    weight_pct,
+                    max_backtracks,
                     meter,
                     scratch,
                 )
             }
-            Algorithm::RandomAssign => {
-                return random_assign(
-                    tasks,
-                    comm,
-                    initial_finish,
-                    resources,
-                    provenance,
-                    meter,
-                    rng,
-                    scratch,
-                )
-            }
+            Algorithm::RandomAssign => return random_assign(input, meter, rng, scratch),
         };
         let params = SearchParams {
-            batch,
-            comm,
-            initial_finish,
-            representation: &representation,
+            input: *input,
+            representation,
             child_order,
-            now,
-            vertex_cap,
-            pruning,
-            resources: resources.clone(),
-            provenance,
         };
         search_schedule_with(&params, meter, &mut scratch.search)
     }
 }
 
+/// Fills `order` with the batch indices of `tasks` by `(deadline, batch
+/// index)`: the order in which RT-SADS levels fix tasks, and in which
+/// greedy EDF and myopic consider them. The keys are unique, so the
+/// unstable sort is deterministic.
+pub(crate) fn edf_order(tasks: &[Task], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..tasks.len());
+    order.sort_unstable_by_key(|&i| (tasks[i].deadline(), i));
+}
+
+/// `slot`'s path state, created on first use and reset to `input`'s phase
+/// root: the working state of the schedulers outside the search engine.
+pub(crate) fn phase_state<'s>(
+    slot: &'s mut Option<PathState>,
+    input: &PhaseInput<'_>,
+) -> &'s mut PathState {
+    let n = input.tasks().len();
+    let state = slot.get_or_insert_with(|| PathState::new(input.initial_finish.to_vec(), n));
+    state.reset(input.initial_finish, n, input.resources);
+    state
+}
+
 /// List scheduling: EDF order, each task to its feasible
 /// earliest-completion processor, never undone.
-#[allow(clippy::too_many_arguments)]
 fn greedy_edf(
-    tasks: &[Task],
-    comm: &CommModel,
-    initial_finish: &[Time],
-    now: Time,
-    resources: &ResourceEats,
-    provenance: bool,
+    input: &PhaseInput<'_>,
     meter: &mut SchedulingMeter,
     scratch: &mut PhaseScratch,
 ) -> SearchOutcome {
-    TaskOrder::EarliestDeadline.order_into(tasks, now, &mut scratch.order);
-    one_pass(
-        tasks,
-        comm,
-        initial_finish,
-        resources,
-        provenance,
-        meter,
-        scratch,
-        |cands| {
-            cands
-                .iter()
-                .min_by_key(|&&(_, completion)| completion)
-                .copied()
-        },
-    )
+    edf_order(input.tasks(), &mut scratch.order);
+    one_pass(input, meter, scratch, |cands| {
+        cands
+            .iter()
+            .min_by_key(|&&(_, completion)| completion)
+            .copied()
+    })
 }
 
 /// Each task to a uniformly random feasible processor.
-#[allow(clippy::too_many_arguments)]
 fn random_assign(
-    tasks: &[Task],
-    comm: &CommModel,
-    initial_finish: &[Time],
-    resources: &ResourceEats,
-    provenance: bool,
+    input: &PhaseInput<'_>,
     meter: &mut SchedulingMeter,
     rng: &mut SimRng,
     scratch: &mut PhaseScratch,
 ) -> SearchOutcome {
     scratch.order.clear();
-    scratch.order.extend(0..tasks.len());
-    one_pass(
-        tasks,
-        comm,
-        initial_finish,
-        resources,
-        provenance,
-        meter,
-        scratch,
-        |cands| {
-            if cands.is_empty() {
-                None
-            } else {
-                Some(*rng.choose(cands))
-            }
-        },
-    )
+    scratch.order.extend(0..input.tasks().len());
+    one_pass(input, meter, scratch, |cands| {
+        if cands.is_empty() {
+            None
+        } else {
+            Some(*rng.choose(cands))
+        }
+    })
 }
 
 /// Shared single-pass (no-backtracking) scheduler skeleton for the two
 /// baselines; the caller has filled `scratch.order` with the task order, and
 /// `pick` chooses among the feasible `(processor, completion)` candidates of
 /// one task.
-#[allow(clippy::too_many_arguments)]
 fn one_pass(
-    tasks: &[Task],
-    comm: &CommModel,
-    initial_finish: &[Time],
-    resources: &ResourceEats,
-    provenance: bool,
+    input: &PhaseInput<'_>,
     meter: &mut SchedulingMeter,
     scratch: &mut PhaseScratch,
     mut pick: impl FnMut(&[(usize, Time)]) -> Option<(usize, Time)>,
 ) -> SearchOutcome {
     let PhaseScratch {
         search,
-        state: state_slot,
+        state,
         order,
         feasible,
     } = scratch;
-    match state_slot.as_mut() {
-        Some(s) => s.reset(initial_finish, tasks.len(), resources),
-        None => {
-            *state_slot = Some(PathState::with_resources(
-                initial_finish.to_vec(),
-                tasks.len(),
-                resources.clone(),
-            ));
-        }
-    }
-    let state = state_slot.as_mut().expect("state initialized above");
+    let (tasks, comm, provenance) = (input.tasks(), input.comm, input.provenance);
+    let state = phase_state(state, input);
     let mut stats = SearchStats::default();
     let mut skipped_any = false;
     let mut exhausted = false;
@@ -444,7 +369,7 @@ mod tests {
     use super::*;
     use paragon_des::Duration;
     use paragon_platform::HostParams;
-    use rt_task::{AffinitySet, TaskId};
+    use rt_task::{AffinitySet, Batch, CommModel, ResourceEats, TaskId};
 
     fn mk_task(id: u64, p_us: u64, d_us: u64, aff_all: usize) -> Task {
         Task::builder(TaskId::new(id))
@@ -456,6 +381,22 @@ mod tests {
 
     fn free_meter() -> SchedulingMeter {
         SchedulingMeter::new(HostParams::free(), Duration::ZERO)
+    }
+
+    static NO_RESOURCES: ResourceEats = ResourceEats::new();
+
+    /// A phase over `batch` on `initial` under `comm`: no resources held,
+    /// a vertex cap of 10,000, no backtrack limit, no provenance.
+    fn input<'a>(batch: &'a Batch, comm: &'a CommModel, initial: &'a [Time]) -> PhaseInput<'a> {
+        PhaseInput {
+            batch,
+            comm,
+            initial_finish: initial,
+            vertex_cap: Some(10_000),
+            backtrack_limit: None,
+            resources: &NO_RESOURCES,
+            provenance: false,
+        }
     }
 
     #[test]
@@ -481,14 +422,7 @@ mod tests {
         let initial = [Time::ZERO; 2];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::rt_sads().schedule_phase(
-            &batch,
-            &comm,
-            &initial,
-            Time::ZERO,
-            Some(10_000),
-            Pruning::default(),
-            &ResourceEats::new(),
-            false,
+            &input(&batch, &comm, &initial),
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),
@@ -511,14 +445,7 @@ mod tests {
         let initial = [Time::ZERO];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::GreedyEdf.schedule_phase(
-            &batch,
-            &comm,
-            &initial,
-            Time::ZERO,
-            None,
-            Pruning::default(),
-            &ResourceEats::new(),
-            false,
+            &input(&batch, &comm, &initial),
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),
@@ -535,14 +462,7 @@ mod tests {
         let initial = [Time::ZERO];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::GreedyEdf.schedule_phase(
-            &batch,
-            &comm,
-            &initial,
-            Time::ZERO,
-            None,
-            Pruning::default(),
-            &ResourceEats::new(),
-            false,
+            &input(&batch, &comm, &initial),
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),
@@ -560,14 +480,7 @@ mod tests {
         let run = |seed: u64| {
             let mut rng = SimRng::seed_from(seed);
             Algorithm::RandomAssign.schedule_phase(
-                &batch,
-                &comm,
-                &initial,
-                Time::ZERO,
-                None,
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
+                &input(&batch, &comm, &initial),
                 &mut free_meter(),
                 &mut rng,
                 &mut PhaseScratch::new(),
@@ -599,14 +512,7 @@ mod tests {
         );
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::GreedyEdf.schedule_phase(
-            &batch,
-            &comm,
-            &initial,
-            Time::ZERO,
-            None,
-            Pruning::default(),
-            &ResourceEats::new(),
-            false,
+            &input(&batch, &comm, &initial),
             &mut meter,
             &mut rng,
             &mut PhaseScratch::new(),
@@ -752,14 +658,7 @@ mod tests {
                     None => free_meter(),
                 };
                 let out = algorithm.schedule_phase(
-                    &batch,
-                    &comm,
-                    &initial,
-                    Time::ZERO,
-                    None,
-                    Pruning::default(),
-                    &ResourceEats::new(),
-                    false,
+                    &input(&batch, &comm, &initial),
                     &mut meter,
                     &mut SimRng::seed_from(5),
                     &mut PhaseScratch::new(),
@@ -805,14 +704,10 @@ mod tests {
             let run = |scratch: &mut PhaseScratch| {
                 let mut rng = SimRng::seed_from(11);
                 algorithm.schedule_phase(
-                    &batch,
-                    &comm,
-                    &initial,
-                    Time::ZERO,
-                    Some(10_000),
-                    Pruning::default(),
-                    &ResourceEats::new(),
-                    true,
+                    &PhaseInput {
+                        provenance: true,
+                        ..input(&batch, &comm, &initial)
+                    },
                     &mut free_meter(),
                     &mut rng,
                     scratch,
@@ -836,14 +731,7 @@ mod tests {
         let initial = [Time::ZERO; 2];
         let mut rng = SimRng::seed_from(0);
         let out = Algorithm::d_cols().schedule_phase(
-            &batch,
-            &comm,
-            &initial,
-            Time::ZERO,
-            Some(10_000),
-            Pruning::default(),
-            &ResourceEats::new(),
-            false,
+            &input(&batch, &comm, &initial),
             &mut free_meter(),
             &mut rng,
             &mut PhaseScratch::new(),

@@ -25,7 +25,7 @@ use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{Dispatch, HostParams, Machine, MachineConfig, SchedulingMeter};
 use rt_task::{Batch, CommModel, Task, TopologySpec};
 
-use sched_search::{Pruning, SearchOutcome};
+use sched_search::{PhaseInput, SearchOutcome};
 
 use crate::algorithm::{Algorithm, PhaseScratch};
 use crate::faults::{self, FaultConfig, FaultEvent, FaultKind, FaultPlan, InFlightPolicy};
@@ -43,7 +43,7 @@ pub struct DriverConfig {
     quantum: QuantumPolicy,
     algorithm: Algorithm,
     vertex_cap: Option<u64>,
-    pruning: Pruning,
+    backtrack_limit: Option<u64>,
     seed: u64,
     faults: FaultConfig,
     fault_plan: Option<FaultPlan>,
@@ -69,7 +69,7 @@ impl DriverConfig {
             quantum: QuantumPolicy::self_adjusting(),
             algorithm,
             vertex_cap: Some(2_000_000),
-            pruning: Pruning::default(),
+            backtrack_limit: None,
             seed: 0,
             faults: FaultConfig::disabled(),
             fault_plan: None,
@@ -107,11 +107,11 @@ impl DriverConfig {
         self
     }
 
-    /// Applies Section-3 pruning bounds (depth bound, backtrack limit) to
-    /// the search-based algorithms.
+    /// Sets (or disables) Section 3's backtrack limit for the search-based
+    /// algorithms: a phase ends after this many backtracks.
     #[must_use]
-    pub fn pruning(mut self, pruning: Pruning) -> Self {
-        self.pruning = pruning;
+    pub fn backtrack_limit(mut self, limit: Option<u64>) -> Self {
+        self.backtrack_limit = limit;
         self
     }
 
@@ -465,20 +465,19 @@ impl<'a> Run<'a> {
         self.initial_finish.clear();
         self.initial_finish
             .extend(workers.map(|w| w.available_from(exec_bound)));
+        let input = PhaseInput {
+            batch: &self.batch,
+            comm: &cfg.comm,
+            initial_finish: &self.initial_finish,
+            vertex_cap: cfg.vertex_cap,
+            backtrack_limit: cfg.backtrack_limit,
+            resources: self.machine.resource_eats(),
+            provenance: traced,
+        };
         let wall_start = (cfg.measure_overhead && traced).then(rt_telemetry::MonotonicInstant::now);
-        let outcome = cfg.algorithm.schedule_phase(
-            &self.batch,
-            &cfg.comm,
-            &self.initial_finish,
-            started,
-            cfg.vertex_cap,
-            cfg.pruning,
-            self.machine.resource_eats(),
-            traced,
-            &mut meter,
-            &mut self.rng,
-            &mut self.scratch,
-        );
+        let outcome =
+            cfg.algorithm
+                .schedule_phase(&input, &mut meter, &mut self.rng, &mut self.scratch);
         let wall_ns = wall_start.map(|t0| t0.elapsed_ns());
         let min_step = Duration::from_micros(1).max(cfg.host.vertex_eval_cost);
         let consumed = meter.consumed().max(min_step);

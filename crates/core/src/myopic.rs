@@ -19,11 +19,11 @@
 //! than aborting the schedule (the original algorithm's "reject" outcome
 //! does not fit a soft real-time setting).
 
-use crate::algorithm::PhaseScratch;
+use crate::algorithm::{edf_order, phase_state, PhaseScratch};
 use paragon_des::Time;
 use paragon_platform::SchedulingMeter;
-use rt_task::{CommModel, ProcessorId, ResourceEats, Task};
-use sched_search::{PathState, SearchOutcome, SearchStats, TaskOrder, Termination};
+use rt_task::ProcessorId;
+use sched_search::{PathState, PhaseInput, SearchOutcome, SearchStats, Termination};
 
 /// One scored candidate inside the feasibility window.
 #[derive(Debug, Clone, Copy)]
@@ -42,27 +42,30 @@ struct Decision {
     chosen: usize,
 }
 
-/// Runs one myopic scheduling phase. See the [module docs](self).
-#[allow(clippy::too_many_arguments)]
+/// Runs one myopic scheduling phase over `input` with window `window`,
+/// heuristic weight `weight_pct` and `max_backtracks` backtracks. See the
+/// [module docs](self).
 pub(crate) fn myopic_phase(
-    tasks: &[Task],
-    comm: &CommModel,
-    initial_finish: &[Time],
-    now: Time,
-    resources: &ResourceEats,
+    input: &PhaseInput<'_>,
     window: usize,
     weight_pct: u32,
     max_backtracks: u32,
     meter: &mut SchedulingMeter,
     scratch: &mut PhaseScratch,
 ) -> SearchOutcome {
+    let (tasks, comm) = (input.tasks(), input.comm);
     let mut stats = SearchStats::default();
     if tasks.is_empty() {
         return SearchOutcome {
             assignments: Vec::new(),
             termination: Termination::Leaf,
             n_viable: 0,
-            makespan: initial_finish.iter().copied().max().unwrap_or(Time::ZERO),
+            makespan: input
+                .initial_finish
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(Time::ZERO),
             stats,
             provenance: None,
         };
@@ -70,11 +73,11 @@ pub(crate) fn myopic_phase(
 
     let PhaseScratch {
         search,
-        state: state_slot,
+        state,
         order,
         ..
     } = scratch;
-    TaskOrder::EarliestDeadline.order_into(tasks, now, order);
+    edf_order(tasks, order);
     let order: &[usize] = order;
     let mut decisions: Vec<Decision> = Vec::new();
     let mut backtracks_left = max_backtracks;
@@ -85,24 +88,14 @@ pub(crate) fn myopic_phase(
     // stack (reset + replay — backtracks are rare and shallow here, so the
     // simple rebuild beats carrying an undo log through the window logic).
     let rebuild = |state: &mut PathState, decisions: &[Decision]| {
-        state.reset(initial_finish, tasks.len(), resources);
+        state.reset(input.initial_finish, tasks.len(), input.resources);
         for d in decisions {
             let c = d.alternatives[d.chosen];
             state.apply(tasks, comm, c.task, ProcessorId::new(c.processor));
         }
     };
 
-    match state_slot.as_mut() {
-        Some(s) => s.reset(initial_finish, tasks.len(), resources),
-        None => {
-            *state_slot = Some(PathState::with_resources(
-                initial_finish.to_vec(),
-                tasks.len(),
-                resources.clone(),
-            ));
-        }
-    }
-    let state = state_slot.as_mut().expect("state initialized above");
+    let state = phase_state(state, input);
     let mut window_tasks: Vec<usize> = Vec::new();
     loop {
         // The feasibility window: the first `window` unassigned, unskipped
@@ -221,7 +214,7 @@ mod tests {
     use super::*;
     use paragon_des::Duration;
     use paragon_platform::HostParams;
-    use rt_task::{AffinitySet, TaskId};
+    use rt_task::{AffinitySet, Batch, CommModel, ResourceEats, Task, TaskId};
 
     fn mk_task(id: u64, p_us: u64, d_us: u64, aff: &[usize]) -> Task {
         let mut builder = Task::builder(TaskId::new(id))
@@ -251,13 +244,19 @@ mod tests {
         backtracks: u32,
         meter: &mut SchedulingMeter,
     ) -> SearchOutcome {
+        let batch: Batch = tasks.iter().cloned().collect();
         let initial = vec![Time::ZERO; workers];
-        myopic_phase(
-            tasks,
+        let input = PhaseInput {
+            batch: &batch,
             comm,
-            &initial,
-            Time::ZERO,
-            &ResourceEats::new(),
+            initial_finish: &initial,
+            vertex_cap: None,
+            backtrack_limit: None,
+            resources: &ResourceEats::new(),
+            provenance: false,
+        };
+        myopic_phase(
+            &input,
             window,
             100,
             backtracks,
@@ -312,19 +311,7 @@ mod tests {
         // completion, lowest index); backtracking must flip it to P1.
         let comm = CommModel::constant(Duration::from_micros(10_000));
         let tasks = vec![mk_task(0, 100, 150, &[0, 1]), mk_task(1, 100, 150, &[0])];
-        let initial = vec![Time::ZERO; 2];
-        let out = myopic_phase(
-            &tasks,
-            &comm,
-            &initial,
-            Time::ZERO,
-            &ResourceEats::new(),
-            7,
-            100,
-            3,
-            &mut free_meter(),
-            &mut PhaseScratch::new(),
-        );
+        let out = run(&tasks, &comm, 2, 7, 3, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf, "stats: {:?}", out.stats);
         assert!(out.stats.backtracks > 0);
         let a1 = out.assignments.iter().find(|a| a.task == 1).unwrap();
@@ -335,19 +322,7 @@ mod tests {
     fn zero_backtracks_degrades_gracefully() {
         let comm = CommModel::constant(Duration::from_micros(10_000));
         let tasks = vec![mk_task(0, 100, 150, &[0, 1]), mk_task(1, 100, 150, &[0])];
-        let initial = vec![Time::ZERO; 2];
-        let out = myopic_phase(
-            &tasks,
-            &comm,
-            &initial,
-            Time::ZERO,
-            &ResourceEats::new(),
-            7,
-            100,
-            0,
-            &mut free_meter(),
-            &mut PhaseScratch::new(),
-        );
+        let out = run(&tasks, &comm, 2, 7, 0, &mut free_meter());
         // without backtracking, task 1 is lost but task 0 still runs
         assert_eq!(out.termination, Termination::DeadEnd);
         assert_eq!(out.assignments.len(), 1);

@@ -5,7 +5,7 @@
 use paragon_des::Duration;
 use rt_stats::{Series, Table};
 use rtsads::{Algorithm, DriverConfig, QuantumPolicy};
-use sched_search::{ChildOrder, ProcessorOrder, TaskOrder};
+use sched_search::{ChildOrder, ProcessorOrder};
 
 use crate::config::{comm_model, host_params, ExperimentConfig};
 use crate::fig5::PROCESSORS;
@@ -151,10 +151,7 @@ pub fn cost(config: &ExperimentConfig) -> FigureOutput {
     let workers = 10;
     let mut series = Vec::new();
     for (label, child_order) in variants {
-        let alg = Algorithm::RtSads {
-            task_order: TaskOrder::EarliestDeadline,
-            child_order,
-        };
+        let alg = Algorithm::RtSads { child_order };
         let mut s = Series::new(label);
         for &r in &RATES {
             let p = point(
@@ -368,11 +365,9 @@ pub fn open_load(config: &ExperimentConfig) -> FigureOutput {
 /// **Ext. H (pruning)** — Section 3 claims that the pruning heuristics
 /// dynamic schedulers need (limited backtracking, depth bounds) hurt the
 /// sequence-oriented representation disproportionately. Sweep the backtrack
-/// limit for both representations.
+/// limit for both representations; the depth limit is not modelled.
 #[must_use]
 pub fn pruning(config: &ExperimentConfig) -> FigureOutput {
-    use sched_search::Pruning;
-
     let workers = 10;
     let limits: [(f64, Option<u64>); 4] = [
         (0.0, Some(0)),
@@ -384,10 +379,7 @@ pub fn pruning(config: &ExperimentConfig) -> FigureOutput {
     for alg in [Algorithm::rt_sads(), Algorithm::d_cols()] {
         let mut s = Series::new(alg.name());
         for &(x, limit) in &limits {
-            let driver = default_driver(workers, alg.clone()).pruning(Pruning {
-                depth_bound: None,
-                backtrack_limit: limit,
-            });
+            let driver = default_driver(workers, alg.clone()).backtrack_limit(limit);
             let p = point(config, workers, 0.3, 1.0, driver);
             s.push(x, p.mean_hit_ratio());
         }

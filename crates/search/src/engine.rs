@@ -18,7 +18,7 @@ use paragon_platform::SchedulingMeter;
 use rt_telemetry::{Stage, StageProfiler};
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{ChildOrder, ProcessorOrder, TaskOrder};
+use crate::policy::{ChildOrder, ProcessorOrder};
 use crate::repr::Representation;
 use crate::state::{Assignment, PathState};
 
@@ -34,22 +34,9 @@ pub enum Termination {
     DeadEnd,
     /// The scheduling-time quantum (or vertex cap) ran out.
     QuantumExhausted,
-    /// A pruning bound (backtrack limit) cut the search short.
+    /// The backtrack limit ([`PhaseInput::backtrack_limit`]) cut the search
+    /// short.
     Pruned,
-}
-
-/// The search-space pruning heuristics Section 3 of the paper lists as what
-/// "dynamic algorithms are forced to use … to reduce the scheduling
-/// complexity": a limit on backtracking and a limit on the depth of search.
-/// The defaults disable both (the quantum is then the only bound).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Pruning {
-    /// Expansions stop below this depth; the tree is explored only down to
-    /// `depth_bound` assignments. `None` = full depth.
-    pub depth_bound: Option<usize>,
-    /// The phase ends ([`Termination::Pruned`]) after this many backtracks.
-    /// `None` = unlimited.
-    pub backtrack_limit: Option<u64>,
 }
 
 /// Diagnostics of one search phase.
@@ -72,8 +59,6 @@ pub struct SearchStats {
     /// the skipping sequence-oriented variant, processor) admitted no
     /// feasible successor and moved on to the next choice.
     pub level_skips: u64,
-    /// Expansion attempts refused by the Section-3 depth bound.
-    pub depth_prunes: u64,
     /// Batch tasks screened out by the phase-level viability test (they can
     /// meet their deadline on no processor even against the initial finish
     /// times, so the whole phase tree excludes them).
@@ -138,7 +123,7 @@ pub fn placement_probe(
 }
 
 /// Decision evidence for one scheduling phase, collected only when
-/// [`SearchParams::provenance`] is set: which tasks the viability screen
+/// [`PhaseInput::provenance`] is set: which tasks the viability screen
 /// rejected (with the actual test operands) and why each delivered
 /// assignment chose its processor. The probes are the trace's own
 /// [`ScreenProbe`] and [`PlacementProbe`] records, so the driver moves them
@@ -172,7 +157,7 @@ pub struct SearchOutcome {
     pub makespan: Time,
     /// Search diagnostics.
     pub stats: SearchStats,
-    /// Decision evidence, present only when [`SearchParams::provenance`]
+    /// Decision evidence, present only when [`PhaseInput::provenance`]
     /// was set.
     pub provenance: Option<PhaseProvenance>,
 }
@@ -214,9 +199,11 @@ impl SearchOutcome {
     }
 }
 
-/// Inputs of one scheduling phase.
-#[derive(Debug, Clone)]
-pub struct SearchParams<'a> {
+/// The inputs of one scheduling phase, the same record for every
+/// scheduler: the tree search reads it under a layout ([`SearchParams`]),
+/// the one-pass baselines and the myopic scheduler read it as it is.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseInput<'a> {
     /// The batch being scheduled: its tasks, and the expiry and affinity
     /// class columns the viability screen reads.
     pub batch: &'a Batch,
@@ -225,33 +212,50 @@ pub struct SearchParams<'a> {
     /// Per-processor earliest start for new work:
     /// `max(busy_until_k, t_s + Q_s(j))` (see [`PathState::new`]).
     pub initial_finish: &'a [Time],
-    /// Tree layout (assignment- vs sequence-oriented).
-    pub representation: &'a Representation,
-    /// Heuristic ordering of feasible successors.
-    pub child_order: ChildOrder,
-    /// Reference instant for slack-based task ordering (`t_s`).
-    pub now: Time,
     /// Hard cap on generated vertices, guarding unbounded searches when the
-    /// host's vertex cost is zero. `None` = rely on the meter alone.
+    /// host's vertex cost is zero. `None` = rely on the meter alone. Only
+    /// the tree search reads it.
     pub vertex_cap: Option<u64>,
-    /// Optional Section-3 pruning heuristics (depth bound, backtrack
-    /// limit).
-    pub pruning: Pruning,
+    /// Section 3's limit on backtracking: the search ends
+    /// ([`Termination::Pruned`]) after this many backtracks. `None` =
+    /// unlimited. Only the tree search reads it.
+    pub backtrack_limit: Option<u64>,
     /// The machine's resource earliest-available times at phase start
     /// (empty for the paper's independent tasks).
-    pub resources: ResourceEats,
+    pub resources: &'a ResourceEats,
     /// Collect decision evidence ([`SearchOutcome::provenance`]). Off by
     /// default: collection allocates per expansion, and the flight recorder
     /// must be free when tracing is disabled.
     pub provenance: bool,
 }
 
-impl<'a> SearchParams<'a> {
+impl<'a> PhaseInput<'a> {
     /// The batch's tasks, in batch order: the indices every assignment,
     /// arena node and level key refers to.
     #[inline]
-    fn tasks(&self) -> &'a [Task] {
+    #[must_use]
+    pub fn tasks(&self) -> &'a [Task] {
         self.batch.tasks()
+    }
+}
+
+/// What one tree search reads: a phase's inputs and the layout RT-SADS or
+/// D-COLS searches them under.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchParams<'a> {
+    /// The phase's inputs.
+    pub input: PhaseInput<'a>,
+    /// Tree layout (assignment- vs sequence-oriented).
+    pub representation: Representation,
+    /// Heuristic ordering of feasible successors.
+    pub child_order: ChildOrder,
+}
+
+impl<'a> SearchParams<'a> {
+    /// The batch's tasks (see [`PhaseInput::tasks`]).
+    #[inline]
+    fn tasks(&self) -> &'a [Task] {
+        self.input.tasks()
     }
 }
 
@@ -425,11 +429,12 @@ impl Work {
         self.chain.clear();
         self.ckeys.clear();
         self.shard_rank.clear();
-        let n = params.tasks().len();
+        let input = &params.input;
+        let n = input.tasks().len();
         let state = self
             .state
-            .get_or_insert_with(|| PathState::new(params.initial_finish.to_vec(), n));
-        state.reset(params.initial_finish, n, &params.resources);
+            .get_or_insert_with(|| PathState::new(input.initial_finish.to_vec(), n));
+        state.reset(input.initial_finish, n, input.resources);
         if let Some(topo) = shards {
             self.shard_ends.clear();
             self.shard_ends
@@ -444,11 +449,11 @@ impl Work {
 /// task, unsorted, and the expansion scan sorts more of it only when its
 /// cursor reaches the end of the sorted prefix `keys[..sorted]`. A walk
 /// reads a few dozen levels of a batch of hundreds, so most of the order is
-/// never sorted. A key is `(criterion << 64) | batch index`, the
-/// [`TaskOrder::key`] pair taken once per phase, so selecting and sorting
-/// compare integers instead of re-reading the batch. Keys end in the batch
-/// index, so they are unique and every prefix equals the full sort's
-/// prefix.
+/// never sorted. A key is `(deadline << 64) | batch index`, taken once per
+/// phase, so selecting and sorting compare integers instead of re-reading
+/// the batch. Keys end in the batch index, so they are unique and every
+/// prefix equals the full sort's prefix: the `(deadline, batch index)`
+/// order every level of RT-SADS fixes its task by.
 #[derive(Debug, Default)]
 struct LevelOrder {
     keys: Vec<u128>,
@@ -461,13 +466,13 @@ impl LevelOrder {
 
     /// Refills the order with the packed keys of the viable tasks, none
     /// sorted yet.
-    fn reset(&mut self, viable: &[bool], order: TaskOrder, tasks: &[Task], now: Time) {
+    fn reset(&mut self, viable: &[bool], tasks: &[Task]) {
         self.keys.clear();
-        self.keys
-            .extend((0..viable.len()).filter(|&t| viable[t]).map(|t| {
-                let (criterion, index) = order.key(tasks, now, t);
-                (u128::from(criterion) << 64) | index as u128
-            }));
+        self.keys.extend(
+            (0..viable.len())
+                .filter(|&t| viable[t])
+                .map(|t| (u128::from(tasks[t].deadline().as_micros()) << 64) | t as u128),
+        );
         self.sorted = 0;
     }
 
@@ -610,7 +615,7 @@ impl KeyRank {
         match params.child_order {
             ChildOrder::None => KeyRank::Generation,
             ChildOrder::EarliestDeadline if !params.representation.is_assignment_oriented() => {
-                let anchor = params.initial_finish.iter().copied().min();
+                let anchor = params.input.initial_finish.iter().copied().min();
                 KeyRank::Deadline(anchor.unwrap_or(Time::ZERO))
             }
             _ => KeyRank::Zero,
@@ -638,13 +643,13 @@ impl KeyRank {
 /// there is no per-level shard choice to make). The topology must span
 /// exactly the phase's processors.
 fn shard_gate<'a>(params: &SearchParams<'a>) -> Option<&'a TopologySpec> {
-    let topo = params.comm.topology()?;
+    let topo = params.input.comm.topology()?;
     if topo.nodes() < 2 || !params.representation.is_assignment_oriented() {
         return None;
     }
     assert_eq!(
         topo.workers(),
-        params.initial_finish.len(),
+        params.input.initial_finish.len(),
         "topology processor count must match the phase's processors"
     );
     Some(topo)
@@ -712,7 +717,7 @@ impl Ctx<'_, '_> {
     /// walk's own state is. Allocates freely: the oracle is never on the
     /// production hot path.
     fn replay(&self, arena: &[Node], shard_ends: &[usize], id: Option<usize>) -> PathState {
-        let params = self.params;
+        let input = &self.params.input;
         let mut chain = Vec::new();
         let mut cursor = id;
         while let Some(i) = cursor {
@@ -720,16 +725,16 @@ impl Ctx<'_, '_> {
             cursor = arena[i].parent();
         }
         let mut state = PathState::with_resources(
-            params.initial_finish.to_vec(),
-            params.tasks().len(),
-            params.resources.clone(),
+            input.initial_finish.to_vec(),
+            input.tasks().len(),
+            input.resources.clone(),
         );
         if self.shards.is_some() {
             state.configure_shards(shard_ends);
         }
         for &i in chain.iter().rev() {
             let node = arena[i];
-            state.apply(params.tasks(), params.comm, node.task(), node.processor());
+            state.apply(input.tasks(), input.comm, node.task(), node.processor());
         }
         state
     }
@@ -780,7 +785,7 @@ impl Ctx<'_, '_> {
                 let node = work.arena[i];
                 state.apply(
                     self.params.tasks(),
-                    self.params.comm,
+                    self.params.input.comm,
                     node.task(),
                     node.processor(),
                 );
@@ -803,16 +808,8 @@ impl Ctx<'_, '_> {
         best: &mut Best,
     ) -> bool {
         let params = self.params;
+        let (tasks, comm) = (params.tasks(), params.input.comm);
         let state = work.state.as_mut().expect("walk state initialized");
-        // Depth bound (Section 3 pruning): do not expand below the bound.
-        if params
-            .pruning
-            .depth_bound
-            .is_some_and(|bound| state.depth() >= bound)
-        {
-            stats.depth_prunes += 1;
-            return false;
-        }
         stats.expansions += 1;
         let max_skips = params.representation.max_skips(state);
         let assignment = params.representation.is_assignment_oriented();
@@ -855,14 +852,13 @@ impl Ctx<'_, '_> {
                 fixed = p;
                 let state = &*state;
                 let candidates = state.unassigned().filter(|&t| self.viable[t]).map(|t| {
-                    let completion =
-                        state.completion_if(params.tasks(), params.comm, t, ProcessorId::new(p));
+                    let completion = state.completion_if(tasks, comm, t, ProcessorId::new(p));
                     (t, completion)
                 });
                 self.classify(
                     self.n_viable - state.depth(),
                     candidates,
-                    |t| params.tasks()[t].deadline(),
+                    |t| tasks[t].deadline(),
                     &mut work.ckeys,
                     &mut work.prof,
                     meter,
@@ -873,12 +869,15 @@ impl Ctx<'_, '_> {
                     break; // no unassigned task remains at all
                 };
                 fixed = task;
-                let t = &params.tasks()[task];
+                let t = &tasks[task];
                 // The task is fixed for the round, so its deadline is too,
                 // and so is its class's row of the phase's cost table, which
                 // a blocked round never reads.
                 let deadline = t.deadline();
-                let row = || self.costs.row(params.batch.class_ids()[task] as usize);
+                let row = || {
+                    self.costs
+                        .row(params.input.batch.class_ids()[task] as usize)
+                };
                 // The round's candidates are one row of the task's
                 // candidate column, synced in O(Δ) from the journal: under
                 // shard-first generation only the winning shards'
@@ -905,12 +904,7 @@ impl Ctx<'_, '_> {
                     for &(_, s) in &work.shard_rank {
                         let (lo, hi) = topo.node_range(s);
                         candidates += hi - lo;
-                        state.ensure_candidate_segment(
-                            params.tasks(),
-                            task,
-                            s,
-                            node_demand(t, costs[s]),
-                        );
+                        state.ensure_candidate_segment(tasks, task, s, node_demand(t, costs[s]));
                     }
                     work.prof.stop(Stage::Fill, t_fill);
                     let state = &*state;
@@ -938,16 +932,11 @@ impl Ctx<'_, '_> {
                         // The constant model, or a one-node topology: the
                         // segment is the one node.
                         &[cost] => {
-                            state.ensure_candidate_segment(
-                                params.tasks(),
-                                task,
-                                0,
-                                node_demand(t, cost),
-                            );
+                            state.ensure_candidate_segment(tasks, task, 0, node_demand(t, cost));
                         }
                         // The mesh prices each processor by its distance.
-                        _ => state.ensure_candidate_segment(params.tasks(), task, 0, |k| {
-                            params.comm.demand(t, ProcessorId::new(k))
+                        _ => state.ensure_candidate_segment(tasks, task, 0, |k| {
+                            comm.demand(t, ProcessorId::new(k))
                         }),
                     }
                     work.prof.stop(Stage::Fill, t_fill);
@@ -975,7 +964,7 @@ impl Ctx<'_, '_> {
         // each extend in one pass over the keys.
         let t_select = work.prof.start();
         let keys = &mut work.ckeys;
-        order_keys(keys, self.rank, params.tasks());
+        order_keys(keys, self.rank, tasks);
         let Some(&top) = keys.first() else {
             work.prof.stop(Stage::Select, t_select);
             return false;
@@ -1001,7 +990,7 @@ impl Ctx<'_, '_> {
                 .extend(members.map(|task| Node { task, ..shared }));
         }
         work.cl.extend(base_id..work.arena.len());
-        if params.provenance {
+        if params.input.provenance {
             work.node_costs.extend(
                 keys.iter()
                     .rev()
@@ -1092,7 +1081,7 @@ impl Ctx<'_, '_> {
         stats: &mut SearchStats,
     ) -> (usize, bool) {
         let n = n as u64;
-        let cap = self.params.vertex_cap.unwrap_or(u64::MAX);
+        let cap = self.params.input.vertex_cap.unwrap_or(u64::MAX);
         let attempts = n.min(cap.saturating_sub(stats.vertices_generated));
         let charged = meter.charge_vertices(attempts);
         let failed = charged < attempts;
@@ -1168,7 +1157,7 @@ impl Ctx<'_, '_> {
     }
 
     /// Walks the candidate list until a leaf, a dead-end, a budget break or
-    /// a pruning bound: the engine's main loop.
+    /// the backtrack limit: the engine's main loop.
     fn dfs_loop(
         &self,
         work: &mut Work,
@@ -1176,11 +1165,11 @@ impl Ctx<'_, '_> {
         stats: &mut SearchStats,
         best: &mut Best,
     ) -> Termination {
-        let params = self.params;
+        let input = &self.params.input;
         let mut last_expanded = None;
         loop {
             if meter.exhausted()
-                || params
+                || input
                     .vertex_cap
                     .is_some_and(|cap| stats.vertices_generated >= cap)
             {
@@ -1191,8 +1180,7 @@ impl Ctx<'_, '_> {
             };
             if work.arena[cv].parent() != last_expanded {
                 stats.backtracks += 1;
-                if params
-                    .pruning
+                if input
                     .backtrack_limit
                     .is_some_and(|limit| stats.backtracks > limit)
                 {
@@ -1259,7 +1247,7 @@ impl<'a, 'b> Phase<'a, 'b> {
             Vec::new()
         } else {
             let t_screen = work.prof.start();
-            let screened = screen_batch(params, node_min, costs, theta, viable);
+            let screened = screen_batch(&params.input, node_min, costs, theta, viable);
             work.prof.stop(Stage::Screen, t_screen);
             screened
         };
@@ -1271,16 +1259,15 @@ impl<'a, 'b> Phase<'a, 'b> {
         };
 
         let processor_order = match params.representation {
-            Representation::AssignmentOriented { .. } => None,
+            Representation::AssignmentOriented => None,
             Representation::SequenceOriented {
                 processor_order, ..
-            } => Some(*processor_order),
+            } => Some(processor_order),
         };
         let mut shards = None;
         if n_viable > 0 {
-            if let Representation::AssignmentOriented { task_order } = params.representation {
-                work.level
-                    .reset(viable, *task_order, params.tasks(), params.now);
+            if params.representation.is_assignment_oriented() {
+                work.level.reset(viable, params.tasks());
             }
             // Shard-first gate: active only under a multi-node hierarchical
             // topology with the assignment-oriented layout. Everything else
@@ -1293,6 +1280,7 @@ impl<'a, 'b> Phase<'a, 'b> {
         // Root makespan: the latest initial finish time (the empty
         // schedule's CE). The root is the fallback "best" vertex.
         let root_makespan = params
+            .input
             .initial_finish
             .iter()
             .copied()
@@ -1322,7 +1310,7 @@ impl<'a, 'b> Phase<'a, 'b> {
         let termination = if self.ctx.n_viable == 0 {
             // Nothing to search: an empty batch is trivially a leaf, a fully
             // screened one a dead end; either delivers the empty root.
-            if self.ctx.params.batch.is_empty() {
+            if self.ctx.params.input.batch.is_empty() {
                 Termination::Leaf
             } else {
                 Termination::DeadEnd
@@ -1355,10 +1343,10 @@ impl<'a, 'b> Phase<'a, 'b> {
             }
             None => Vec::new(),
         };
-        let provenance =
-            self.ctx.params.provenance.then(|| {
-                phase_provenance(self.ctx.params.comm, self.work, self.best.2, self.screened)
-            });
+        let input = &self.ctx.params.input;
+        let provenance = input
+            .provenance
+            .then(|| phase_provenance(input.comm, self.work, self.best.2, self.screened));
         SearchOutcome {
             assignments,
             termination,
@@ -1373,7 +1361,7 @@ impl<'a, 'b> Phase<'a, 'b> {
 /// The phase-level viability screen over the whole batch: fills the empty
 /// `viable` with one verdict per task and returns the evidence for rejected
 /// tasks. Every verdict comes from the same test; only under
-/// [`SearchParams::provenance`] are the rejected tasks' probes then built
+/// [`PhaseInput::provenance`] are the rejected tasks' probes then built
 /// with the test's operands, one per processor (viable tasks never need
 /// theirs).
 ///
@@ -1390,15 +1378,15 @@ impl<'a, 'b> Phase<'a, 'b> {
 /// (into the empty `theta`, see [`class_threshold`]), and then makes one
 /// comparison per task.
 fn screen_batch(
-    params: &SearchParams<'_>,
+    input: &PhaseInput<'_>,
     node_min: &mut Vec<Time>,
     costs: &mut CostTable,
     theta: &mut Vec<Time>,
     viable: &mut Vec<bool>,
 ) -> Vec<ScreenEvidence> {
-    let finish = params.initial_finish;
+    let finish = input.initial_finish;
     let processors = finish.len();
-    match params.comm {
+    match input.comm {
         CommModel::Constant { .. } => node_min.extend(finish.iter().copied().min()),
         CommModel::Hierarchical { spec } => {
             assert_eq!(
@@ -1417,14 +1405,14 @@ fn screen_batch(
         }
         CommModel::Mesh { .. } => {}
     }
-    let batch = params.batch;
+    let batch = input.batch;
     let classes = batch.affinity_classes();
-    costs.fill(params.comm, classes, processors);
+    costs.fill(input.comm, classes, processors);
     theta.extend(
         classes
             .iter()
             .enumerate()
-            .map(|(class, a)| class_threshold(params.comm, finish, node_min, costs.row(class), a)),
+            .map(|(class, a)| class_threshold(input.comm, finish, node_min, costs.row(class), a)),
     );
     let classes = batch.class_ids().iter();
     viable.extend(
@@ -1432,7 +1420,7 @@ fn screen_batch(
             .zip(batch.expiry())
             .map(|(&class, &e)| theta[class as usize] < e),
     );
-    if !params.provenance {
+    if !input.provenance {
         return Vec::new();
     }
     viable
@@ -1440,11 +1428,11 @@ fn screen_batch(
         .enumerate()
         .filter(|&(_, &ok)| !ok)
         .map(|(idx, _)| {
-            let t = &params.tasks()[idx];
+            let t = &input.tasks()[idx];
             let probes = ProcessorId::all(processors)
                 .map(|p| {
                     let available = finish[p.index()];
-                    let demand = params.comm.demand(t, p);
+                    let demand = input.comm.demand(t, p);
                     ScreenProbe {
                         processor: p.index(),
                         available_us: available.as_micros(),
@@ -1675,31 +1663,34 @@ mod tests {
         SchedulingMeter::new(HostParams::free(), Duration::ZERO)
     }
 
+    static NO_RESOURCES: ResourceEats = ResourceEats::new();
+
     fn params<'a>(
         batch: &'a Batch,
         comm: &'a CommModel,
         initial: &'a [Time],
-        repr: &'a Representation,
+        repr: &Representation,
         order: ChildOrder,
     ) -> SearchParams<'a> {
         SearchParams {
-            batch,
-            comm,
-            initial_finish: initial,
-            representation: repr,
+            input: PhaseInput {
+                batch,
+                comm,
+                initial_finish: initial,
+                vertex_cap: Some(100_000),
+                backtrack_limit: None,
+                resources: &NO_RESOURCES,
+                provenance: false,
+            },
+            representation: *repr,
             child_order: order,
-            now: Time::ZERO,
-            vertex_cap: Some(100_000),
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         }
     }
 
     #[test]
     fn empty_batch_is_a_trivial_leaf() {
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let empty = Batch::new(0);
         let p = params(&empty, &comm, &initial, &repr, ChildOrder::LoadBalance);
@@ -1713,7 +1704,7 @@ mod tests {
     fn assignment_oriented_schedules_everything_feasible() {
         let batch: Batch = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 3];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -1734,7 +1725,7 @@ mod tests {
             mk_task(2, 100, 300, &[]),
         ]);
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -1755,7 +1746,7 @@ mod tests {
     fn quantum_exhaustion_returns_partial_schedule() {
         let batch: Batch = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 4];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         // 10us quantum at 1us per vertex = 10 vertices = 2.5 expansions of 4
@@ -1780,7 +1771,7 @@ mod tests {
         // fails -> 11 counted, 10 classified.
         let batch: Batch = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 4];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let mut meter = SchedulingMeter::new(
@@ -1806,10 +1797,10 @@ mod tests {
         // 4-processor expansion breaks two candidates into the second round.
         let batch: Batch = (0..50).map(|i| mk_task(i, 100, 1_000_000, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 4];
         let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.vertex_cap = Some(6);
+        p.input.vertex_cap = Some(6);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::QuantumExhausted);
         assert_eq!(out.stats.vertices_generated, 6, "never exceeds the cap");
@@ -1836,7 +1827,7 @@ mod tests {
             mk_task(3, 5, 600, &[]),
         ]);
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let mut initial = [Time::from_micros(100); 5];
         initial[0] = Time::ZERO;
         // (vertex cost us, quantum us, vertex cap) ->
@@ -1860,7 +1851,7 @@ mod tests {
         ];
         for ((cost, quantum, cap), expected) in cases {
             let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-            p.vertex_cap = Some(cap);
+            p.input.vertex_cap = Some(cap);
             let host = HostParams::new(Duration::from_micros(cost));
             let mut meters =
                 [0, 1].map(|_| SchedulingMeter::new(host, Duration::from_micros(quantum)));
@@ -1930,7 +1921,7 @@ mod tests {
         ]);
         let seq_comm = CommModel::constant(Duration::from_micros(50));
         let seq_initial = [Time::ZERO; 2];
-        let asg = Representation::assignment_oriented();
+        let asg = Representation::AssignmentOriented;
         let seq = Representation::sequence_oriented();
         // Per round: its candidate count m, then for the cuts after 1
         // charge, after 3, after m − 1, by a cap of 4 and uncut, the
@@ -1987,7 +1978,7 @@ mod tests {
             ];
             for ((quantum, cap), want) in cuts.into_iter().zip(expected) {
                 let mut p = params(batch, comm, initial, repr, order);
-                p.vertex_cap = Some(cap.unwrap_or(100_000));
+                p.input.vertex_cap = Some(cap.unwrap_or(100_000));
                 let meter = || match quantum {
                     Some(q) => SchedulingMeter::new(
                         HostParams::new(Duration::from_micros(1)),
@@ -2022,11 +2013,12 @@ mod tests {
     #[test]
     fn reused_scratch_matches_fresh_runs() {
         // One scratch carried across phases of very different shapes (sizes,
-        // layouts, pruning, quantum pressure) must reproduce every fresh-run
-        // outcome bit for bit — the clearing invariant of DESIGN.md §8.
+        // layouts, backtrack limits, quantum pressure) must reproduce every
+        // fresh-run outcome bit for bit — the clearing invariant of
+        // DESIGN.md §8.
         let comm_free = CommModel::free();
         let comm_slow = CommModel::constant(Duration::from_micros(1_000));
-        let asg = Representation::assignment_oriented();
+        let asg = Representation::AssignmentOriented;
         let seq = Representation::sequence_oriented();
         let big: Batch = (0..30).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let tight: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
@@ -2036,34 +2028,24 @@ mod tests {
             &'a CommModel,
             &'a Representation,
             usize,
-            Pruning,
+            Option<u64>,
             bool,
         );
         let scenarios: Vec<Scenario> = vec![
-            (&big, &comm_free, &asg, 3, Pruning::default(), false),
-            (&tight, &comm_free, &asg, 2, Pruning::default(), true),
-            (&affine, &comm_slow, &asg, 2, Pruning::default(), true),
-            (&big, &comm_free, &seq, 2, Pruning::default(), false),
-            (
-                &tight,
-                &comm_free,
-                &asg,
-                2,
-                Pruning {
-                    depth_bound: Some(4),
-                    backtrack_limit: Some(2),
-                },
-                false,
-            ),
+            (&big, &comm_free, &asg, 3, None, false),
+            (&tight, &comm_free, &asg, 2, None, true),
+            (&affine, &comm_slow, &asg, 2, None, true),
+            (&big, &comm_free, &seq, 2, None, false),
+            (&tight, &comm_free, &asg, 2, Some(2), false),
             // shrink back down: stale capacity must not leak into a small phase
-            (&affine, &comm_free, &asg, 2, Pruning::default(), true),
+            (&affine, &comm_free, &asg, 2, None, true),
         ];
         let mut scratch = SearchScratch::new();
-        for (batch, comm, repr, procs, pruning, provenance) in scenarios {
+        for (batch, comm, repr, procs, backtrack_limit, provenance) in scenarios {
             let initial = vec![Time::ZERO; procs];
             let mut p = params(batch, comm, &initial, repr, ChildOrder::LoadBalance);
-            p.pruning = pruning;
-            p.provenance = provenance;
+            p.input.backtrack_limit = backtrack_limit;
+            p.input.provenance = provenance;
             let fresh = search_schedule(&p, &mut free_meter());
             let reused = search_schedule_with(&p, &mut free_meter(), &mut scratch);
             assert_eq!(fresh.assignments, reused.assignments);
@@ -2081,7 +2063,7 @@ mod tests {
         // Two tasks, each alone feasible, but not both on one processor.
         let batch = Batch::from_iter([mk_task(0, 100, 120, &[]), mk_task(1, 100, 120, &[])]);
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 1]; // single processor
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -2110,7 +2092,7 @@ mod tests {
         assert_eq!(out_seq.termination, Termination::DeadEnd);
         assert!(out_seq.assignments.is_empty());
 
-        let asg = Representation::assignment_oriented();
+        let asg = Representation::AssignmentOriented;
         let p = params(&batch, &comm, &initial, &asg, ChildOrder::LoadBalance);
         let out_asg = search_schedule(&p, &mut free_meter());
         assert_eq!(out_asg.termination, Termination::Leaf);
@@ -2144,7 +2126,7 @@ mod tests {
             mk_task(1, 100, 150, &[0]),    // B: affine P0 only; comm 1000 -> infeasible elsewhere
         ]);
         let comm = CommModel::constant(Duration::from_micros(1_000));
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -2165,36 +2147,13 @@ mod tests {
         // backtracking through every arrangement of the first eight.
         let batch: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.vertex_cap = Some(500);
+        p.input.vertex_cap = Some(500);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::QuantumExhausted);
         assert!(out.stats.vertices_generated <= 501);
-    }
-
-    #[test]
-    fn depth_bound_limits_schedule_length() {
-        let batch: Batch = (0..10).map(|i| mk_task(i, 100, 100_000, &[])).collect();
-        let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 2];
-        let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.pruning = Pruning {
-            depth_bound: Some(4),
-            backtrack_limit: None,
-        };
-        let out = search_schedule(&p, &mut free_meter());
-        assert_eq!(out.assignments.len(), 4, "bounded at depth 4");
-        assert!(
-            out.stats.depth_prunes > 0,
-            "the bound actually refused expansions"
-        );
-        assert_ne!(out.termination, Termination::Leaf);
-        for a in &out.assignments {
-            assert!(batch.tasks()[a.task].meets_deadline(a.completion));
-        }
     }
 
     #[test]
@@ -2202,13 +2161,10 @@ mod tests {
         // Force heavy backtracking: 10 equal tasks, capacity for 8.
         let batch: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.pruning = Pruning {
-            depth_bound: None,
-            backtrack_limit: Some(3),
-        };
+        p.input.backtrack_limit = Some(3);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Pruned);
         assert!(out.stats.backtracks <= 4);
@@ -2219,13 +2175,10 @@ mod tests {
     fn zero_backtrack_limit_is_one_dive() {
         let batch: Batch = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.pruning = Pruning {
-            depth_bound: None,
-            backtrack_limit: Some(0),
-        };
+        p.input.backtrack_limit = Some(0);
         let out = search_schedule(&p, &mut free_meter());
         // one straight dive schedules the 8 that fit, then stops at the
         // first backtrack
@@ -2237,10 +2190,10 @@ mod tests {
     fn pruning_defaults_do_not_bind() {
         let batch: Batch = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        assert_eq!(p.pruning, Pruning::default());
+        assert_eq!(p.input.backtrack_limit, None);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.termination, Termination::Leaf);
     }
@@ -2249,7 +2202,7 @@ mod tests {
     fn stats_are_consistent() {
         let batch: Batch = (0..5).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -2265,7 +2218,7 @@ mod tests {
     fn initial_backlog_delays_completions() {
         let batch = Batch::from_iter([mk_task(0, 100, 100_000, &[])]);
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         // P0 busy until 5_000, P1 until 200
         let initial = [Time::from_micros(5_000), Time::from_micros(200)];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
@@ -2280,7 +2233,7 @@ mod tests {
         // 200us; the outcome must carry that makespan, not a sentinel.
         let batch: Batch = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 3];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -2301,13 +2254,10 @@ mod tests {
             .map(|i| mk_task(i, 100, 100_000, &[]))
             .collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.pruning = Pruning {
-            depth_bound: None,
-            backtrack_limit: Some(0),
-        };
+        p.input.backtrack_limit = Some(0);
         let out = search_schedule(&p, &mut free_meter());
         assert_eq!(out.assignments.len(), n);
         assert_eq!(out.stats.undos, 0, "a dive never leaves its own branch");
@@ -2324,16 +2274,16 @@ mod tests {
         // bit-for-bit on every outcome field, including the stats.
         let comm_free = CommModel::free();
         let comm_slow = CommModel::constant(Duration::from_micros(1_000));
-        let asg = Representation::assignment_oriented();
+        let asg = Representation::AssignmentOriented;
         let seq = Representation::sequence_oriented();
-        let scenarios: Vec<(Batch, &CommModel, &Representation, usize, Pruning)> = vec![
+        let scenarios: Vec<(Batch, &CommModel, &Representation, usize, Option<u64>)> = vec![
             // backtracking-heavy: 10 tasks, capacity 8
             (
                 (0..10).map(|i| mk_task(i, 100, 400, &[])).collect(),
                 &comm_free,
                 &asg,
                 2,
-                Pruning::default(),
+                None,
             ),
             // affinity forces a greedy mistake + recovery
             (
@@ -2341,7 +2291,7 @@ mod tests {
                 &comm_slow,
                 &asg,
                 2,
-                Pruning::default(),
+                None,
             ),
             // sequence-oriented with skips
             (
@@ -2349,9 +2299,9 @@ mod tests {
                 &comm_free,
                 &seq,
                 3,
-                Pruning::default(),
+                None,
             ),
-            // mixed feasibility under a depth bound
+            // mixed feasibility
             (
                 (0..8)
                     .map(|i| mk_task(i, 100, if i % 3 == 0 { 90 } else { 100_000 }, &[]))
@@ -2359,10 +2309,7 @@ mod tests {
                 &comm_free,
                 &asg,
                 2,
-                Pruning {
-                    depth_bound: Some(3),
-                    backtrack_limit: None,
-                },
+                None,
             ),
             // backtrack-limited dead-end hunt
             (
@@ -2370,16 +2317,13 @@ mod tests {
                 &comm_free,
                 &asg,
                 2,
-                Pruning {
-                    depth_bound: None,
-                    backtrack_limit: Some(3),
-                },
+                Some(3),
             ),
         ];
-        for (batch, comm, repr, procs, pruning) in scenarios {
+        for (batch, comm, repr, procs, backtrack_limit) in scenarios {
             let initial = vec![Time::ZERO; procs];
             let mut p = params(&batch, comm, &initial, repr, ChildOrder::LoadBalance);
-            p.pruning = pruning;
+            p.input.backtrack_limit = backtrack_limit;
             let inc = search_schedule(&p, &mut free_meter());
             let rep = search_schedule_replay(&p, &mut free_meter());
             assert_eq!(inc.assignments, rep.assignments);
@@ -2401,10 +2345,10 @@ mod tests {
             mk_task(2, 100, 300, &[]),
         ]);
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 2];
         let mut p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.provenance = true;
+        p.input.provenance = true;
         let out = search_schedule(&p, &mut free_meter());
         let prov = out.provenance.as_ref().expect("provenance requested");
         assert_eq!(prov.screened.len(), 1);
@@ -2442,7 +2386,7 @@ mod tests {
         // infeasible, so nothing is scheduled.
         let batch = Batch::from_iter([mk_task(0, 100, 500, &[])]);
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::from_micros(450)];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -2457,7 +2401,7 @@ mod tests {
         let batch: Batch = (0..12)
             .map(|i| mk_task(i, 200 + i * 37, 40_000, &[(i as usize) % 4]))
             .collect();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 8];
 
         let flat_comm = CommModel::constant(c);
@@ -2486,7 +2430,7 @@ mod tests {
         let batch: Batch = (0..20)
             .map(|i| mk_task(i, 300, 200_000, &[(i as usize) % 16]))
             .collect();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 16];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -2520,7 +2464,7 @@ mod tests {
         let batch: Batch = (0..10)
             .map(|i| mk_task(i, 400, 1_200 + i * 400, &[(i as usize) % 8]))
             .collect();
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let initial = [Time::ZERO; 8];
         let p = params(&batch, &comm, &initial, &repr, ChildOrder::LoadBalance);
         let out = search_schedule(&p, &mut free_meter());
@@ -2575,7 +2519,7 @@ mod tests {
             CommModel::hierarchical(TopologySpec::new(8, 4, 2, 0, 500, 1_500)),
         ];
         let reprs = [
-            Representation::assignment_oriented(),
+            Representation::AssignmentOriented,
             Representation::sequence_oriented(),
         ];
         let mut rng = SimRng::seed_from(2024);
@@ -2598,8 +2542,8 @@ mod tests {
                         .map(|_| Time::from_micros(rng.uniform_u64(0..800)))
                         .collect();
                     let mut p = params(&batch, comm, &initial, repr, ChildOrder::LoadBalance);
-                    p.provenance = true;
-                    p.vertex_cap = Some(rng.uniform_u64(20..400));
+                    p.input.provenance = true;
+                    p.input.vertex_cap = Some(rng.uniform_u64(20..400));
 
                     let out = search_schedule_with(&p, &mut free_meter(), &mut scratch);
                     let prov = out.provenance.as_ref().expect("provenance requested");
@@ -2640,14 +2584,14 @@ mod tests {
     /// The all-probes formulation of the screen: a P-wide probe list for
     /// every batch task, the verdict read off those probes, and the probes
     /// of the rejected tasks kept as evidence.
-    fn screen_all_probes(params: &SearchParams<'_>) -> (Vec<bool>, Vec<ScreenEvidence>) {
+    fn screen_all_probes(input: &PhaseInput<'_>) -> (Vec<bool>, Vec<ScreenEvidence>) {
         let mut viable = Vec::new();
         let mut evidence = Vec::new();
-        for (idx, t) in params.tasks().iter().enumerate() {
-            let probes: Vec<ScreenProbe> = ProcessorId::all(params.initial_finish.len())
+        for (idx, t) in input.tasks().iter().enumerate() {
+            let probes: Vec<ScreenProbe> = ProcessorId::all(input.initial_finish.len())
                 .map(|p| {
-                    let available = params.initial_finish[p.index()];
-                    let demand = params.comm.demand(t, p);
+                    let available = input.initial_finish[p.index()];
+                    let demand = input.comm.demand(t, p);
                     ScreenProbe {
                         processor: p.index(),
                         available_us: available.as_micros(),
@@ -2704,21 +2648,22 @@ mod tests {
             ),
             (CommModel::constant(Duration::from_micros(900)), 130),
         ];
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let mut rng = SimRng::seed_from(1998);
         let (mut node_min, mut costs, mut theta) = (Vec::new(), CostTable::default(), Vec::new());
         // Asserts the screen against the all-probes formulation, with and
         // without provenance, and returns the verdicts.
         let mut check = |batch: &Batch, comm: &CommModel, initial: &[Time]| -> Vec<bool> {
             let mut p = params(batch, comm, initial, &repr, ChildOrder::LoadBalance);
-            let (want_viable, want_evidence) = screen_all_probes(&p);
+            let (want_viable, want_evidence) = screen_all_probes(&p.input);
             for provenance in [false, true] {
-                p.provenance = provenance;
+                p.input.provenance = provenance;
                 let mut viable = Vec::new();
                 node_min.clear();
                 costs.clear();
                 theta.clear();
-                let evidence = screen_batch(&p, &mut node_min, &mut costs, &mut theta, &mut viable);
+                let evidence =
+                    screen_batch(&p.input, &mut node_min, &mut costs, &mut theta, &mut viable);
                 assert_eq!(viable, want_viable, "verdicts under {comm:?}");
                 if provenance {
                     assert_eq!(evidence, want_evidence);
@@ -2945,7 +2890,7 @@ mod tests {
                 }
             }
             for repr in [
-                Representation::assignment_oriented(),
+                Representation::AssignmentOriented,
                 Representation::sequence_oriented(),
             ] {
                 let pair = |m: usize| {
@@ -3003,19 +2948,13 @@ mod tests {
 
     #[test]
     fn level_order_prefix_grows_into_the_full_sort() {
-        // The on-demand level order of packed keys against the full sort,
-        // over all four task orders, batches of up to ~600 tasks (far past
-        // the first chunk) and random viable masks. Narrow criterion
-        // ranges make many criteria tie, so the batch index in the key's
+        // The on-demand level order of packed keys against the full sort by
+        // `(deadline, batch index)`, over batches of up to ~600 tasks (far
+        // past the first chunk) and random viable masks. A narrow deadline
+        // range makes many deadlines tie, so the batch index in the key's
         // low word must break them as the full sort does.
         use paragon_des::SimRng;
 
-        let orders = [
-            TaskOrder::EarliestDeadline,
-            TaskOrder::MinSlack,
-            TaskOrder::Arrival,
-            TaskOrder::ShortestProcessing,
-        ];
         let mut rng = SimRng::seed_from(1998);
         let mut level = LevelOrder::default();
         let mut full = Vec::new();
@@ -3026,16 +2965,15 @@ mod tests {
                 .collect();
             let density = *rng.choose(&[0.0, 0.05, 0.5, 0.95, 1.0]);
             let viable: Vec<bool> = (0..n).map(|_| rng.bernoulli(density)).collect();
-            let now = Time::from_micros(rng.uniform_u64(0..300));
-            let order = orders[case % orders.len()];
-            order.order_into(&tasks, now, &mut full);
-            full.retain(|&t| viable[t]);
+            full.clear();
+            full.extend((0..n).filter(|&t| viable[t]));
+            full.sort_unstable_by_key(|&t| (tasks[t].deadline(), t));
             let tasks_of = |keys: &[u128]| -> Vec<usize> {
                 keys.iter().map(|&k| LevelOrder::task(k)).collect()
             };
 
             // Random growth requests: every prefix equals the full sort's.
-            level.reset(&viable, order, &tasks, now);
+            level.reset(&viable, &tasks);
             assert_eq!(level.sorted, 0);
             while level.sorted < full.len() {
                 for _ in 0..rng.uniform_usize(1..4) {
@@ -3044,13 +2982,13 @@ mod tests {
                 assert_eq!(tasks_of(&level.keys[..level.sorted]), full[..level.sorted]);
             }
             assert!(!level.grow());
-            assert_eq!(tasks_of(&level.keys), full, "case {case}: {order:?}");
+            assert_eq!(tasks_of(&level.keys), full, "case {case}");
             for &k in &level.keys {
                 let t = LevelOrder::task(k);
                 assert_eq!(
                     (k >> 64) as u64,
-                    order.key(&tasks, now, t).0,
-                    "criterion word"
+                    tasks[t].deadline().as_micros(),
+                    "deadline word"
                 );
             }
 
@@ -3064,7 +3002,7 @@ mod tests {
                     state.apply(&tasks, &comm, t, ProcessorId::new(0));
                 }
             }
-            level.reset(&viable, order, &tasks, now);
+            level.reset(&viable, &tasks);
             let mut cursor = 0;
             let mut scanned = Vec::new();
             while let Some(t) = level.next_unassigned(&mut cursor, &state) {
@@ -3075,7 +3013,7 @@ mod tests {
                 .copied()
                 .filter(|&t| !state.is_assigned(t))
                 .collect();
-            assert_eq!(scanned, want, "case {case}: {order:?}");
+            assert_eq!(scanned, want, "case {case}");
         }
     }
 

@@ -36,9 +36,10 @@ mod state;
 #[cfg(any(test, feature = "replay-oracle"))]
 pub use engine::search_schedule_replay;
 pub use engine::{
-    placement_probe, search_schedule, search_schedule_with, PhaseProvenance, PlacementEvidence,
-    Pruning, ScreenEvidence, SearchOutcome, SearchParams, SearchScratch, SearchStats, Termination,
+    placement_probe, search_schedule, search_schedule_with, PhaseInput, PhaseProvenance,
+    PlacementEvidence, ScreenEvidence, SearchOutcome, SearchParams, SearchScratch, SearchStats,
+    Termination,
 };
-pub use policy::{ChildOrder, ProcessorOrder, TaskOrder};
+pub use policy::{ChildOrder, ProcessorOrder};
 pub use repr::Representation;
 pub use state::{Assignment, PathState};

@@ -2,20 +2,18 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{ProcessorOrder, TaskOrder};
+use crate::policy::ProcessorOrder;
 use crate::state::PathState;
 
 /// How the scheduling tree `G` is laid out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Representation {
-    /// Figure 2: at each level a *task* is fixed (by `task_order`) and the
-    /// branches are the processors it could be assigned to. All processors
-    /// are reconsidered at every level, so backtracking "can undo or
-    /// resequence tasks on all processors".
-    AssignmentOriented {
-        /// Which task each level considers.
-        task_order: TaskOrder,
-    },
+    /// Figure 2: at each level a *task* is fixed, the earliest-deadline
+    /// unassigned one (ties by batch index), and the branches are the
+    /// processors it could be assigned to. All processors are reconsidered
+    /// at every level, so backtracking "can undo or resequence tasks on all
+    /// processors". What RT-SADS uses.
+    AssignmentOriented,
     /// Figure 1: at each level a *processor* is fixed (by `processor_order`)
     /// and the branches are the remaining tasks that could run on it.
     /// Backtracking at a level can only swap the task given to that level's
@@ -33,15 +31,6 @@ pub enum Representation {
 }
 
 impl Representation {
-    /// The canonical assignment-oriented representation (EDF task order) —
-    /// what RT-SADS uses.
-    #[must_use]
-    pub fn assignment_oriented() -> Self {
-        Representation::AssignmentOriented {
-            task_order: TaskOrder::EarliestDeadline,
-        }
-    }
-
     /// The canonical sequence-oriented representation (round-robin
     /// processors, no processor skipping) — what D-COLS uses.
     #[must_use]
@@ -55,7 +44,7 @@ impl Representation {
     /// Whether this is the assignment-oriented layout.
     #[must_use]
     pub fn is_assignment_oriented(&self) -> bool {
-        matches!(self, Representation::AssignmentOriented { .. })
+        matches!(self, Representation::AssignmentOriented)
     }
 
     /// The maximum number of *skip rounds* an expansion may attempt when a
@@ -70,7 +59,7 @@ impl Representation {
     #[must_use]
     pub fn max_skips(&self, state: &PathState) -> usize {
         match self {
-            Representation::AssignmentOriented { .. } => {
+            Representation::AssignmentOriented => {
                 (state.n_tasks() - state.depth()).saturating_sub(1)
             }
             Representation::SequenceOriented {
@@ -93,7 +82,7 @@ mod tests {
 
     #[test]
     fn constructors_and_predicates() {
-        assert!(Representation::assignment_oriented().is_assignment_oriented());
+        assert!(Representation::AssignmentOriented.is_assignment_oriented());
         assert!(!Representation::sequence_oriented().is_assignment_oriented());
     }
 
@@ -101,7 +90,7 @@ mod tests {
     fn max_skips_bound_each_layouts_skip_rounds() {
         // Assignment-oriented: every unassigned task after the first.
         let state = PathState::new(vec![Time::ZERO; 2], 3);
-        assert_eq!(Representation::assignment_oriented().max_skips(&state), 2);
+        assert_eq!(Representation::AssignmentOriented.max_skips(&state), 2);
         // The skipping sequence-oriented variant: every other processor.
         let state = PathState::new(vec![Time::ZERO; 3], 2);
         let repr = Representation::SequenceOriented {

@@ -104,8 +104,11 @@ pub struct ResourceEats {
 impl ResourceEats {
     /// No resources held.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        ResourceEats {
+            shared: Vec::new(),
+            exclusive: Vec::new(),
+        }
     }
 
     /// Overwrites `self` with `other`, reusing the existing backing storage.

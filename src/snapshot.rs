@@ -27,7 +27,7 @@ use rt_task::{Batch, CommModel, ResourceEats};
 use rt_telemetry::RunManifest;
 use rtsads::{Algorithm, PhaseScratch};
 use sched_search::{
-    search_schedule_with, ChildOrder, Pruning, Representation, SearchParams, SearchScratch,
+    search_schedule_with, ChildOrder, PhaseInput, Representation, SearchParams, SearchScratch,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -544,19 +544,20 @@ pub fn collect(measured: u64) -> BenchSnapshot {
     let dive = {
         let batch: Batch = deep_dive_batch(64).into_iter().collect();
         let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
         let initial = vec![Time::ZERO; 2];
+        let resources = ResourceEats::new();
         let params = SearchParams {
-            batch: &batch,
-            comm: &comm,
-            initial_finish: &initial,
-            representation: &repr,
+            input: PhaseInput {
+                batch: &batch,
+                comm: &comm,
+                initial_finish: &initial,
+                vertex_cap: None,
+                backtrack_limit: None,
+                resources: &resources,
+                provenance: false,
+            },
+            representation: Representation::AssignmentOriented,
             child_order: ChildOrder::LoadBalance,
-            now: Time::ZERO,
-            vertex_cap: None,
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         };
         fn dive_phase(params: &SearchParams, scratch: &mut SearchScratch) -> PhaseTally {
             let mut meter = SchedulingMeter::new(HostParams::free(), Duration::ZERO);
@@ -587,6 +588,16 @@ pub fn collect(measured: u64) -> BenchSnapshot {
     let phase_measured = (measured / 40).max(3);
     let full_point = |name: &str, batch: &Batch, comm: &CommModel, initial: &[Time]| {
         let algorithm = Algorithm::rt_sads();
+        let resources = ResourceEats::new();
+        let input = PhaseInput {
+            batch,
+            comm,
+            initial_finish: initial,
+            vertex_cap: Some(200_000),
+            backtrack_limit: None,
+            resources: &resources,
+            provenance: false,
+        };
         let mut scratch = PhaseScratch::new();
         let run = |scratch: &mut PhaseScratch| -> PhaseTally {
             let mut meter = SchedulingMeter::new(
@@ -594,19 +605,7 @@ pub fn collect(measured: u64) -> BenchSnapshot {
                 Duration::from_secs(10),
             );
             let mut rng = SimRng::seed_from(SNAPSHOT_SEED);
-            let out = algorithm.schedule_phase(
-                batch,
-                comm,
-                initial,
-                Time::ZERO,
-                Some(200_000),
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
-                &mut meter,
-                &mut rng,
-                scratch,
-            );
+            let out = algorithm.schedule_phase(&input, &mut meter, &mut rng, scratch);
             let tally = PhaseTally::of(&out.stats);
             scratch.recycle(out.assignments);
             tally

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rtsads_repro::des::{Duration, SimRng, Time};
 use rtsads_repro::platform::{HostParams, SchedulingMeter};
 use rtsads_repro::sads::{Algorithm, PhaseScratch};
-use rtsads_repro::search::Pruning;
+use rtsads_repro::search::PhaseInput;
 use rtsads_repro::task::{
     AffinitySet, Batch, CommModel, MeshSpec, ProcessorId, ResourceEats, Task, TaskId,
 };
@@ -105,14 +105,15 @@ proptest! {
             let mut rng = SimRng::seed_from(5);
             let mut scratch = PhaseScratch::new();
             let out = alg.schedule_phase(
-                &batch,
-                &comm,
-                &initial,
-                Time::ZERO,
-                Some(30_000),
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
+                &PhaseInput {
+                    batch: &batch,
+                    comm: &comm,
+                    initial_finish: &initial,
+                    vertex_cap: Some(30_000),
+                    backtrack_limit: None,
+                    resources: &ResourceEats::new(),
+                    provenance: false,
+                },
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -142,14 +143,15 @@ proptest! {
             let mut rng = SimRng::seed_from(9);
             let mut scratch = PhaseScratch::new();
             let out = alg.schedule_phase(
-                &batch,
-                &comm,
-                &initial,
-                Time::ZERO,
-                Some(30_000),
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
+                &PhaseInput {
+                    batch: &batch,
+                    comm: &comm,
+                    initial_finish: &initial,
+                    vertex_cap: Some(30_000),
+                    backtrack_limit: None,
+                    resources: &ResourceEats::new(),
+                    provenance: false,
+                },
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -210,14 +212,15 @@ proptest! {
             let mut meter = SchedulingMeter::new(HostParams::free(), Duration::ZERO);
             let mut rng = SimRng::seed_from(3);
             alg.schedule_phase(
-                &batch,
-                &comm,
-                &initial,
-                Time::ZERO,
-                Some(50_000),
-                Pruning::default(),
-                &ResourceEats::new(),
-                false,
+                &PhaseInput {
+                    batch: &batch,
+                    comm: &comm,
+                    initial_finish: &initial,
+                    vertex_cap: Some(50_000),
+                    backtrack_limit: None,
+                    resources: &ResourceEats::new(),
+                    provenance: false,
+                },
                 &mut meter,
                 &mut rng,
                 &mut PhaseScratch::new(),

@@ -18,8 +18,8 @@ use rt_task::{
     TopologySpec,
 };
 use sched_search::{
-    search_schedule, search_schedule_replay, search_schedule_with, ChildOrder, ProcessorOrder,
-    Pruning, Representation, SearchOutcome, SearchParams, SearchScratch, TaskOrder, Termination,
+    search_schedule, search_schedule_replay, search_schedule_with, ChildOrder, PhaseInput,
+    ProcessorOrder, Representation, SearchOutcome, SearchParams, SearchScratch, Termination,
 };
 
 const INSTANCES: u64 = 500;
@@ -85,7 +85,7 @@ struct Instance {
     initial: Vec<Time>,
     representation: Representation,
     child_order: ChildOrder,
-    pruning: Pruning,
+    backtrack_limit: Option<u64>,
     vertex_cap: Option<u64>,
     resources: ResourceEats,
     provenance: bool,
@@ -96,16 +96,17 @@ struct Instance {
 impl Instance {
     fn params(&self) -> SearchParams<'_> {
         SearchParams {
-            batch: &self.batch,
-            comm: &self.comm,
-            initial_finish: &self.initial,
-            representation: &self.representation,
+            input: PhaseInput {
+                batch: &self.batch,
+                comm: &self.comm,
+                initial_finish: &self.initial,
+                vertex_cap: self.vertex_cap,
+                backtrack_limit: self.backtrack_limit,
+                resources: &self.resources,
+                provenance: self.provenance,
+            },
+            representation: self.representation,
             child_order: self.child_order,
-            now: Time::ZERO,
-            vertex_cap: self.vertex_cap,
-            pruning: self.pruning,
-            resources: self.resources.clone(),
-            provenance: self.provenance,
         }
     }
 
@@ -143,9 +144,7 @@ fn search_draws(
     initial: Vec<Time>,
 ) -> Instance {
     let representation = if rng.bernoulli(0.5) {
-        Representation::AssignmentOriented {
-            task_order: TaskOrder::EarliestDeadline,
-        }
+        Representation::AssignmentOriented
     } else {
         // Sweep both processor orders and the skip variant — the
         // skipping path drives the per-skip raw-candidate buffer.
@@ -160,10 +159,7 @@ fn search_draws(
         ChildOrder::EarliestDeadline,
         ChildOrder::None,
     ]);
-    let pruning = Pruning {
-        depth_bound: None,
-        backtrack_limit: rng.bernoulli(0.3).then(|| rng.uniform_u64(0..6)),
-    };
+    let backtrack_limit = rng.bernoulli(0.3).then(|| rng.uniform_u64(0..6));
     // Small caps force QuantumExhausted mid-expansion on some
     // instances; the generous default just guards blowups.
     let vertex_cap = if rng.bernoulli(0.3) {
@@ -190,7 +186,7 @@ fn search_draws(
         initial,
         representation,
         child_order,
-        pruning,
+        backtrack_limit,
         vertex_cap,
         resources,
         provenance,
@@ -393,9 +389,9 @@ fn one_node_topology_is_bit_identical_to_the_flat_model() {
             )),
             batch: flat.batch.clone(),
             initial: flat.initial.clone(),
-            representation: flat.representation.clone(),
+            representation: flat.representation,
             child_order: flat.child_order,
-            pruning: flat.pruning,
+            backtrack_limit: flat.backtrack_limit,
             vertex_cap: flat.vertex_cap,
             resources: flat.resources.clone(),
             provenance: flat.provenance,

@@ -23,7 +23,6 @@ use rtsads_repro::des::trace::RecordingTracer;
 use rtsads_repro::des::{Duration, SimRng, Time};
 use rtsads_repro::platform::HostParams;
 use rtsads_repro::sads::{Algorithm, Driver, DriverConfig, FaultConfig, QuantumPolicy, RunReport};
-use rtsads_repro::search::Pruning;
 use rtsads_repro::task::{CommModel, MeshSpec, Task, TopologySpec};
 use rtsads_repro::telemetry::{
     DecisionLedger, JsonlTracer, MetricsCollector, MultiSink, PerfettoTracer, TimeSeriesRecorder,
@@ -293,10 +292,7 @@ fn baselines_and_search_limits_are_pinned() {
         run(
             "backtrack limit 10 RT-SADS P=10",
             batch(),
-            rt_sads().pruning(Pruning {
-                depth_bound: None,
-                backtrack_limit: Some(10),
-            }),
+            rt_sads().backtrack_limit(Some(10)),
         ),
     ];
     for limit in &limited {

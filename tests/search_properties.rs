@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rtsads_repro::des::{Duration, Time};
 use rtsads_repro::platform::{HostParams, SchedulingMeter};
 use rtsads_repro::search::{
-    search_schedule, ChildOrder, ProcessorOrder, Pruning, Representation, SearchParams, TaskOrder,
+    search_schedule, ChildOrder, PhaseInput, ProcessorOrder, Representation, SearchParams,
     Termination,
 };
 use rtsads_repro::task::{AffinitySet, Batch, CommModel, ProcessorId, ResourceEats, Task, TaskId};
@@ -85,22 +85,24 @@ proptest! {
         let comm = CommModel::constant(Duration::from_micros(comm_us));
         let initial = vec![Time::ZERO; workers];
         let repr = if assignment_oriented {
-            Representation::assignment_oriented()
+            Representation::AssignmentOriented
         } else {
             Representation::sequence_oriented()
         };
         let batch: Batch = tasks.iter().cloned().collect();
+        let resources = ResourceEats::new();
         let params = SearchParams {
-            batch: &batch,
-            comm: &comm,
-            initial_finish: &initial,
-            representation: &repr,
+            input: PhaseInput {
+                batch: &batch,
+                comm: &comm,
+                initial_finish: &initial,
+                vertex_cap: Some(20_000),
+                backtrack_limit: None,
+                resources: &resources,
+                provenance: false,
+            },
+            representation: repr,
             child_order: ChildOrder::LoadBalance,
-            now: Time::ZERO,
-            vertex_cap: Some(20_000),
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         };
         let mut meter = SchedulingMeter::new(
             HostParams::new(Duration::from_micros(1)),
@@ -135,19 +137,21 @@ proptest! {
             .collect();
         let comm = CommModel::free();
         let initial = vec![Time::ZERO; workers];
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let batch: Batch = tasks.iter().cloned().collect();
+        let resources = ResourceEats::new();
         let params = SearchParams {
-            batch: &batch,
-            comm: &comm,
-            initial_finish: &initial,
-            representation: &repr,
+            input: PhaseInput {
+                batch: &batch,
+                comm: &comm,
+                initial_finish: &initial,
+                vertex_cap: Some(200_000),
+                backtrack_limit: None,
+                resources: &resources,
+                provenance: false,
+            },
+            representation: repr,
             child_order: ChildOrder::LoadBalance,
-            now: Time::ZERO,
-            vertex_cap: Some(200_000),
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         };
         let mut meter = SchedulingMeter::new(HostParams::free(), Duration::ZERO);
         let out = search_schedule(&params, &mut meter);
@@ -172,19 +176,21 @@ proptest! {
         let tasks = tasks_from(&specs, workers);
         let comm = CommModel::free();
         let initial = vec![Time::ZERO; workers];
-        let repr = Representation::assignment_oriented();
+        let repr = Representation::AssignmentOriented;
         let batch: Batch = tasks.iter().cloned().collect();
+        let resources = ResourceEats::new();
         let params = SearchParams {
-            batch: &batch,
-            comm: &comm,
-            initial_finish: &initial,
-            representation: &repr,
+            input: PhaseInput {
+                batch: &batch,
+                comm: &comm,
+                initial_finish: &initial,
+                vertex_cap: None,
+                backtrack_limit: None,
+                resources: &resources,
+                provenance: false,
+            },
+            representation: repr,
             child_order: ChildOrder::EarliestCompletion,
-            now: Time::ZERO,
-            vertex_cap: None,
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         };
         let quantum = Duration::from_micros(quantum_us);
         let mut meter = SchedulingMeter::new(
@@ -218,17 +224,19 @@ proptest! {
             skip_processors: false,
         };
         let batch: Batch = tasks.iter().cloned().collect();
+        let resources = ResourceEats::new();
         let params = SearchParams {
-            batch: &batch,
-            comm: &comm,
-            initial_finish: &initial,
-            representation: &repr,
+            input: PhaseInput {
+                batch: &batch,
+                comm: &comm,
+                initial_finish: &initial,
+                vertex_cap: Some(100_000),
+                backtrack_limit: None,
+                resources: &resources,
+                provenance: false,
+            },
+            representation: repr,
             child_order: ChildOrder::EarliestDeadline,
-            now: Time::ZERO,
-            vertex_cap: Some(100_000),
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         };
         let mut meter = SchedulingMeter::new(HostParams::free(), Duration::ZERO);
         let out = search_schedule(&params, &mut meter);
@@ -258,21 +266,21 @@ proptest! {
             .collect();
         let comm = CommModel::free();
         let initial = vec![Time::ZERO; workers];
-        let repr = Representation::AssignmentOriented {
-            task_order: TaskOrder::EarliestDeadline,
-        };
+        let repr = Representation::AssignmentOriented;
         let batch: Batch = tasks.iter().cloned().collect();
+        let resources = ResourceEats::new();
         let params = SearchParams {
-            batch: &batch,
-            comm: &comm,
-            initial_finish: &initial,
-            representation: &repr,
+            input: PhaseInput {
+                batch: &batch,
+                comm: &comm,
+                initial_finish: &initial,
+                vertex_cap: Some(100_000),
+                backtrack_limit: None,
+                resources: &resources,
+                provenance: false,
+            },
+            representation: repr,
             child_order: ChildOrder::LoadBalance,
-            now: Time::ZERO,
-            vertex_cap: Some(100_000),
-            pruning: Pruning::default(),
-            resources: ResourceEats::new(),
-            provenance: false,
         };
         let mut meter = SchedulingMeter::new(HostParams::free(), Duration::ZERO);
         let out = search_schedule(&params, &mut meter);
