@@ -289,19 +289,13 @@ fn one_pass(
     let mut exhausted = false;
     let mut decisions: Vec<PlacementEvidence> = Vec::new();
 
-    'outer: for &t in order.iter() {
+    for &t in order.iter() {
         stats.expansions += 1;
         feasible.clear();
-        for p in ProcessorId::all(state.processors()) {
-            // Same accounting contract as the search engine: a failed charge
-            // still counts the vertex (stats equal `meter.vertices()`), and
-            // only charged vertices are classified feasible/infeasible.
-            if !meter.charge_vertex() {
-                stats.vertices_generated += 1;
-                exhausted = true;
-                break 'outer;
-            }
-            stats.vertices_generated += 1;
+        // The search engine's accounting: the task's candidates are charged
+        // in one step, and only the charged ones are classified.
+        let (charged, in_budget) = stats.charge_round(state.processors(), None, meter);
+        for p in ProcessorId::all(charged) {
             let completion = state.completion_if(tasks, comm, t, p);
             if tasks[t].meets_deadline(completion) {
                 stats.feasible_children += 1;
@@ -309,6 +303,10 @@ fn one_pass(
             } else {
                 stats.infeasible_children += 1;
             }
+        }
+        if !in_budget {
+            exhausted = true;
+            break;
         }
         if let Some((p, completion)) = pick(feasible) {
             if provenance {

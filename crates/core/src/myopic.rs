@@ -114,15 +114,12 @@ pub(crate) fn myopic_phase(
 
         // Score every (task, best processor) pair in the window.
         let mut scored: Vec<Scored> = Vec::new();
-        'outer: for &t in &window_tasks {
+        for &t in &window_tasks {
+            // The search engine's accounting: the task's candidates are
+            // charged in one step, and only the charged ones are classified.
+            let (charged, in_budget) = stats.charge_round(state.processors(), None, meter);
             let mut best: Option<(usize, Time)> = None;
-            for p in ProcessorId::all(state.processors()) {
-                if !meter.charge_vertex() {
-                    stats.vertices_generated += 1;
-                    exhausted = true;
-                    break 'outer;
-                }
-                stats.vertices_generated += 1;
+            for p in ProcessorId::all(charged) {
                 let completion = state.completion_if(tasks, comm, t, p);
                 if tasks[t].meets_deadline(completion) {
                     stats.feasible_children += 1;
@@ -132,6 +129,10 @@ pub(crate) fn myopic_phase(
                 } else {
                     stats.infeasible_children += 1;
                 }
+            }
+            if !in_budget {
+                exhausted = true;
+                break;
             }
             if let Some((p, completion)) = best {
                 // H(T) = d + W * EST; EST expressed through the completion

@@ -52,10 +52,9 @@ impl Default for HostParams {
 ///
 /// let mut meter = SchedulingMeter::new(HostParams::new(Duration::from_micros(5)),
 ///                                      Duration::from_micros(12));
-/// assert!(meter.charge_vertex()); // 5us consumed, 7 left
-/// assert!(meter.charge_vertex()); // 10us consumed, 2 left
-/// assert!(!meter.charge_vertex()); // would exceed the quantum
-/// assert_eq!(meter.vertices(), 3);
+/// assert_eq!(meter.charge_vertices(2), 2); // 10us consumed, 2 left
+/// assert_eq!(meter.charge_vertices(1), 0); // would exceed the quantum
+/// assert_eq!(meter.vertices(), 3); // the failed charge is counted too
 /// assert!(meter.exhausted());
 /// ```
 #[derive(Debug, Clone)]
@@ -83,9 +82,11 @@ impl SchedulingMeter {
     /// Charges one vertex generation. Returns `false` — and marks the meter
     /// exhausted — if the charge does not fit in the remaining quantum; the
     /// vertex is still counted (the work of discovering the budget is over
-    /// was done), but `consumed` never exceeds the quantum.
-    #[inline]
-    pub fn charge_vertex(&mut self) -> bool {
+    /// was done), but `consumed` never exceeds the quantum. The reference
+    /// the tests hold [`SchedulingMeter::charge_vertices`] to; every
+    /// scheduler charges whole rounds.
+    #[cfg(test)]
+    fn charge_vertex(&mut self) -> bool {
         self.vertices += 1;
         if self.exhausted {
             return false;
@@ -107,10 +108,12 @@ impl SchedulingMeter {
     }
 
     /// Charges up to `n` vertex generations in O(1): the same `consumed`,
-    /// `vertices` and `exhausted` as calling
-    /// [`SchedulingMeter::charge_vertex`] `n` times and stopping at the
-    /// first `false`. Returns how many charges fit; when that is fewer than
-    /// `n`, the one that did not fit is counted as well.
+    /// `vertices` and `exhausted` as charging one vertex at a time, `n`
+    /// times, stopping at the first charge that does not fit (which marks
+    /// the meter exhausted; `consumed` never exceeds the quantum). Returns
+    /// how many charges fit; when that is fewer than `n`, the one that did
+    /// not fit is counted as well: the work of discovering the budget is
+    /// over was done.
     pub fn charge_vertices(&mut self, n: u64) -> u64 {
         if n == 0 {
             return 0;

@@ -80,6 +80,44 @@ pub struct SearchStats {
     pub shards_pruned: u64,
 }
 
+impl SearchStats {
+    /// Charges a round of `n` candidates in one
+    /// [`SchedulingMeter::charge_vertices`] step: the one accounting rule
+    /// of every scheduler, for the tree search's rounds and for the
+    /// one-pass and myopic baselines' per-task rounds alike. It keeps the
+    /// accounting of a loop that checked the cap and charged one candidate
+    /// at a time (pinned by the engine's
+    /// `vertex_cap_break_classifies_every_counted_vertex`,
+    /// `quantum_break_counts_the_uncharged_vertex`,
+    /// `feasible_rounds_keep_the_classify_accounting` and
+    /// `blocked_rounds_keep_the_classify_accounting` tests, and by the
+    /// baselines' `quantum_cut_baseline_rounds_are_pinned`):
+    ///   1. vertex cap — admits the first `cap − generated`, so a cap break
+    ///      counts nothing: every cap-counted vertex is classified. The
+    ///      baselines pass no cap.
+    ///   2. quantum — the meter charges those up to its first failure,
+    ///      which is counted, so `vertices_generated == meter.vertices()`
+    ///      always, but never classified: a mid-round quantum break leaves
+    ///      exactly one counted, unclassified vertex.
+    ///
+    /// Returns how many were charged, the round's prefix to classify, and
+    /// whether the whole round was.
+    pub fn charge_round(
+        &mut self,
+        n: usize,
+        cap: Option<u64>,
+        meter: &mut SchedulingMeter,
+    ) -> (usize, bool) {
+        let n = n as u64;
+        let cap = cap.unwrap_or(u64::MAX);
+        let attempts = n.min(cap.saturating_sub(self.vertices_generated));
+        let charged = meter.charge_vertices(attempts);
+        let failed = charged < attempts;
+        self.vertices_generated += charged + u64::from(failed);
+        (charged as usize, attempts == n && !failed)
+    }
+}
+
 /// Why one batch task failed the phase-level viability screen: one failed
 /// probe per candidate processor, in the trace's own record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1026,7 +1064,7 @@ impl Ctx<'_, '_> {
     /// flat column, the shard segments and the sequence-oriented round —
     /// for a round of `count` candidates that `source` yields as
     /// `(member, completion)` pairs in generation order. The round is
-    /// charged in one step ([`Ctx::charge_round`]), and exactly the
+    /// charged in one step ([`SearchStats::charge_round`]), and exactly the
     /// candidates it charged are pulled from `source` and classified; each
     /// feasible one becomes a [`successor_key`]. Returns `false` when a
     /// budget broke the round off.
@@ -1043,7 +1081,8 @@ impl Ctx<'_, '_> {
         stats: &mut SearchStats,
     ) -> bool {
         let t_cost = prof.start();
-        let (charged, in_budget) = self.charge_round(count, meter, stats);
+        let cap = self.params.input.vertex_cap;
+        let (charged, in_budget) = stats.charge_round(count, cap, meter);
         for (member, completion) in source.into_iter().take(charged) {
             let deadline = deadline(member);
             if completion <= deadline {
@@ -1058,39 +1097,9 @@ impl Ctx<'_, '_> {
         in_budget
     }
 
-    /// Charges a round of `n` candidates in one
-    /// [`SchedulingMeter::charge_vertices`] step, with the accounting of a
-    /// loop that checked the cap and charged one candidate at a time
-    /// (pinned by the `vertex_cap_break_classifies_every_counted_vertex`,
-    /// `quantum_break_counts_the_uncharged_vertex`,
-    /// `feasible_rounds_keep_the_classify_accounting` and
-    /// `blocked_rounds_keep_the_classify_accounting` tests):
-    ///   1. vertex cap — admits the first `cap − generated`, so a cap break
-    ///      counts nothing: every cap-counted vertex is classified.
-    ///   2. quantum — the meter charges those up to its first failure,
-    ///      which is counted, so `vertices_generated == meter.vertices()`
-    ///      always, but never classified: a mid-round quantum break leaves
-    ///      exactly one counted, unclassified vertex.
-    ///
-    /// Returns how many were charged, the candidates to classify, and
-    /// whether the whole round was.
-    fn charge_round(
-        &self,
-        n: usize,
-        meter: &mut SchedulingMeter,
-        stats: &mut SearchStats,
-    ) -> (usize, bool) {
-        let n = n as u64;
-        let cap = self.params.input.vertex_cap.unwrap_or(u64::MAX);
-        let attempts = n.min(cap.saturating_sub(stats.vertices_generated));
-        let charged = meter.charge_vertices(attempts);
-        let failed = charged < attempts;
-        stats.vertices_generated += charged + u64::from(failed);
-        (charged as usize, attempts == n && !failed)
-    }
-
     /// A blocked round of `n` candidates that all fail the feasibility
-    /// test: the same one-step charge as every round ([`Ctx::charge_round`])
+    /// test: the same one-step charge as every round
+    /// ([`SearchStats::charge_round`])
     /// with nothing to classify, each charged vertex counted infeasible, in
     /// O(1) instead of a column sync and a pass over it. Returns `false`
     /// when a budget broke the round off. Untimed: a span around an O(1)
@@ -1102,7 +1111,7 @@ impl Ctx<'_, '_> {
         meter: &mut SchedulingMeter,
         stats: &mut SearchStats,
     ) -> bool {
-        let (charged, in_budget) = self.charge_round(n, meter, stats);
+        let (charged, in_budget) = stats.charge_round(n, self.params.input.vertex_cap, meter);
         stats.infeasible_children += charged as u64;
         in_budget
     }
