@@ -31,6 +31,7 @@ use std::process::ExitCode;
 
 use experiments::config::{comm_model, host_params};
 use experiments::{config::ExperimentConfig, ext, fig5, fig6, FigureOutput};
+use paragon_platform::MAX_INPUT_SPAN;
 use rt_telemetry::{RunManifest, TelemetrySession};
 use rtsads::{Algorithm, Driver, DriverConfig};
 
@@ -114,6 +115,13 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     .ok_or("--mttr needs a value (milliseconds)")?
                     .parse()
                     .map_err(|e| format!("--mttr: {e}"))?;
+                // Under this cap every repair instant fits `Time`.
+                let max_ms = MAX_INPUT_SPAN.as_micros() / 1_000;
+                if config.mttr_ms > max_ms {
+                    return Err(format!(
+                        "--mttr must be at most {max_ms} (2^40 us, about 12.7 days)"
+                    ));
+                }
             }
             "--trace-out" => {
                 trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a value")?));
@@ -304,5 +312,19 @@ mod tests {
         );
         let cli = parse_strs(&["fig5", "--quick", "--runs", "2"]).expect("parses");
         assert_eq!(cli.config.runs, 2);
+    }
+
+    #[test]
+    fn mttr_past_the_cap_is_an_error_not_a_panic() {
+        let args = ["--runs", "1", "--txns", "50", "--fault-rate", "1", "--mttr"];
+        let err = parse_strs(&[&args[..], &["18446744073709551615", "ext-faults"]].concat())
+            .err()
+            .expect("rejected");
+        assert!(err.starts_with("--mttr must be at most"), "got {err:?}");
+        // At the cap the sweep runs: every repair instant fits `Time`.
+        let max = (MAX_INPUT_SPAN.as_micros() / 1_000).to_string();
+        let cli = parse_strs(&[&args[..], &[&max, "ext-faults"]].concat()).expect("parses");
+        let out = experiments::ext::faults(&cli.config);
+        assert_eq!(out.id, "ext-faults");
     }
 }

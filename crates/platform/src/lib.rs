@@ -55,4 +55,4 @@ mod worker;
 pub use host::{HostParams, SchedulingMeter};
 pub use machine::{CompletionRecord, Dispatch, Machine, MachineConfig};
 pub use placement::{DataObjectId, Placement};
-pub use worker::{FailedWork, Worker, UNAVAILABLE};
+pub use worker::{FailedWork, Worker, MAX_INPUT_SPAN, UNAVAILABLE};

@@ -9,6 +9,15 @@ use rt_task::{ProcessorId, Task};
 /// demand can never overflow the microsecond counter.
 pub const UNAVAILABLE: Time = Time::from_micros(u64::MAX / 4);
 
+/// The longest communication cost or mean repair time the command lines
+/// accept: 2^40 µs, about 12.7 days. Under it every instant a run derives
+/// from such a span fits [`Time`] with room to spare: a feasibility test
+/// adds a processing time and a cost to a down processor's
+/// [`UNAVAILABLE`] (2^62 µs), and a repair, drawn from an exponential whose
+/// largest draw is under 37 times its mean, lands after an instant inside
+/// the fault horizon.
+pub const MAX_INPUT_SPAN: Duration = Duration::from_micros(1 << 40);
+
 /// One admitted execution slot. Slots are retained for the lifetime of the
 /// run so that a failure applied retroactively (the host only observes
 /// failures at phase boundaries) can still partition work around the exact

@@ -44,6 +44,13 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The largest slack factor [`Scenario::validate`] accepts. The paper
+    /// sweeps `SF` from 1 to 3; at 1,000 a deadline lies at most 10^4 times
+    /// its transaction's estimated cost past its arrival, which keeps every
+    /// deadline of a run far inside `Time`, where a factor such as 1e300
+    /// overflows it.
+    pub const MAX_SF: f64 = 1_000.0;
+
     /// The configuration of the paper's experiments: 10 sub-databases of
     /// 1000 records and 10 attributes, 1000 bursty transactions, key index
     /// on attribute 0, `SF = 1`, `R = 30%`, 10 workers.
@@ -125,8 +132,8 @@ impl Scenario {
     /// Returns a human-readable description of the first degenerate
     /// parameter found (zero workers, partitions, tuples, attributes,
     /// domain values, transactions, per-tuple cost or Poisson mean gap, a
-    /// replication rate outside `(0, 1]`, or a slack factor that is not
-    /// finite and positive).
+    /// replication rate outside `(0, 1]`, or a slack factor outside
+    /// `(0, MAX_SF]`).
     pub fn validate(&self) -> Result<(), String> {
         let positive: [(&str, u64); 7] = [
             ("workers", self.workers as u64),
@@ -153,9 +160,10 @@ impl Scenario {
                 "scenario parameter `replication_rate` must be positive and at most 1, got {rate}"
             ));
         }
-        if !(self.sf.is_finite() && self.sf > 0.0) {
+        if !(self.sf > 0.0 && self.sf <= Self::MAX_SF) {
             return Err(format!(
-                "scenario parameter `sf` must be positive and finite, got {}",
+                "scenario parameter `sf` must be positive and at most {}, got {}",
+                Self::MAX_SF,
                 self.sf
             ));
         }
@@ -377,7 +385,7 @@ mod tests {
 
     #[test]
     fn validate_names_the_degenerate_parameter() {
-        let cases: [(&str, Scenario); 13] = [
+        let cases: [(&str, Scenario); 14] = [
             ("workers", Scenario::small().workers(0)),
             ("transactions", Scenario::small().transactions(0)),
             ("replication_rate", Scenario::small().replication_rate(0.0)),
@@ -390,6 +398,7 @@ mod tests {
             ("sf", Scenario::small().sf(-1.0)),
             ("sf", Scenario::small().sf(f64::NAN)),
             ("sf", Scenario::small().sf(f64::INFINITY)),
+            ("sf", Scenario::small().sf(1e300)),
             (
                 "mean_gap",
                 Scenario::small().arrivals(ArrivalProcess::Poisson {

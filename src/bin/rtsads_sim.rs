@@ -57,7 +57,7 @@ use std::process::ExitCode;
 
 use rtsads_repro::des::{Duration, Time};
 use rtsads_repro::explain::{diff_reports, explain_task, ReportFile};
-use rtsads_repro::platform::HostParams;
+use rtsads_repro::platform::{HostParams, MAX_INPUT_SPAN};
 use rtsads_repro::sads::{Algorithm, Driver, DriverConfig, RunReport};
 use rtsads_repro::task::{CommModel, TopologySpec};
 use rtsads_repro::telemetry::jsonl::parse_trace;
@@ -132,9 +132,7 @@ fn parse_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.replication = if pct > 1.0 { pct / 100.0 } else { pct };
             }
             "--sf" => args.sf = value("--sf")?.parse().map_err(|e| format!("{e}"))?,
-            "--comm-us" => {
-                args.comm_us = value("--comm-us")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--comm-us" => args.comm_us = cost_us("--comm-us", &value("--comm-us")?)?,
             "--nodes" => {
                 args.nodes = value("--nodes")?.parse().map_err(|e| format!("{e}"))?;
                 if args.nodes == 0 {
@@ -148,11 +146,8 @@ fn parse_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
             }
             "--inter-rack-cost" => {
-                args.inter_rack_us = Some(
-                    value("--inter-rack-cost")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
+                args.inter_rack_us =
+                    Some(cost_us("--inter-rack-cost", &value("--inter-rack-cost")?)?)
             }
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--phases" => args.phases = true,
@@ -200,6 +195,35 @@ fn parse_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
+/// A cost flag's value in microseconds, at most [`MAX_INPUT_SPAN`], under
+/// which every instant of a run fits `Time`.
+fn cost_us(flag: &str, value: &str) -> Result<u64, String> {
+    let us: u64 = value.parse().map_err(|e| format!("{e}"))?;
+    let max = MAX_INPUT_SPAN.as_micros();
+    if us > max {
+        return Err(format!(
+            "{flag} must be at most {max} (2^40 us, about 12.7 days)"
+        ));
+    }
+    Ok(us)
+}
+
+/// The inter-rack cost: `--inter-rack-cost`, or twice the inter-node
+/// `--comm-us` (saturating, so no value can wrap).
+fn inter_rack_us(args: &Args) -> u64 {
+    args.inter_rack_us.unwrap_or(args.comm_us.saturating_mul(2))
+}
+
+/// The scenario the CLI flags describe: the paper's defaults at the asked
+/// scale, replication rate and slack factor.
+fn scenario(args: &Args) -> Scenario {
+    Scenario::paper_defaults()
+        .workers(args.workers)
+        .transactions(args.txns)
+        .replication_rate(args.replication)
+        .sf(args.sf)
+}
+
 /// The platform's communication model from the CLI flags: the paper's flat
 /// constant-`C` machine by default, or a hierarchical sharded cluster when
 /// `--nodes` asks for more than one node (intra-node free, inter-node
@@ -209,7 +233,7 @@ fn comm_model(args: &Args) -> CommModel {
     if args.nodes <= 1 {
         return CommModel::constant(Duration::from_micros(args.comm_us));
     }
-    let inter_rack = args.inter_rack_us.unwrap_or(args.comm_us * 2);
+    let inter_rack = inter_rack_us(args);
     CommModel::hierarchical(TopologySpec::new(
         args.workers as u32,
         args.nodes as u32,
@@ -615,11 +639,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let scenario = Scenario::paper_defaults()
-        .workers(args.workers)
-        .transactions(args.txns)
-        .replication_rate(args.replication)
-        .sf(args.sf);
+    let scenario = scenario(&args);
     if let Err(msg) = scenario.validate() {
         eprintln!("error: {msg}");
         return ExitCode::FAILURE;
@@ -675,7 +695,7 @@ fn main() -> ExitCode {
              {} shard utilizations tracked",
             args.nodes,
             args.racks,
-            args.inter_rack_us.unwrap_or(args.comm_us * 2),
+            inter_rack_us(&args),
             report.shard_busy.len()
         );
     }
@@ -827,6 +847,76 @@ mod tests {
         let args = parse_strs(&["--profile", "--trace-out", "run.jsonl"]).expect("parses");
         assert!(args.profile);
         assert!(args.trace_out.is_some());
+    }
+
+    #[test]
+    fn slack_factor_past_the_cap_fails_validation() {
+        let args = parse_strs(&["--sf", "1e300", "--txns", "20"]).expect("parses");
+        let err = scenario(&args).validate().expect_err("rejected");
+        assert!(err.contains("`sf`"), "got {err:?}");
+        let args = parse_strs(&["--sf", "1000", "--txns", "20"]).expect("parses");
+        assert_eq!(scenario(&args).validate(), Ok(()));
+    }
+
+    #[test]
+    fn comm_cost_past_the_cap_is_an_error_not_a_panic() {
+        let err = parse_strs(&["--comm-us", "18446744073709551615", "--txns", "20"])
+            .expect_err("rejected");
+        assert!(err.starts_with("--comm-us must be at most"), "got {err:?}");
+        let max = MAX_INPUT_SPAN.as_micros().to_string();
+        assert!(parse_strs(&["--comm-us", &max]).is_ok());
+    }
+
+    #[test]
+    fn inter_rack_cost_past_the_cap_is_an_error_not_a_panic() {
+        let err = parse_strs(&[
+            "--workers",
+            "4",
+            "--nodes",
+            "2",
+            "--racks",
+            "2",
+            "--inter-rack-cost",
+            "18446744073709551615",
+            "--txns",
+            "20",
+        ])
+        .expect_err("rejected");
+        assert!(
+            err.starts_with("--inter-rack-cost must be at most"),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn runs_at_the_cost_caps_finish() {
+        // The inter-node cost at the cap on the flat machine and on two
+        // racks (where the inter-rack cost defaults to twice it), and the
+        // inter-rack cost at the cap: every instant of the run fits `Time`.
+        let max = MAX_INPUT_SPAN.as_micros().to_string();
+        let sharded = [
+            "--txns",
+            "20",
+            "--workers",
+            "4",
+            "--nodes",
+            "2",
+            "--racks",
+            "2",
+        ];
+        let runs = [
+            vec!["--txns", "20", "--comm-us", &max],
+            [&sharded[..], &["--comm-us", &max]].concat(),
+            [&sharded[..], &["--inter-rack-cost", &max]].concat(),
+        ];
+        for argv in runs {
+            let args = parse_strs(&argv).expect("parses");
+            let config = DriverConfig::new(args.workers, args.algorithm.clone())
+                .comm(comm_model(&args))
+                .host(HostParams::new(Duration::from_micros(1)));
+            let report = Driver::new(config).run(scenario(&args).build(args.seed).tasks);
+            assert_eq!(report.total_tasks, 20, "{argv:?}");
+        }
     }
 
     #[test]
