@@ -8,7 +8,6 @@ use sched_search::{
     PhaseProvenance, PlacementEvidence, ProcessorOrder, Representation, SearchOutcome,
     SearchParams, SearchScratch, SearchStats, Termination,
 };
-use serde::{Deserialize, Serialize};
 
 /// Reusable working storage for the phase loop: the search engine's
 /// [`SearchScratch`] plus the buffers the one-pass baselines and the myopic
@@ -43,7 +42,7 @@ impl PhaseScratch {
 }
 
 /// Which scheduler runs the phases.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Algorithm {
     /// The paper's contribution: assignment-oriented search (Figure 2),
     /// whose levels fix tasks in deadline order, with heuristic successor

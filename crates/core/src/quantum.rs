@@ -3,10 +3,9 @@
 use paragon_des::{Duration, Time};
 use paragon_platform::Machine;
 use rt_task::Batch;
-use serde::{Deserialize, Serialize};
 
 /// How much scheduling time a phase is allocated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantumPolicy {
     /// The paper's self-adjusting criterion:
     /// `Q_s(j) = max(Min_Slack, Min_Load)` where `Min_Slack` is the minimum

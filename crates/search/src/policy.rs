@@ -2,11 +2,9 @@
 //! how feasible successors are prioritized in the candidate list. (Every
 //! assignment-oriented level fixes its task by `(deadline, batch index)`.)
 
-use serde::{Deserialize, Serialize};
-
 /// How the sequence-oriented representation fixes the processor served at
 /// each tree level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProcessorOrder {
     /// `P_{l mod m}` at level `l` — the round-robin order shown in the
     /// paper's Figure 1.
@@ -40,7 +38,7 @@ impl ProcessorOrder {
 
 /// How an expansion's feasible successors are ordered before being pushed on
 /// the front of the candidate list (highest priority first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChildOrder {
     /// Minimize the resulting partial-schedule execution time `CE` (the
     /// paper's load-balancing cost function, Section 4.4); ties broken by

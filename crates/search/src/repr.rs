@@ -1,12 +1,10 @@
 //! The two search representations of Section 3.
 
-use serde::{Deserialize, Serialize};
-
 use crate::policy::ProcessorOrder;
 use crate::state::PathState;
 
 /// How the scheduling tree `G` is laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Representation {
     /// Figure 2: at each level a *task* is fixed, the earliest-deadline
     /// unassigned one (ties by batch index), and the branches are the

@@ -2,11 +2,10 @@
 
 use paragon_des::{Duration, Time};
 use rt_task::{CommModel, ProcessorId, ResourceEats, Task};
-use serde::{Deserialize, Serialize};
 
 /// One committed task-to-processor assignment (a vertex of `G` on the
 /// current path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// Index of the task within the batch being scheduled.
     pub task: usize,
