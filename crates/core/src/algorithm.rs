@@ -231,6 +231,33 @@ pub(crate) fn phase_state<'s>(
     state
 }
 
+/// Charges task `t`'s candidates, one per processor, as one round
+/// ([`SearchStats::charge_round`], with no vertex cap: the schedulers
+/// outside the search engine never read one) and classifies only the
+/// charged prefix, passing each feasible `(processor, completion)` to
+/// `feasible`. Returns `false` when the quantum broke the round off.
+pub(crate) fn task_round(
+    input: &PhaseInput<'_>,
+    state: &PathState,
+    t: usize,
+    stats: &mut SearchStats,
+    meter: &mut SchedulingMeter,
+    mut feasible: impl FnMut(usize, Time),
+) -> bool {
+    let tasks = input.tasks();
+    let (charged, in_budget) = stats.charge_round(state.processors(), None, meter);
+    for p in ProcessorId::all(charged) {
+        let completion = state.completion_if(tasks, input.comm, t, p);
+        if tasks[t].meets_deadline(completion) {
+            stats.feasible_children += 1;
+            feasible(p.index(), completion);
+        } else {
+            stats.infeasible_children += 1;
+        }
+    }
+    in_budget
+}
+
 /// List scheduling: EDF order, each task to its feasible
 /// earliest-completion processor, never undone.
 fn greedy_edf(
@@ -291,19 +318,9 @@ fn one_pass(
     for &t in order.iter() {
         stats.expansions += 1;
         feasible.clear();
-        // The search engine's accounting: the task's candidates are charged
-        // in one step, and only the charged ones are classified.
-        let (charged, in_budget) = stats.charge_round(state.processors(), None, meter);
-        for p in ProcessorId::all(charged) {
-            let completion = state.completion_if(tasks, comm, t, p);
-            if tasks[t].meets_deadline(completion) {
-                stats.feasible_children += 1;
-                feasible.push((p.index(), completion));
-            } else {
-                stats.infeasible_children += 1;
-            }
-        }
-        if !in_budget {
+        if !task_round(input, state, t, &mut stats, meter, |p, c| {
+            feasible.push((p, c))
+        }) {
             exhausted = true;
             break;
         }

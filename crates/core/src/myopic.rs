@@ -19,7 +19,7 @@
 //! than aborting the schedule (the original algorithm's "reject" outcome
 //! does not fit a soft real-time setting).
 
-use crate::algorithm::{edf_order, phase_state, PhaseScratch};
+use crate::algorithm::{edf_order, phase_state, task_round, PhaseScratch};
 use paragon_des::Time;
 use paragon_platform::SchedulingMeter;
 use rt_task::ProcessorId;
@@ -115,21 +115,12 @@ pub(crate) fn myopic_phase(
         // Score every (task, best processor) pair in the window.
         let mut scored: Vec<Scored> = Vec::new();
         for &t in &window_tasks {
-            // The search engine's accounting: the task's candidates are
-            // charged in one step, and only the charged ones are classified.
-            let (charged, in_budget) = stats.charge_round(state.processors(), None, meter);
             let mut best: Option<(usize, Time)> = None;
-            for p in ProcessorId::all(charged) {
-                let completion = state.completion_if(tasks, comm, t, p);
-                if tasks[t].meets_deadline(completion) {
-                    stats.feasible_children += 1;
-                    if best.is_none_or(|(_, c)| completion < c) {
-                        best = Some((p.index(), completion));
-                    }
-                } else {
-                    stats.infeasible_children += 1;
+            let in_budget = task_round(input, state, t, &mut stats, meter, |p, completion| {
+                if best.is_none_or(|(_, c)| completion < c) {
+                    best = Some((p, completion));
                 }
-            }
+            });
             if !in_budget {
                 exhausted = true;
                 break;
