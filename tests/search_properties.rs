@@ -46,6 +46,27 @@ fn tasks_from(specs: &[Spec], workers: usize) -> Vec<Task> {
         .collect()
 }
 
+static NO_RESOURCES: ResourceEats = ResourceEats::new();
+
+/// A phase over `batch` on `initial` under `comm` with vertex cap
+/// `vertex_cap`: no resources held, no backtrack limit, no provenance.
+fn input<'a>(
+    batch: &'a Batch,
+    comm: &'a CommModel,
+    initial: &'a [Time],
+    vertex_cap: Option<u64>,
+) -> PhaseInput<'a> {
+    PhaseInput {
+        batch,
+        comm,
+        initial_finish: initial,
+        vertex_cap,
+        backtrack_limit: None,
+        resources: &NO_RESOURCES,
+        provenance: false,
+    }
+}
+
 /// Recomputes the completion times of a returned schedule independently and
 /// checks the engine's claims.
 fn validate_schedule(
@@ -90,17 +111,8 @@ proptest! {
             Representation::sequence_oriented()
         };
         let batch: Batch = tasks.iter().cloned().collect();
-        let resources = ResourceEats::new();
         let params = SearchParams {
-            input: PhaseInput {
-                batch: &batch,
-                comm: &comm,
-                initial_finish: &initial,
-                vertex_cap: Some(20_000),
-                backtrack_limit: None,
-                resources: &resources,
-                provenance: false,
-            },
+            input: input(&batch, &comm, &initial, Some(20_000)),
             representation: repr,
             child_order: ChildOrder::LoadBalance,
         };
@@ -139,17 +151,8 @@ proptest! {
         let initial = vec![Time::ZERO; workers];
         let repr = Representation::AssignmentOriented;
         let batch: Batch = tasks.iter().cloned().collect();
-        let resources = ResourceEats::new();
         let params = SearchParams {
-            input: PhaseInput {
-                batch: &batch,
-                comm: &comm,
-                initial_finish: &initial,
-                vertex_cap: Some(200_000),
-                backtrack_limit: None,
-                resources: &resources,
-                provenance: false,
-            },
+            input: input(&batch, &comm, &initial, Some(200_000)),
             representation: repr,
             child_order: ChildOrder::LoadBalance,
         };
@@ -178,17 +181,8 @@ proptest! {
         let initial = vec![Time::ZERO; workers];
         let repr = Representation::AssignmentOriented;
         let batch: Batch = tasks.iter().cloned().collect();
-        let resources = ResourceEats::new();
         let params = SearchParams {
-            input: PhaseInput {
-                batch: &batch,
-                comm: &comm,
-                initial_finish: &initial,
-                vertex_cap: None,
-                backtrack_limit: None,
-                resources: &resources,
-                provenance: false,
-            },
+            input: input(&batch, &comm, &initial, None),
             representation: repr,
             child_order: ChildOrder::EarliestCompletion,
         };
@@ -224,17 +218,8 @@ proptest! {
             skip_processors: false,
         };
         let batch: Batch = tasks.iter().cloned().collect();
-        let resources = ResourceEats::new();
         let params = SearchParams {
-            input: PhaseInput {
-                batch: &batch,
-                comm: &comm,
-                initial_finish: &initial,
-                vertex_cap: Some(100_000),
-                backtrack_limit: None,
-                resources: &resources,
-                provenance: false,
-            },
+            input: input(&batch, &comm, &initial, Some(100_000)),
             representation: repr,
             child_order: ChildOrder::EarliestDeadline,
         };
@@ -268,17 +253,8 @@ proptest! {
         let initial = vec![Time::ZERO; workers];
         let repr = Representation::AssignmentOriented;
         let batch: Batch = tasks.iter().cloned().collect();
-        let resources = ResourceEats::new();
         let params = SearchParams {
-            input: PhaseInput {
-                batch: &batch,
-                comm: &comm,
-                initial_finish: &initial,
-                vertex_cap: Some(100_000),
-                backtrack_limit: None,
-                resources: &resources,
-                provenance: false,
-            },
+            input: input(&batch, &comm, &initial, Some(100_000)),
             representation: repr,
             child_order: ChildOrder::LoadBalance,
         };
