@@ -7,8 +7,9 @@
 //! at the P=1024 cluster point, and a traced P=10 run: a run still
 //! allocates (each delivered task's one copy into its worker's slot, each
 //! run's fresh scratch, and under a sink the events' probe lists), but the
-//! count and the bytes must stay under fixed bounds. Two sinks are fenced
-//! at zero once warm: the metrics collector and the JSONL writer.
+//! count and the bytes must stay under fixed bounds, as must those of one
+//! paper-point `Scenario::build`. Two sinks are fenced at zero once warm:
+//! the metrics collector and the JSONL writer.
 //!
 //! The counting allocator wraps [`System`] and counts `alloc`/`realloc`/
 //! `alloc_zeroed` calls, and the bytes they request, only while armed. All
@@ -121,18 +122,28 @@ fn steady_state_phases_do_not_allocate() {
     }
 
     // Canonical points 2 and 3: the full algorithm layer (the driver's
-    // exact call) on the mixed and backtrack-heavy batches, under RT-SADS
-    // and under D-COLS — the sequence-oriented layout, whose EDF successor
-    // order reads the phase's deadline ranks.
+    // exact call) on the mixed and backtrack-heavy batches, under every
+    // scheduler: RT-SADS; D-COLS, the sequence-oriented layout, whose EDF
+    // successor order reads the phase's deadline ranks; the greedy EDF and
+    // random one-pass baselines; and myopic, whose window, scored
+    // alternatives and decision stack live in the scratch.
     let workers = 8;
     let comm = CommModel::constant(Duration::from_millis(2));
     let initial = vec![Time::ZERO; workers];
-    for (name, tasks, algorithm) in [
-        ("mixed", synthetic_batch(150, workers), Algorithm::rt_sads()),
-        ("tight", tight_batch(150, workers), Algorithm::rt_sads()),
-        ("mixed", synthetic_batch(150, workers), Algorithm::d_cols()),
-        ("tight", tight_batch(150, workers), Algorithm::d_cols()),
-    ] {
+    let algorithms = [
+        Algorithm::rt_sads(),
+        Algorithm::d_cols(),
+        Algorithm::GreedyEdf,
+        Algorithm::RandomAssign,
+        Algorithm::myopic(),
+    ];
+    for (algorithm, (name, tasks)) in algorithms.iter().flat_map(|a| {
+        [
+            ("mixed", synthetic_batch(150, workers)),
+            ("tight", tight_batch(150, workers)),
+        ]
+        .map(|batch| (a, batch))
+    }) {
         let batch: Batch = tasks.into_iter().collect();
         let mut scratch = PhaseScratch::new();
         let (n, _) = count_allocs(WARMUP, MEASURED, || {
@@ -326,6 +337,24 @@ fn steady_state_phases_do_not_allocate() {
                  (bound {max_bytes})"
             );
         }
+    }
+
+    // Building the paper's P=10 scenario (Figure 5's point, seed 1998):
+    // the database keeps one count per key value and no tuples, so the
+    // build's traffic is the transactions, their tasks and the placement.
+    {
+        let scenario = rt_workload::Scenario::paper_defaults().workers(10);
+        let (allocs, bytes) = count_allocs(1, 1, || {
+            assert_eq!(scenario.build(1998).tasks.len(), 1_000);
+        });
+        assert!(
+            allocs < 4_100,
+            "a paper-point scenario build allocated {allocs} times (bound 4100)"
+        );
+        assert!(
+            bytes < 440 << 10,
+            "a paper-point scenario build allocated {bytes} bytes (bound 440 KiB)"
+        );
     }
 
     // The metrics collector updates each metric in place and copies its

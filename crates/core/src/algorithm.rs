@@ -1,5 +1,6 @@
 //! The scheduling algorithms: RT-SADS, D-COLS, and sanity baselines.
 
+use crate::myopic::MyopicScratch;
 use paragon_des::{SimRng, Time};
 use paragon_platform::SchedulingMeter;
 use rt_task::{ProcessorId, Task};
@@ -25,6 +26,8 @@ pub struct PhaseScratch {
     pub(crate) order: Vec<usize>,
     /// Feasible (processor, completion) candidates of one task.
     pub(crate) feasible: Vec<(usize, Time)>,
+    /// The myopic scheduler's window, alternatives and decision stack.
+    pub(crate) myopic: MyopicScratch,
 }
 
 impl PhaseScratch {
@@ -307,6 +310,7 @@ fn one_pass(
         state,
         order,
         feasible,
+        ..
     } = scratch;
     let (tasks, comm, provenance) = (input.tasks(), input.comm, input.provenance);
     let state = phase_state(state, input);

@@ -34,12 +34,28 @@ struct Scored {
     h: u64,
 }
 
-/// One committed decision, with the alternatives that were available at
-/// that point (for backtracking).
-#[derive(Debug, Clone)]
+/// One committed decision. Its window's scored alternatives, best first,
+/// start at `start` in [`MyopicScratch::alternatives`] and run to the next
+/// decision's start; `chosen` indexes the applied one among them (for
+/// backtracking).
+#[derive(Debug, Clone, Copy)]
 struct Decision {
-    alternatives: Vec<Scored>,
+    start: usize,
     chosen: usize,
+}
+
+/// The myopic scheduler's working buffers, kept in [`PhaseScratch`] and
+/// cleared every phase, so a warm phase allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct MyopicScratch {
+    /// Batch tasks given up on this phase.
+    skipped: Vec<bool>,
+    /// The current feasibility window.
+    window: Vec<usize>,
+    /// Every live decision's alternatives, back to back in decision order.
+    alternatives: Vec<Scored>,
+    /// The decision stack.
+    decisions: Vec<Decision>,
 }
 
 /// Runs one myopic scheduling phase over `input` with window `window`,
@@ -75,28 +91,36 @@ pub(crate) fn myopic_phase(
         search,
         state,
         order,
+        myopic,
         ..
     } = scratch;
     edf_order(tasks, order);
     let order: &[usize] = order;
-    let mut decisions: Vec<Decision> = Vec::new();
+    let MyopicScratch {
+        skipped,
+        window: window_tasks,
+        alternatives,
+        decisions,
+    } = myopic;
+    skipped.clear();
+    skipped.resize(tasks.len(), false);
+    alternatives.clear();
+    decisions.clear();
     let mut backtracks_left = max_backtracks;
-    let mut skipped: Vec<bool> = vec![false; tasks.len()];
     let mut exhausted = false;
 
     // Rebuilds, in place, the path state implied by the current decision
     // stack (reset + replay — backtracks are rare and shallow here, so the
     // simple rebuild beats carrying an undo log through the window logic).
-    let rebuild = |state: &mut PathState, decisions: &[Decision]| {
+    let rebuild = |state: &mut PathState, decisions: &[Decision], alternatives: &[Scored]| {
         state.reset(input.initial_finish, tasks.len(), input.resources);
         for d in decisions {
-            let c = d.alternatives[d.chosen];
+            let c = alternatives[d.start + d.chosen];
             state.apply(tasks, comm, c.task, ProcessorId::new(c.processor));
         }
     };
 
     let state = phase_state(state, input);
-    let mut window_tasks: Vec<usize> = Vec::new();
     loop {
         // The feasibility window: the first `window` unassigned, unskipped
         // tasks in deadline order.
@@ -112,9 +136,10 @@ pub(crate) fn myopic_phase(
             break;
         }
 
-        // Score every (task, best processor) pair in the window.
-        let mut scored: Vec<Scored> = Vec::new();
-        for &t in &window_tasks {
+        // Score every (task, best processor) pair in the window, appending
+        // to the flat alternatives buffer.
+        let start = alternatives.len();
+        for &t in window_tasks.iter() {
             let mut best: Option<(usize, Time)> = None;
             let in_budget = task_round(input, state, t, &mut stats, meter, |p, completion| {
                 if best.is_none_or(|(_, c)| completion < c) {
@@ -131,7 +156,7 @@ pub(crate) fn myopic_phase(
                 // pass.
                 let h = tasks[t].deadline().as_micros()
                     + u64::from(weight_pct) * completion.as_micros() / 100;
-                scored.push(Scored {
+                alternatives.push(Scored {
                     task: t,
                     processor: p,
                     completion,
@@ -144,21 +169,23 @@ pub(crate) fn myopic_phase(
         }
         stats.expansions += 1;
 
-        if scored.is_empty() {
+        if alternatives.len() == start {
             // Not strongly feasible: backtrack if allowed, otherwise give
             // up on the tightest window task (it stays in the batch).
             if backtracks_left > 0 && !decisions.is_empty() {
                 backtracks_left -= 1;
                 stats.backtracks += 1;
-                // undo decisions until one has an untried alternative
+                // undo decisions until one has an untried alternative; the
+                // last decision's alternatives end the flat buffer
                 while let Some(mut last) = decisions.pop() {
-                    if last.chosen + 1 < last.alternatives.len() {
+                    if last.start + last.chosen + 1 < alternatives.len() {
                         last.chosen += 1;
                         decisions.push(last);
                         break;
                     }
+                    alternatives.truncate(last.start);
                 }
-                rebuild(state, &decisions);
+                rebuild(state, decisions, alternatives);
             } else {
                 skipped[window_tasks[0]] = true;
                 stats.level_skips += 1;
@@ -166,14 +193,12 @@ pub(crate) fn myopic_phase(
             continue;
         }
 
+        let scored = &mut alternatives[start..];
         scored.sort_by_key(|s| (s.h, s.completion, s.task));
         let choice = scored[0];
         state.apply(tasks, comm, choice.task, ProcessorId::new(choice.processor));
         stats.deepest = state.depth();
-        decisions.push(Decision {
-            alternatives: scored,
-            chosen: 0,
-        });
+        decisions.push(Decision { start, chosen: 0 });
     }
 
     let complete = state.depth() == tasks.len();

@@ -158,6 +158,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     if which.is_empty() {
         which.extend(ALL.iter().map(|s| s.to_string()));
     }
+    // Checked once on the effective scenario, whatever order `--txns` and
+    // `--scenario` came in.
+    config.base_scenario().validate()?;
     Ok(Cli {
         which,
         config,
@@ -312,6 +315,23 @@ mod tests {
         );
         let cli = parse_strs(&["fig5", "--quick", "--runs", "2"]).expect("parses");
         assert_eq!(cli.config.runs, 2);
+    }
+
+    #[test]
+    fn zero_txns_is_an_error_not_a_panic() {
+        let expected = Some("scenario parameter `transactions` must be positive");
+        let err = parse_strs(&["fig5", "--txns", "0", "--runs", "1"]).err();
+        assert_eq!(err.as_deref(), expected);
+        // A `--txns` after `--scenario` overrides the file's count, and is
+        // checked too.
+        let path = std::env::temp_dir().join("experiments-zero-txns-scenario.json");
+        std::fs::write(&path, ExperimentConfig::paper().scenario_json()).expect("writable");
+        let path = path.to_str().expect("utf-8 path");
+        let err = parse_strs(&["fig5", "--scenario", path, "--txns", "0"]).err();
+        assert_eq!(err.as_deref(), expected);
+        let cli = parse_strs(&["fig5", "--scenario", path, "--txns", "20"]).expect("parses");
+        assert_eq!(cli.config.base_scenario().transactions, 20);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

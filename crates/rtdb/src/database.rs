@@ -1,4 +1,5 @@
-//! The tuple store: sub-databases, the global database and its key index.
+//! The global database as the host sees it: its partitioning and the global
+//! key index.
 
 use std::collections::HashMap;
 
@@ -8,170 +9,52 @@ use serde::{Deserialize, Serialize};
 use crate::schema::Schema;
 use crate::transaction::Transaction;
 
-/// One stored tuple: a value per attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Tuple {
-    values: Vec<u64>,
-}
-
-impl Tuple {
-    /// Wraps attribute values (indexed by attribute).
-    #[must_use]
-    pub fn new(values: Vec<u64>) -> Self {
-        Tuple { values }
-    }
-
-    /// The attribute values.
-    #[must_use]
-    pub fn values(&self) -> &[u64] {
-        &self.values
-    }
-
-    /// The key-attribute value.
-    #[must_use]
-    pub fn key(&self) -> u64 {
-        self.values[Schema::KEY_ATTR]
-    }
-}
-
-/// One partition of the global database, indexed on the key attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SubDatabase {
-    id: usize,
-    tuples: Vec<Tuple>,
-    key_index: HashMap<u64, Vec<usize>>,
-}
-
-impl SubDatabase {
-    /// Builds a sub-database (and its key index) from tuples.
-    #[must_use]
-    pub fn new(id: usize, tuples: Vec<Tuple>) -> Self {
-        let mut key_index: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, t) in tuples.iter().enumerate() {
-            key_index.entry(t.key()).or_default().push(i);
-        }
-        SubDatabase {
-            id,
-            tuples,
-            key_index,
-        }
-    }
-
-    /// This partition's index (its [`DataObjectId`] in placements).
-    ///
-    /// [`DataObjectId`]: https://docs.rs/paragon-platform
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Number of stored tuples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// Whether the partition is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// How many tuples carry the key value `key`.
-    #[must_use]
-    pub fn key_frequency(&self, key: u64) -> usize {
-        self.key_index.get(&key).map_or(0, Vec::len)
-    }
-
-    /// Executes `txn` against this partition: returns
-    /// `(tuples_checked, matches)`. With a key predicate only the indexed
-    /// candidates are checked; otherwise the whole partition is scanned —
-    /// exactly the work the paper's cost estimator prices.
-    #[must_use]
-    pub fn execute(&self, txn: &Transaction) -> (usize, usize) {
-        match txn.key_value() {
-            Some(key) => {
-                let empty = Vec::new();
-                let candidates = self.key_index.get(&key).unwrap_or(&empty);
-                let matches = candidates
-                    .iter()
-                    .filter(|&&i| txn.matches(self.tuples[i].values()))
-                    .count();
-                (candidates.len(), matches)
-            }
-            None => {
-                let matches = self
-                    .tuples
-                    .iter()
-                    .filter(|t| txn.matches(t.values()))
-                    .count();
-                (self.tuples.len(), matches)
-            }
-        }
-    }
-
-    /// Iterates over the tuples.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
-    }
-}
-
-/// The global database: `d` sub-databases plus the host-side global key
-/// index used for cost estimation.
+/// The global database: `d` sub-databases of `r/d` tuples each, and the
+/// host-side global key index — how many tuples carry each key value. That
+/// is everything the cost estimator reads, so the tuples themselves are not
+/// kept.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GlobalDatabase {
     schema: Schema,
-    subdbs: Vec<SubDatabase>,
-    global_key_index: HashMap<u64, usize>,
+    partitions: usize,
+    tuples_per_partition: usize,
+    key_counts: HashMap<u64, usize>,
 }
 
 impl GlobalDatabase {
-    /// Assembles a database from already-built partitions.
+    /// Generates `d` partitions of `tuples_per` uniformly distributed tuples
+    /// each ("a uniformly distributed item is generated for each
+    /// attribute-value based on its domain") and keeps their key counts.
     ///
     /// # Panics
     ///
-    /// Panics if `subdbs` is empty.
+    /// Panics if `d` is zero.
     #[must_use]
-    pub fn new(schema: Schema, subdbs: Vec<SubDatabase>) -> Self {
-        assert!(
-            !subdbs.is_empty(),
-            "a database needs at least one partition"
-        );
-        let mut global_key_index = HashMap::new();
-        for sdb in &subdbs {
-            for t in sdb.iter() {
-                *global_key_index.entry(t.key()).or_insert(0) += 1;
+    pub fn generate(schema: &Schema, d: usize, tuples_per: usize, rng: &mut SimRng) -> Self {
+        assert!(d > 0, "a database needs at least one partition");
+        let mut key_counts = HashMap::new();
+        // Every attribute value is still drawn, in (partition, tuple,
+        // attribute) order: the key values sit between the others in the
+        // stream, and a draw consumes a variable number of raw words
+        // (rejection sampling), so skipping the non-key draws would change
+        // every key count and with it every estimate, task and figure.
+        for s in 0..d {
+            for _ in 0..tuples_per {
+                for a in 0..schema.attributes() {
+                    let base = schema.domain_base(s, a);
+                    let value = rng.uniform_u64(base..base + schema.domain_size());
+                    if a == Schema::KEY_ATTR {
+                        *key_counts.entry(value).or_insert(0) += 1;
+                    }
+                }
             }
         }
         GlobalDatabase {
-            schema,
-            subdbs,
-            global_key_index,
+            schema: *schema,
+            partitions: d,
+            tuples_per_partition: tuples_per,
+            key_counts,
         }
-    }
-
-    /// Generates `d` partitions of `tuples_per` uniformly distributed tuples
-    /// each ("a uniformly distributed item is generated for each
-    /// attribute-value based on its domain").
-    #[must_use]
-    pub fn generate(schema: &Schema, d: usize, tuples_per: usize, rng: &mut SimRng) -> Self {
-        let subdbs = (0..d)
-            .map(|s| {
-                let tuples = (0..tuples_per)
-                    .map(|_| {
-                        let values = (0..schema.attributes())
-                            .map(|a| {
-                                let base = schema.domain_base(s, a);
-                                rng.uniform_u64(base..base + schema.domain_size())
-                            })
-                            .collect();
-                        Tuple::new(values)
-                    })
-                    .collect();
-                SubDatabase::new(s, tuples)
-            })
-            .collect();
-        GlobalDatabase::new(*schema, subdbs)
     }
 
     /// The schema.
@@ -183,23 +66,13 @@ impl GlobalDatabase {
     /// Number of partitions `d`.
     #[must_use]
     pub fn partitions(&self) -> usize {
-        self.subdbs.len()
+        self.partitions
     }
 
     /// Total tuple count `r`.
     #[must_use]
     pub fn total_tuples(&self) -> usize {
-        self.subdbs.iter().map(SubDatabase::len).sum()
-    }
-
-    /// A partition by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    #[must_use]
-    pub fn subdb(&self, s: usize) -> &SubDatabase {
-        &self.subdbs[s]
+        self.partitions * self.tuples_per_partition
     }
 
     /// The partition `txn` targets.
@@ -213,24 +86,20 @@ impl GlobalDatabase {
     /// the partitions.
     #[must_use]
     pub fn global_key_frequency(&self, key: u64) -> usize {
-        self.global_key_index.get(&key).copied().unwrap_or(0)
+        self.key_counts.get(&key).copied().unwrap_or(0)
     }
 
-    /// Worst-case number of tuples a worker must check to execute `txn`
-    /// (the bracketed factor of the paper's `Execution_Cost`).
+    /// Number of tuples a worker checks to execute `txn` (the bracketed
+    /// factor of the paper's `Execution_Cost`): the key value's count when
+    /// the key is given, else a whole partition, `r/d`. Domains are disjoint
+    /// across sub-databases, so a key's count is exactly the tuples of its
+    /// target partition that carry it.
     #[must_use]
     pub fn tuples_to_check(&self, txn: &Transaction) -> usize {
         match txn.key_value() {
             Some(key) => self.global_key_frequency(key),
-            None => self.subdb(self.target_subdb(txn)).len(),
+            None => self.tuples_per_partition,
         }
-    }
-
-    /// Executes `txn` on its target partition, returning
-    /// `(tuples_checked, matches)`.
-    #[must_use]
-    pub fn execute(&self, txn: &Transaction) -> (usize, usize) {
-        self.subdb(self.target_subdb(txn)).execute(txn)
     }
 }
 
@@ -248,89 +117,50 @@ mod tests {
     }
 
     #[test]
-    fn generation_respects_domains() {
-        let db = generated();
-        assert_eq!(db.partitions(), 4);
-        assert_eq!(db.total_tuples(), 800);
-        for s in 0..4 {
-            for t in db.subdb(s).iter() {
-                for (a, &v) in t.values().iter().enumerate() {
-                    assert!(
-                        db.schema().value_in_domain(v, s, a),
-                        "value {v} escaped domain"
-                    );
-                }
-            }
-        }
-    }
+    fn key_counts_match_a_materialised_store() {
+        let (schema, d, tuples_per) = (schema(), 4, 200);
+        let mut rng = SimRng::seed_from(7);
+        let db = GlobalDatabase::generate(&schema, d, tuples_per, &mut rng);
+        assert_eq!(db.partitions(), d);
+        assert_eq!(db.total_tuples(), d * tuples_per);
 
-    #[test]
-    fn key_index_agrees_with_scan() {
-        let db = generated();
-        for s in 0..db.partitions() {
-            let sdb = db.subdb(s);
-            let base = db.schema().domain_base(s, Schema::KEY_ATTR);
-            for key in base..base + db.schema().domain_size() {
-                let by_scan = sdb.iter().filter(|t| t.key() == key).count();
-                assert_eq!(sdb.key_frequency(key), by_scan);
-                assert_eq!(db.global_key_frequency(key), by_scan, "domains disjoint");
-            }
-        }
-    }
-
-    #[test]
-    fn keyed_execution_checks_only_candidates() {
-        let db = generated();
-        let s = 1;
-        let key = db
-            .subdb(s)
-            .iter()
-            .next()
-            .expect("non-empty partition")
-            .key();
-        let txn = Transaction::new(0, vec![(0, key)]);
-        let (checked, matches) = db.execute(&txn);
-        assert_eq!(checked, db.subdb(s).key_frequency(key));
+        // The tuples `generate` drew: the same stream, in the same
+        // (partition, tuple, attribute) order.
+        let mut replay = SimRng::seed_from(7);
+        let store: Vec<Vec<Vec<u64>>> = (0..d)
+            .map(|s| {
+                (0..tuples_per)
+                    .map(|_| {
+                        (0..schema.attributes())
+                            .map(|a| {
+                                let base = schema.domain_base(s, a);
+                                replay.uniform_u64(base..base + schema.domain_size())
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         assert_eq!(
-            matches, checked,
-            "key-only predicate matches all candidates"
+            rng.uniform_u64(0..u64::MAX),
+            replay.uniform_u64(0..u64::MAX),
+            "generate consumes exactly the store's draws"
         );
-        assert!(checked < db.subdb(s).len(), "index avoids the full scan");
-    }
 
-    #[test]
-    fn unkeyed_execution_scans_the_partition() {
-        let db = generated();
-        let s = 2;
-        let probe = db.schema().domain_base(s, 1) + 3;
-        let txn = Transaction::new(0, vec![(1, probe)]);
-        let (checked, matches) = db.execute(&txn);
-        assert_eq!(checked, db.subdb(s).len());
-        let expected = db
-            .subdb(s)
-            .iter()
-            .filter(|t| t.values()[1] == probe)
-            .count();
-        assert_eq!(matches, expected);
-    }
-
-    #[test]
-    fn tuples_to_check_bounds_actual_work() {
-        let db = generated();
-        for s in 0..db.partitions() {
-            let base0 = db.schema().domain_base(s, 0);
-            let base1 = db.schema().domain_base(s, 1);
-            for (id, preds) in [
-                (0u64, vec![(0, base0 + 2)]),
-                (1, vec![(1, base1 + 2)]),
-                (2, vec![(0, base0 + 2), (1, base1 + 1)]),
-            ] {
-                let txn = Transaction::new(id, preds);
-                let (checked, _) = db.execute(&txn);
-                assert!(
-                    checked <= db.tuples_to_check(&txn),
-                    "estimate must bound the work"
-                );
+        for (s, tuples) in store.iter().enumerate() {
+            let base = schema.domain_base(s, Schema::KEY_ATTR);
+            for key in base..base + schema.domain_size() {
+                let recounted = tuples.iter().filter(|t| t[Schema::KEY_ATTR] == key).count();
+                assert_eq!(db.global_key_frequency(key), recounted, "key {key}");
+            }
+            // Non-key values are drawn but never indexed.
+            for t in tuples {
+                for (a, &v) in t.iter().enumerate() {
+                    assert!(schema.value_in_domain(v, s, a), "value {v} escaped domain");
+                    if a != Schema::KEY_ATTR {
+                        assert_eq!(db.global_key_frequency(v), 0);
+                    }
+                }
             }
         }
     }
@@ -338,12 +168,8 @@ mod tests {
     #[test]
     fn absent_key_is_free() {
         let db = generated();
-        // a key value outside every domain
-        let txn = Transaction::new(0, vec![(0, db.schema().domain_base(0, 0))]);
-        // value may or may not exist; instead probe frequency-0 explicitly:
         let ghost = 999_999_999;
         assert_eq!(db.global_key_frequency(ghost), 0);
-        let _ = txn; // silence unused in case
     }
 
     #[test]
@@ -358,13 +184,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one partition")]
     fn empty_database_rejected() {
-        let _ = GlobalDatabase::new(schema(), vec![]);
-    }
-
-    #[test]
-    fn tuple_accessors() {
-        let t = Tuple::new(vec![7, 8, 9]);
-        assert_eq!(t.values(), &[7, 8, 9]);
-        assert_eq!(t.key(), 7);
+        let _ = GlobalDatabase::generate(&schema(), 0, 10, &mut SimRng::seed_from(1));
     }
 }

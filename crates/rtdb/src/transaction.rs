@@ -94,15 +94,6 @@ impl Transaction {
         }
         target
     }
-
-    /// Whether `tuple_values` (indexed by attribute) matches every
-    /// predicate.
-    #[must_use]
-    pub fn matches(&self, tuple_values: &[u64]) -> bool {
-        self.predicates
-            .iter()
-            .all(|&(a, v)| tuple_values.get(a) == Some(&v))
-    }
 }
 
 #[cfg(test)]
@@ -138,24 +129,6 @@ mod tests {
         let s = schema();
         let txn = Transaction::new(0, vec![(0, s.domain_base(0, 0)), (1, s.domain_base(1, 1))]);
         let _ = txn.target_subdb(&s);
-    }
-
-    #[test]
-    fn matching_requires_all_predicates() {
-        let s = schema();
-        let txn = Transaction::new(
-            0,
-            vec![(0, s.domain_base(0, 0) + 1), (2, s.domain_base(0, 2) + 2)],
-        );
-        let mut tuple = vec![
-            s.domain_base(0, 0) + 1,
-            s.domain_base(0, 1),
-            s.domain_base(0, 2) + 2,
-            s.domain_base(0, 3),
-        ];
-        assert!(txn.matches(&tuple));
-        tuple[2] += 1;
-        assert!(!txn.matches(&tuple));
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl Scenario {
 pub struct BuiltScenario {
     /// The parameters it was built from.
     pub scenario: Scenario,
-    /// The generated database (held by the simulated local memories).
+    /// The generated database: its partitioning and the host's key index.
     pub db: GlobalDatabase,
     /// Which processor holds which sub-database.
     pub placement: Placement,

@@ -192,6 +192,14 @@ fn parse_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
             args.racks, args.nodes
         ));
     }
+    // A hierarchy's costs may not fall with distance.
+    if args.nodes > 1 && inter_rack_us(&args) < args.comm_us {
+        return Err(format!(
+            "--inter-rack-cost ({}) cannot be below --comm-us ({})",
+            inter_rack_us(&args),
+            args.comm_us
+        ));
+    }
     Ok(args)
 }
 
@@ -233,14 +241,13 @@ fn comm_model(args: &Args) -> CommModel {
     if args.nodes <= 1 {
         return CommModel::constant(Duration::from_micros(args.comm_us));
     }
-    let inter_rack = inter_rack_us(args);
     CommModel::hierarchical(TopologySpec::new(
         args.workers as u32,
         args.nodes as u32,
         args.racks as u32,
         0,
         args.comm_us,
-        inter_rack.max(args.comm_us),
+        inter_rack_us(args),
     ))
 }
 
@@ -459,7 +466,12 @@ fn cmd_bench_snapshot(argv: &[String]) -> Result<(), String> {
         };
         match flag.as_str() {
             "--out" => out = PathBuf::from(value("--out")?),
-            "--phases" => phases = value("--phases")?.parse().map_err(|e| format!("{e}"))?,
+            "--phases" => {
+                phases = value("--phases")?.parse().map_err(|e| format!("{e}"))?;
+                if phases == 0 {
+                    return Err("--phases must be positive".to_string());
+                }
+            }
             "--allow-dirty" => allow_dirty = true,
             other => return Err(format!("unknown bench-snapshot flag '{other}'")),
         }
@@ -633,6 +645,7 @@ fn main() -> ExitCode {
                         rtsads-sim timeline --trace FILE.jsonl [--window-us W] [--width N]\n\
                         rtsads-sim profile --trace FILE.jsonl [--folded OUT.txt]\n\
                         rtsads-sim report-diff a.json b.json\n\
+                        rtsads-sim bench-snapshot [--out FILE.json] [--phases N] [--allow-dirty]\n\
                         rtsads-sim bench-diff baseline.json new.json [--tolerance FRAC] [--json]"
             );
             return ExitCode::FAILURE;
@@ -818,11 +831,41 @@ mod tests {
         let args = parse_strs(&["--comm-us", "1500"]).expect("parses");
         let comm = comm_model(&args);
         assert!(comm.topology().is_none(), "1 node stays flat");
-        // A defaulted inter-rack cost below the inter-node cost is clamped
-        // up so the hierarchy's cost monotonicity holds.
-        let sharded = parse_strs(&["--nodes", "2", "--inter-rack-cost", "10"]).expect("parses");
-        let topo = *comm_model(&sharded).topology().expect("hierarchical");
-        assert_eq!(topo.inter_rack_cost(), topo.inter_node_cost());
+        // One node has no racks to price, so the flag has nothing to clash with.
+        let args = parse_strs(&["--comm-us", "1500", "--inter-rack-cost", "10"]).expect("parses");
+        assert!(comm_model(&args).topology().is_none());
+    }
+
+    #[test]
+    fn inter_rack_cost_below_comm_cost_is_an_error() {
+        let argv = ["--workers", "4", "--nodes", "2", "--racks", "2"];
+        let err =
+            parse_strs(&[&argv[..], &["--comm-us", "100", "--inter-rack-cost", "50"]].concat())
+                .expect_err("rejected");
+        assert_eq!(
+            err,
+            "--inter-rack-cost (50) cannot be below --comm-us (100)"
+        );
+        // Flag order does not matter, and equal costs are allowed: the run
+        // prices exactly the cost it was given.
+        let args =
+            parse_strs(&[&argv[..], &["--inter-rack-cost", "100", "--comm-us", "100"]].concat())
+                .expect("parses");
+        let topo = *comm_model(&args).topology().expect("hierarchical");
+        assert_eq!(topo.inter_rack_cost(), Duration::from_micros(100));
+        assert_eq!(topo.inter_node_cost(), Duration::from_micros(100));
+    }
+
+    #[test]
+    fn zero_bench_phases_is_an_error() {
+        // A zero-phase snapshot would record rates of 0 that no later
+        // reading can fall below.
+        let out = std::env::temp_dir().join("rtsads-sim-zero-phases.json");
+        let _ = std::fs::remove_file(&out);
+        let argv = ["--out", out.to_str().expect("utf-8 path"), "--phases", "0"];
+        let err = cmd_bench_snapshot(&argv.map(String::from)).expect_err("rejected");
+        assert_eq!(err, "--phases must be positive");
+        assert!(!out.exists(), "nothing was written");
     }
 
     #[test]

@@ -307,7 +307,8 @@ impl SnapshotDiff {
 /// expansion and (when both sides carry a profile section) the per-stage
 /// time fractions against [`STAGE_SHIFT_TOLERANCE`]. A metric regresses when it
 /// drops by more than `tolerance` relative to the baseline; improvements
-/// never fail. Baseline points absent from `new` are reported in
+/// never fail, but a baseline `phases_per_sec` or `vertices_per_sec` of 0
+/// always does. Baseline points absent from `new` are reported in
 /// [`SnapshotDiff::missing`], and points present in `new` but absent from
 /// the baseline in [`SnapshotDiff::unexpected`]; both count as a regression
 /// — the latter so that a newly added bench point cannot ship without its
@@ -332,6 +333,9 @@ pub fn diff_snapshots(base: &BenchSnapshot, new: &BenchSnapshot, tolerance: f64)
             ("phases_per_sec", bp.phases_per_sec, np.phases_per_sec),
             ("vertices_per_sec", bp.vertices_per_sec, np.vertices_per_sec),
         ] {
+            // A zero baseline rate is a vacuous measurement (no phase or
+            // no vertex was timed) that every reading would pass, so it
+            // fails the gate instead.
             let change = if b > 0.0 { (n - b) / b } else { 0.0 };
             deltas.push(MetricDelta {
                 point: bp.name.clone(),
@@ -339,7 +343,7 @@ pub fn diff_snapshots(base: &BenchSnapshot, new: &BenchSnapshot, tolerance: f64)
                 base: b,
                 new: n,
                 change,
-                regressed: change < -tolerance,
+                regressed: b <= 0.0 || change < -tolerance,
             });
         }
         // Candidates per expansion is a work metric, not a rate: growth is
@@ -773,6 +777,32 @@ mod tests {
         let gone = diff_snapshots(&base, &truncated, 0.20);
         assert!(gone.has_regression());
         assert_eq!(gone.missing, vec!["mixed_150x8".to_string()]);
+    }
+
+    #[test]
+    fn zero_baseline_rates_fail_the_gate() {
+        for zeroed in 0..2 {
+            let mut base = synthetic_snapshot(1.0);
+            let rates = &mut base.points[0];
+            if zeroed == 0 {
+                rates.phases_per_sec = 0.0;
+            } else {
+                rates.vertices_per_sec = 0.0;
+            }
+            let diff = diff_snapshots(&base, &synthetic_snapshot(1.0), 0.20);
+            let regressed: Vec<&str> = diff
+                .deltas
+                .iter()
+                .filter(|d| d.regressed)
+                .map(|d| d.metric.as_str())
+                .collect();
+            assert_eq!(
+                regressed,
+                [["phases_per_sec", "vertices_per_sec"][zeroed]],
+                "only the zero rate fails"
+            );
+            assert!(diff.has_regression());
+        }
     }
 
     #[test]
